@@ -58,6 +58,13 @@ def _load_json_arg(text: str, what: str):
         return text  # bare shorthand like "inverse"
 
 
+def _generator_list(spec: dict) -> list:
+    gens = spec["generators"]
+    if not isinstance(gens, list):
+        raise SpecError(f"'generators' must be a list, got {gens!r}")
+    return gens
+
+
 def build_group(spec, cap: int = groups.ORDER_CAP) -> groups.GroupTable:
     """Group specification: {"family": name, "n": int} |
     {"generators": [cycles], "degree": int} | {"product": [spec, spec]} |
@@ -67,10 +74,11 @@ def build_group(spec, cap: int = groups.ORDER_CAP) -> groups.GroupTable:
     if "family" in spec:
         return groups.construct_family(spec["family"], spec.get("n"), cap)
     if "generators" in spec:
+        gens = _generator_list(spec)
         degree = spec.get("degree")
         if not isinstance(degree, int) or degree < 1:
             raise SpecError("generator specs need a positive integer 'degree'")
-        perms = [groups.parse_cycles(s, degree) for s in spec["generators"]]
+        perms = [groups.parse_cycles(s, degree) for s in gens]
         return groups.enumerate_from_generators(
             perms, groups.perm_compose, groups.perm_label,
             "generators", cap, meta={"degree": degree},
@@ -131,7 +139,7 @@ def build_subgroup(G: groups.GroupTable, spec) -> np.ndarray:
     """Subgroup specification: {"generators": [...]} |
     {"centralizer_of_sigma": sigma-spec}."""
     if isinstance(spec, dict) and "generators" in spec:
-        ids = [G.element_id(s) for s in spec["generators"]]
+        ids = [G.element_id(s) for s in _generator_list(spec)]
         return groups.subgroup_closure(G, ids)
     if isinstance(spec, dict) and "centralizer_of_sigma" in spec:
         sigma = build_sigma(G, spec["centralizer_of_sigma"])

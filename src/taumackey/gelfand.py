@@ -142,26 +142,23 @@ def orbit_analysis(
     )
 
 
-def double_coset_tau_invariant(space: CosetSpace, tau: GroupMap, s: int) -> bool:
-    """Direct scan: tau(s) in tau(K) s K."""
-    G = space.group
-    t = G.table.astype(np.int64)
-    tau_k = np.unique(tau.images[space.subgroup])
-    left = t[tau_k, int(s)]
-    coset = t[np.ix_(left, space.subgroup)]
-    return bool(np.isin(int(tau.images[s]), coset).any())
+def double_coset_tau_invariant(
+    space: CosetSpace, tau: GroupMap, reps: np.ndarray
+) -> np.ndarray:
+    """Per element s of reps: tau(s) in tau(K) s K.  That holds exactly when
+    tau(s)K lies in the tau(K)-orbit of sK on X; tau(K) need not be K."""
+    labels = orbit_labels(space.action[tau.images[space.subgroup]])
+    reps = np.asarray(reps, dtype=np.int64)
+    points = space.point_of
+    return labels[points[tau.images[reps]]] == labels[points[reps]]
 
 
 def weak_symmetry_holds(space: CosetSpace, tau: GroupMap) -> bool:
-    """g in K tau(g) K for every g."""
-    G = space.group
-    t = G.table.astype(np.int64)
-    K = space.subgroup
-    for g in range(G.order):
-        left = t[K, int(tau.images[g])]
-        if not np.isin(g, t[np.ix_(left, K)]).any():
-            return False
-    return True
+    """g in K tau(g) K for every g.  That is KgK = K tau(g) K, which holds
+    exactly when gK and tau(g)K lie in the same K-orbit on X."""
+    labels = k_orbit_labels(space)
+    points = space.point_of
+    return bool((labels[points] == labels[points[tau.images]]).all())
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +222,7 @@ def gelfand_criteria_report(
     analysis = orbit_analysis(space, tau, pair_budget)
     cond_a = analysis.hom_skew_dim == 0
     cond_b = analysis.m_antisymmetric == 0
-    cond_c = all(
-        double_coset_tau_invariant(space, tau, int(s)) for s in analysis.coset_reps
-    )
+    cond_c = bool(double_coset_tau_invariant(space, tau, analysis.coset_reps).all())
     indicators = twisted_fs_indicators(table, tau).values
     cond_d = gelfand and all(indicators[i] == 1 for i in constituents)
     weak = weak_symmetry_holds(space, tau)
@@ -303,11 +298,11 @@ def spherical_functions(space: CosetSpace, table: CharacterTable) -> SphericalDa
     ids = np.arange(G.order)
     ginv = G.inverse.astype(np.int64)
     recon_res = 0.0
-    for a, i in enumerate(constituents):
-        d = int(table.degrees[i])
-        for c, rep in enumerate(conj.representatives):
-            conjugates = t[t[ginv, int(rep)], ids]
-            val = d / G.order * phi[a][space.point_of[conjugates]].conj().sum()
+    for c, rep in enumerate(conj.representatives):
+        conjugate_points = space.point_of[t[t[ginv, int(rep)], ids]]
+        for a, i in enumerate(constituents):
+            d = int(table.degrees[i])
+            val = d / G.order * phi[a][conjugate_points].conj().sum()
             recon_res = max(recon_res, abs(val - table.values[i, c]))
     orth = phi @ phi.conj().T / space.size
     expected = np.diag(1.0 / table.degrees[constituents].astype(float))

@@ -78,6 +78,19 @@ def test_subgroup_spec_variants():
     assert len(ids2) == 8
 
 
+@pytest.mark.parametrize("job", [
+    {"command": "char-table", "group": {"generators": "(1 2)", "degree": 2}},
+    {"command": "gelfand", "group": {"family": "symmetric", "n": 3},
+     "subgroup": {"generators": "(1 2)"}, "tau": "inverse"},
+], ids=["group", "subgroup"])
+def test_generators_string_is_spec_error(job):
+    out = cli._run_isolated(job, 1, cli.Budgets())
+    assert out["exit_code"] == 1
+    error = out["report"]["payload"]["error"]
+    assert error.startswith("'generators' must be a list")
+    assert "\n" not in error
+
+
 def test_report_determinism():
     job = {"command": "fs", "group": {"family": "symmetric", "n": 4}, "tau": "inverse"}
     r1, _ = cli.run_job(job, 7)

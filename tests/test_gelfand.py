@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from taumackey import characters, gelfand, groups, morphisms
+from taumackey import characters, cli, gelfand, groups, morphisms
 from taumackey.errors import NotAutomorphism, NotGelfand
 
 from battery import get_group
@@ -77,6 +79,98 @@ def test_dimension_bookkeeping_matches_coset_count():
         assert len(a.coset_reps) == a.orbit_count
 
 
+# ---------------------------------------------------------------------------
+# weak symmetry and condition (c) against direct scans of K tau(g) K
+# ---------------------------------------------------------------------------
+
+def weak_symmetry_scan(space, tau):
+    """Oracle: g in K tau(g) K for every g, scanning the |K| x |K| block."""
+    t = space.group.table.astype(np.int64)
+    K = space.subgroup
+    for g in range(space.group.order):
+        left = t[K, int(tau.images[g])]
+        if not np.isin(g, t[np.ix_(left, K)]).any():
+            return False
+    return True
+
+
+def double_coset_scan(space, tau, s):
+    """Oracle: tau(s) in tau(K) s K, scanning the |K| x |K| block."""
+    t = space.group.table.astype(np.int64)
+    tau_k = np.unique(tau.images[space.subgroup])
+    coset = t[np.ix_(t[tau_k, int(s)], space.subgroup)]
+    return bool(np.isin(int(tau.images[s]), coset).any())
+
+
+def involutory_twists(G):
+    """Inversion and every distinct involutory inner twist."""
+    t = G.table.astype(np.int64)
+    center = set(np.flatnonzero((t == t.T).all(axis=1)).tolist())
+    out = {}
+    for g0 in range(G.order):
+        if int(t[g0, g0]) in center:
+            tau = morphisms.tau_inner(G, g0)
+            out.setdefault(tau.images.tobytes(), tau)
+    return list(out.values())
+
+
+ORACLE_GROUPS = {
+    "S4": lambda: get_group("S4"),
+    "D4": lambda: get_group("D4"),
+    "D6": lambda: groups.dihedral(6),
+    "A4": lambda: get_group("A4"),
+    "CL3": lambda: get_group("CL3"),
+    "S5": lambda: get_group("S5"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def symmetry_cases(name):
+    """Check the orbit lookups against the direct scans on every subgroup
+    generated by at most two elements (a seeded sample for S5) under every
+    involutory twist.  Condition (c) is compared on every element of G, or
+    on the double-coset representatives for S5.  Returns the weak-symmetry
+    outcomes seen and the count of (K, tau, representative s) with
+    tau(K) != K and tau(s) outside tau(K) s K."""
+    G = ORACLE_GROUPS[name]()
+    n = G.order
+    if name == "S5":
+        pairs = np.random.default_rng(5).integers(0, n, size=(12, 2))
+    else:
+        pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    subgroups = {}
+    for a, b in pairs:
+        ids = groups.subgroup_closure(G, [a, b])
+        subgroups.setdefault(ids.tobytes(), ids)
+    weak_seen = set()
+    moved_false = 0
+    for K in subgroups.values():
+        space = gelfand.build_coset_space(G, K)
+        for tau in involutory_twists(G):
+            weak = gelfand.weak_symmetry_holds(space, tau)
+            assert weak == weak_symmetry_scan(space, tau)
+            weak_seen.add(weak)
+            reps = gelfand.orbit_analysis(space, tau).coset_reps
+            elements = reps if name == "S5" else np.arange(n)
+            fast = gelfand.double_coset_tau_invariant(space, tau, elements)
+            slow = np.array([double_coset_scan(space, tau, s) for s in elements])
+            assert np.array_equal(fast, slow)
+            if not np.array_equal(np.unique(tau.images[K]), K):
+                moved_false += int((~slow & np.isin(elements, reps)).sum())
+    return frozenset(weak_seen), moved_false
+
+
+@pytest.mark.parametrize("name", list(ORACLE_GROUPS))
+def test_symmetry_checks_match_direct_scans(name):
+    symmetry_cases(name)
+
+
+def test_symmetry_oracle_cases_cover_both_outcomes():
+    outcomes = [symmetry_cases(name) for name in ORACLE_GROUPS]
+    assert set().union(*(weak for weak, _ in outcomes)) == {True, False}
+    assert sum(moved for _, moved in outcomes) > 0
+
+
 def test_symmetric_pair_s4_s3():
     sp = space_in("S4", ["(1 2)", "(1 2 3)"])
     rep = gelfand.gelfand_criteria_report(sp, morphisms.tau_inverse(sp.group))
@@ -84,6 +178,20 @@ def test_symmetric_pair_s4_s3():
     assert all(rep.conditions)
     assert rep.subgroup_tau_invariant
     assert rep.rank == 2
+
+
+def test_weakly_symmetric_pair_s4_wr_z2():
+    G = cli.build_group(
+        {"generators": ["(1 2)", "(1 2 3 4)", "(1 5)(2 6)(3 7)(4 8)"], "degree": 8}
+    )
+    K = cli.build_subgroup(
+        G, {"generators": ["(1 2)", "(1 2 3 4)", "(5 6)", "(5 6 7 8)"]}
+    )
+    sp = gelfand.build_coset_space(G, K)
+    rep = gelfand.gelfand_criteria_report(sp, morphisms.tau_inverse(G), seed=1)
+    assert (G.order, sp.size) == (1152, 2)
+    assert rep.weak_symmetry and rep.rank == 2
+    assert all(rep.conditions)
 
 
 def test_symmetric_pair_s5_s4():
