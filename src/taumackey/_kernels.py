@@ -1,78 +1,27 @@
-"""Hot orbit-labeling kernel, with a numba JIT path and a pure-numpy fallback.
+"""The hot orbit-labeling kernel.
 
 Every orbit scan in the package (conjugacy classes, simultaneous
 conjugation on pairs, coset-space products) reduces to one primitive:
 given permutations ``moves[j]`` of ``{0..n-1}``, label each state with the
 minimum state index in its orbit under the group the moves generate.
-
-Set ``TAUMACKEY_PURE_NUMPY=1`` to force the numpy path; otherwise numba is
-used when importable.  ``benchmarks/bench_kernels.py`` compares the two.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = "TAUMACKEY_PURE_NUMPY"
 
-try:
-    from numba import njit
+def orbit_labels(moves: np.ndarray) -> np.ndarray:
+    """Label each state with the minimum index reachable under the moves.
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def use_numba() -> bool:
-    return HAS_NUMBA and os.environ.get(_ENV_FLAG, "") not in ("1", "true", "yes")
-
-
-@njit(cache=True)
-def _orbit_labels_jit(moves):  # pragma: no cover - exercised via dispatch
-    n_moves, n = moves.shape
-    parent = np.arange(n, dtype=np.int64)
-    for j in range(n_moves):
-        for x in range(n):
-            # find roots with path halving
-            a = x
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            b = moves[j, x]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            # smaller root wins, so the final root is the orbit minimum
-            if a < b:
-                parent[b] = a
-            elif b < a:
-                parent[a] = b
-    labels = np.empty(n, dtype=np.int64)
-    for x in range(n):
-        a = x
-        while parent[a] != a:
-            a = parent[a]
-        labels[x] = a
-        # compress for later lookups
-        b = x
-        while parent[b] != b:
-            parent[b], b = a, parent[b]
-    return labels
-
-
-def orbit_labels_numpy(moves: np.ndarray) -> np.ndarray:
-    """Min-label propagation with pointer doubling; moves must be permutations."""
+    ``moves`` has shape ``(n_moves, n_states)``; each row is a permutation.
+    Returns an int64 array where equal labels mean same orbit and each
+    label is the orbit's minimum state index.  Min-label propagation along
+    the moves and their inverses, with pointer doubling.
+    """
     moves = np.asarray(moves, dtype=np.int64)
+    if moves.ndim != 2:
+        raise ValueError("moves must be a (n_moves, n_states) array")
     n = moves.shape[1]
     both = list(moves)
     for m in moves:
@@ -87,30 +36,3 @@ def orbit_labels_numpy(moves: np.ndarray) -> np.ndarray:
         labels = np.minimum(labels, labels[labels])
         if np.array_equal(labels, prev):
             return labels
-
-
-def orbit_labels_numba(moves: np.ndarray) -> np.ndarray:
-    return _orbit_labels_jit(np.ascontiguousarray(moves, dtype=np.int64))
-
-
-def orbit_labels(moves: np.ndarray) -> np.ndarray:
-    """Label each state with the minimum index reachable under the moves.
-
-    ``moves`` has shape ``(n_moves, n_states)``; each row is a permutation.
-    Returns an int64 array where equal labels mean same orbit and each
-    label is the orbit's minimum state index.
-    """
-    moves = np.asarray(moves, dtype=np.int64)
-    if moves.ndim != 2:
-        raise ValueError("moves must be a (n_moves, n_states) array")
-    if moves.shape[0] == 0:
-        return np.arange(moves.shape[1], dtype=np.int64)
-    if use_numba():
-        return orbit_labels_numba(moves)
-    return orbit_labels_numpy(moves)
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation so timed sections do not pay for it."""
-    if use_numba():
-        orbit_labels_numba(np.array([[1, 0, 2]], dtype=np.int64))

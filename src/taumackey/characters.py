@@ -338,10 +338,6 @@ def tau_row_permutation(table: CharacterTable, tau: GroupMap) -> np.ndarray:
     return perm
 
 
-def tau_conjugate_row(table: CharacterTable, i: int, tau: GroupMap) -> int:
-    return int(tau_row_permutation(table, tau)[i])
-
-
 @dataclass
 class SelfConjugateCensus:
     count: int

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -472,54 +471,53 @@ def _run_isolated(job: dict, job_seed: int, budgets: Budgets) -> dict:
     return {"report": report, "exit_code": code}
 
 
+def _read_cached(path: Path) -> dict | None:
+    """A cached job outcome, or None when the entry is missing or torn."""
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+
+
+def _write_cached(path: Path, outcome: dict) -> None:
+    """Write to a temp file beside the entry, then rename it into place, so
+    a killed run never leaves a partial entry under the key."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(f".{os.getpid()}.tmp")
+    tmp.write_text(json.dumps(outcome, sort_keys=True, indent=2) + "\n")
+    os.replace(tmp, path)
+
+
 def run_batch(
     manifest: dict,
     seed: int,
     budgets: Budgets | None = None,
     cache_dir: Path | None = None,
-    workers: int = 1,
 ) -> tuple[dict, int, dict]:
-    """Run every job in a manifest on a bounded worker pool; per-job reports
-    are cached by a content hash of (spec, seed, budgets, version).  Returns
-    (aggregate, worst_exit_code, cache_stats)."""
+    """Run every job in a manifest in order; per-job reports are cached by a
+    content hash of (spec, seed, budgets, version), and an entry that cannot
+    be read counts as a miss.  Returns (aggregate, worst_exit_code,
+    cache_stats)."""
     budgets = budgets or Budgets()
     jobs = manifest.get("jobs")
     if not isinstance(jobs, list):
         raise SpecError("manifest must be an object with a 'jobs' list")
     stats = {"jobs": len(jobs), "cache_hits": 0, "cache_misses": 0}
-    results: list[dict | None] = [None] * len(jobs)
-    pending = []
-    for i, job in enumerate(jobs):
+    results = []
+    for job in jobs:
         job_seed = int(job.get("seed", seed))
-        key = _cache_key(job, job_seed, budgets)
-        if cache_dir is not None:
-            path = cache_dir / f"{key}.json"
-            if path.exists():
-                results[i] = json.loads(path.read_text())
-                stats["cache_hits"] += 1
-                continue
-        pending.append((i, job, job_seed, key))
-    if pending:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    (i, key, pool.submit(_run_isolated, job, job_seed, budgets))
-                    for i, job, job_seed, key in pending
-                ]
-                outcomes = [(i, key, f.result()) for i, key, f in futures]
+        if cache_dir is None:
+            results.append(_run_isolated(job, job_seed, budgets))
+            continue
+        path = cache_dir / f"{_cache_key(job, job_seed, budgets)}.json"
+        outcome = _read_cached(path)
+        if outcome is None:
+            outcome = _run_isolated(job, job_seed, budgets)
+            _write_cached(path, outcome)
+            stats["cache_misses"] += 1
         else:
-            outcomes = [
-                (i, key, _run_isolated(job, job_seed, budgets))
-                for i, job, job_seed, key in pending
-            ]
-        for i, key, outcome in outcomes:
-            results[i] = outcome
-            if cache_dir is not None:
-                stats["cache_misses"] += 1
-                cache_dir.mkdir(parents=True, exist_ok=True)
-                (cache_dir / f"{key}.json").write_text(
-                    json.dumps(outcome, sort_keys=True, indent=2) + "\n"
-                )
+            stats["cache_hits"] += 1
+        results.append(outcome)
     reports = [r["report"] for r in results]
     worst = max((r["exit_code"] for r in results), default=0)
     aggregate = {
@@ -568,7 +566,6 @@ def _parser() -> argparse.ArgumentParser:
     b = sub.add_parser("batch")
     b.add_argument("manifest", type=str)
     b.add_argument("--cache-dir", type=str, default=".taumackey-cache")
-    b.add_argument("--workers", type=int, default=1)
     _add_common(b)
     return parser
 
@@ -601,9 +598,7 @@ def main(argv=None) -> int:
         if args.command == "batch":
             manifest = json.loads(Path(args.manifest).read_text())
             cache_dir = Path(args.cache_dir) if args.cache_dir else None
-            aggregate, code, stats = run_batch(
-                manifest, seed, budgets, cache_dir, workers=args.workers
-            )
+            aggregate, code, stats = run_batch(manifest, seed, budgets, cache_dir)
             text = (
                 render_report(aggregate)
                 if args.format == "json"

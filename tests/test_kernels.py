@@ -31,20 +31,8 @@ def _reference_labels(moves):
 def test_numpy_path_matches_reference(seed, n, m):
     rng = np.random.default_rng(seed * 1000 + n)
     moves = np.stack([rng.permutation(n) for _ in range(m)])
-    got = _kernels.orbit_labels_numpy(moves)
+    got = _kernels.orbit_labels(moves)
     assert np.array_equal(got, _reference_labels(moves))
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba unavailable")
-@pytest.mark.parametrize("seed", range(8))
-def test_jit_path_matches_numpy(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 400))
-    m = int(rng.integers(1, 5))
-    moves = np.stack([rng.permutation(n) for _ in range(m)])
-    assert np.array_equal(
-        _kernels.orbit_labels_numba(moves), _kernels.orbit_labels_numpy(moves)
-    )
 
 
 def test_labels_are_orbit_minima():
@@ -63,9 +51,3 @@ def test_no_moves_gives_singletons():
     out = _kernels.orbit_labels(np.empty((0, 5), dtype=np.int64))
     assert np.array_equal(out, np.arange(5))
 
-
-def test_env_flag_switches_path(monkeypatch):
-    monkeypatch.setenv(_kernels._ENV_FLAG, "1")
-    assert not _kernels.use_numba()
-    moves = np.array([[1, 2, 0]])
-    assert np.array_equal(_kernels.orbit_labels(moves), [0, 0, 0])

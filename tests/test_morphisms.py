@@ -180,3 +180,105 @@ def test_commuting_anti_maps_compose_to_automorphism():
     comp = morphisms.compose_maps(t1, t2)
     assert comp.kind == "automorphism"
     assert comp.involutory
+
+
+# -- the generator check against the |G|^2 oracle -------------------------------
+
+KINDS = ("automorphism", "anti-automorphism")
+
+
+def _oracle_violations(G, images, kind):
+    """The full table comparison: True at (a, b) where the law fails."""
+    if G.table is not None:
+        t = G.table.astype(np.int64)
+    else:
+        t = np.array([[G.mul(a, b) for b in range(G.order)] for a in range(G.order)])
+    lhs = images[t]
+    m = t[np.ix_(images, images)]
+    rhs = m if kind == "automorphism" else m.T
+    return lhs != rhs
+
+
+def _assert_matches_oracle(G, images):
+    """validate accepts exactly what the oracle accepts, for both kinds, and
+    every rejection names a pair at which the law really fails."""
+    images = np.asarray(images, dtype=np.int64)
+    rejected = 0
+    for kind in KINDS:
+        bad = _oracle_violations(G, images, kind)
+        try:
+            morphisms.validate(G, images, kind)
+        except HomomorphismViolation as exc:
+            a, b = exc.witness
+            assert bad[a, b], (kind, G.label(a), G.label(b))
+            rejected += 1
+        else:
+            assert not bad.any(), kind
+    return rejected
+
+
+def _s4_wr_z2():
+    gens = ["(1 2)", "(1 2 3 4)", "(1 5)(2 6)(3 7)(4 8)"]
+    return groups.enumerate_from_generators(
+        [groups.parse_cycles(c, 8) for c in gens], groups.perm_compose,
+        groups.perm_label, meta={"degree": 8},
+    )
+
+
+def _lazy_s4():
+    return groups.enumerate_from_generators(
+        [(1, 0, 2, 3), (1, 2, 3, 0)], groups.perm_compose, groups.perm_label,
+        dense_cap=1,
+    )
+
+
+def _random_maps(G, seed, count):
+    """Seeded identity-fixing bijections, and valid maps with two images swapped."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+    for valid in (G.inverse.astype(np.int64), np.arange(G.order)):
+        for _ in range(count):
+            a, b = 1 + rng.choice(G.order - 1, size=2, replace=False)
+            near = valid.copy()
+            near[[a, b]] = near[[b, a]]
+            yield near
+
+
+@pytest.mark.parametrize("name", battery_names())
+def test_generator_check_matches_oracle_on_battery(name):
+    g = get_group(name)
+    for _, tau in available_taus(g):
+        _assert_matches_oracle(g, tau.images)
+    inv = g.inverse.astype(np.int64)
+    for x in range(g.order):
+        # an inner automorphism, and inversion after it (an anti-automorphism)
+        _assert_matches_oracle(g, g.conj_map(x))
+        _assert_matches_oracle(g, inv[g.conj_map(x)])
+    if not g.is_abelian():
+        assert _assert_matches_oracle(g, g.inverse) == 1  # automorphism refused
+    rejected = sum(_assert_matches_oracle(g, m) for m in _random_maps(g, len(name), 4))
+    assert rejected or g.order < 8  # tiny groups have few non-maps to draw
+
+
+def test_generator_check_matches_oracle_on_s4_wr_z2():
+    g = _s4_wr_z2()
+    assert g.order == 1152 and g.is_dense
+    _assert_matches_oracle(g, g.inverse)
+    c = g.element_id("(1 5)(2 6)(3 7)(4 8)")
+    _assert_matches_oracle(g, morphisms.tau_inner(g, c).images)
+    _assert_matches_oracle(g, g.conj_map(g.element_id("(1 2 3 4)")))
+    for images in _random_maps(g, 11, 2):
+        assert _assert_matches_oracle(g, images) >= 1
+
+
+def test_generator_check_matches_oracle_without_dense_table():
+    g = _lazy_s4()
+    assert g.table is None
+    _assert_matches_oracle(g, g.inverse)
+    _assert_matches_oracle(g, morphisms.tau_inner(g, g.element_id("(1 2)")).images)
+    for x in range(g.order):
+        _assert_matches_oracle(g, g.conj_map(x))  # every inner automorphism
+    for images in _random_maps(g, 5, 6):
+        assert _assert_matches_oracle(g, images) >= 1
+
