@@ -36,3 +36,9 @@ def orbit_labels(moves: np.ndarray) -> np.ndarray:
         labels = np.minimum(labels, labels[labels])
         if np.array_equal(labels, prev):
             return labels
+
+
+def orbit_representatives(labels: np.ndarray) -> np.ndarray:
+    """Sorted orbit representatives of ``orbit_labels`` output: each orbit's
+    minimum state is exactly a state labelled with itself."""
+    return np.flatnonzero(labels == np.arange(len(labels)))

@@ -57,6 +57,13 @@ def _load_json_arg(text: str, what: str):
         return text  # bare shorthand like "inverse"
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; strings, floats and booleans are spec errors."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _generator_list(spec: dict) -> list:
     gens = spec["generators"]
     if not isinstance(gens, list):
@@ -71,7 +78,12 @@ def build_group(spec, cap: int = groups.ORDER_CAP) -> groups.GroupTable:
     if not isinstance(spec, dict):
         raise SpecError(f"group spec must be an object, got {spec!r}")
     if "family" in spec:
-        return groups.construct_family(spec["family"], spec.get("n"), cap)
+        family, n = spec["family"], spec.get("n")
+        if not isinstance(family, str):
+            raise SpecError(f"'family' must be a string, got {family!r}")
+        if n is not None:
+            _integer(n, "'n'")
+        return groups.construct_family(family, n, cap)
     if "generators" in spec:
         gens = _generator_list(spec)
         degree = spec.get("degree")
@@ -90,6 +102,8 @@ def build_group(spec, cap: int = groups.ORDER_CAP) -> groups.GroupTable:
                                      build_group(parts[1], cap), cap)
     if "semidirect" in spec:
         inner = spec["semidirect"]
+        if not isinstance(inner, dict):
+            raise SpecError(f"'semidirect' must be an object, got {inner!r}")
         base = build_group(inner.get("base"), cap)
         tau = build_tau(base, inner.get("tau"))
         return groups.construct_semidirect_with_involution(base, tau)
@@ -243,7 +257,7 @@ def _cmd_simply_reducible(job, seed, budgets):
 def _cmd_power_sums(job, seed, budgets):
     G = build_group(job["group"], budgets.order)
     tau = build_tau(G, job.get("tau"))
-    n = int(job.get("n", 2))
+    n = _integer(job.get("n", 2), "'n'")
     rep = conjugacy.power_sum_report(G, tau, n, budgets.pairs)
     verified: dict | bool
     if rep.verified_against_orbits is None:
@@ -350,7 +364,7 @@ def _cmd_condition_star(job, seed, budgets):
 
 
 def _cmd_clifford_battery(job, seed, budgets):
-    n_max = int(job.get("n", 5))
+    n_max = _integer(job.get("n", 5), "'n'")
     entries = []
     worst = 0
     for n in range(1, n_max + 1):
@@ -453,21 +467,28 @@ def _cache_key(job: dict, seed: int, budgets: Budgets) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _spec_error_outcome(job, job_seed: int, budgets: Budgets, exc: SpecError) -> dict:
+    """A job's one-line error report; a job that is not an object is echoed
+    whole as its input."""
+    is_object = isinstance(job, dict)
+    report = {
+        "tool": "taumackey",
+        "version": __version__,
+        "command": job.get("command") if is_object else None,
+        "input": {k: v for k, v in job.items() if k != "command"} if is_object else job,
+        "seed": job_seed,
+        "budget_pairs": budgets.pairs,
+        "payload": {"error": str(exc)},
+    }
+    return {"report": report, "exit_code": 1}
+
+
 def _run_isolated(job: dict, job_seed: int, budgets: Budgets) -> dict:
     """One job, with specification errors contained in its own report."""
     try:
         report, code = run_job(job, job_seed, budgets)
     except SpecError as exc:
-        report = {
-            "tool": "taumackey",
-            "version": __version__,
-            "command": job.get("command"),
-            "input": {k: v for k, v in job.items() if k != "command"},
-            "seed": job_seed,
-            "budget_pairs": budgets.pairs,
-            "payload": {"error": str(exc)},
-        }
-        code = 1
+        return _spec_error_outcome(job, job_seed, budgets, exc)
     return {"report": report, "exit_code": code}
 
 
@@ -499,13 +520,19 @@ def run_batch(
     be read counts as a miss.  Returns (aggregate, worst_exit_code,
     cache_stats)."""
     budgets = budgets or Budgets()
-    jobs = manifest.get("jobs")
+    jobs = manifest.get("jobs") if isinstance(manifest, dict) else None
     if not isinstance(jobs, list):
         raise SpecError("manifest must be an object with a 'jobs' list")
     stats = {"jobs": len(jobs), "cache_hits": 0, "cache_misses": 0}
     results = []
     for job in jobs:
-        job_seed = int(job.get("seed", seed))
+        try:
+            if not isinstance(job, dict):
+                raise SpecError(f"a job must be an object, got {job!r}")
+            job_seed = _integer(job.get("seed", seed), "'seed'")
+        except SpecError as exc:
+            results.append(_spec_error_outcome(job, seed, budgets, exc))
+            continue
         if cache_dir is None:
             results.append(_run_isolated(job, job_seed, budgets))
             continue

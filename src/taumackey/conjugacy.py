@@ -6,12 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import orbit_labels
+from ._kernels import orbit_labels, orbit_representatives
 from .errors import BudgetExceeded, CrossCheckFailed, InvalidMap, NotCommuting, NotInteger
 from .groups import GroupTable
 from .morphisms import GroupMap
 
 PAIR_BUDGET = 4_000_000
+# Largest power n in power_sum_report.  At ORDER_CAP the exact sums then stay
+# under 2,300 digits, inside Python's 4,300-digit int-to-str limit.
+POWER_BUDGET = 512
 
 
 @dataclass
@@ -40,7 +43,7 @@ def conjugacy_classes(G: GroupTable) -> ConjugacyData:
     if "conjugacy" in G._caches:
         return G._caches["conjugacy"]
     labels = orbit_labels(G.generator_conj_maps())
-    representatives = np.unique(labels)
+    representatives = orbit_representatives(labels)
     class_of = np.searchsorted(representatives, labels)
     class_sizes = np.bincount(class_of)
     classes = [np.flatnonzero(class_of == c) for c in range(len(representatives))]
@@ -141,7 +144,7 @@ def twisted_orbit_count(
 
     # route two: direct orbit enumeration plus the alpha-invariance test
     labels = orbit_labels(moves)
-    reps = np.unique(labels)
+    reps = orbit_representatives(labels)
     fixed = int(np.sum(labels[alpha[reps]] == reps))
     if fixed != averaged:
         raise CrossCheckFailed(
@@ -176,7 +179,7 @@ def simultaneous_conjugation_scan(
     cmaps = G.generator_conj_maps()
     moves = np.stack([(c[:, None] * G.order + c[None, :]).reshape(-1) for c in cmaps])
     labels = orbit_labels(moves)
-    reps = np.unique(labels)
+    reps = orbit_representatives(labels)
     a, b = np.divmod(reps, G.order)
     tau_pairs = tau.images[a] * G.order + tau.images[b]
     invariant = int(np.sum(labels[tau_pairs] == reps))
@@ -203,6 +206,8 @@ def power_sum_report(
     sums are also cross-checked against the orbit scans."""
     if n < 1:
         raise InvalidMap("power must be >= 1")
+    if n > POWER_BUDGET:
+        raise BudgetExceeded(f"power {n} exceeds the exponent budget {POWER_BUDGET}")
     conj = conjugacy_classes(G)
     counts = count_twisted_squares(G, tau)
     v_rep = [int(G.order // s) for s in conj.class_sizes]

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import orbit_labels
+from ._kernels import orbit_labels, orbit_representatives
 from .characters import (
     CharacterTable,
     ClassFunction,
@@ -118,7 +118,7 @@ def orbit_analysis(
         right = space.action[int(s)]
         moves.append(np.add.outer(left * X, right).reshape(-1))
     labels = orbit_labels(np.stack(moves))
-    pair_reps = np.unique(labels)
+    pair_reps = orbit_representatives(labels)
     x1, x2 = np.divmod(pair_reps, X)
     symmetric = labels[x2 * X + x1] == pair_reps
     m1 = int(symmetric.sum())
@@ -208,7 +208,7 @@ def gelfand_criteria_report(
     mults = table.decompose(perm, "permutation character")
     gelfand = bool((mults <= 1).all())
     constituents = np.flatnonzero(mults)
-    rank = len(np.unique(k_orbit_labels(space)))
+    rank = len(orbit_representatives(k_orbit_labels(space)))
     norm = inner_product(perm, perm)
     if abs(norm - round(norm.real)) > INT_TOL or round(norm.real) != int((mults**2).sum()):
         raise CrossCheckFailed("permutation character norm disagrees with multiplicities")
@@ -290,7 +290,7 @@ def spherical_functions(space: CosetSpace, table: CharacterTable) -> SphericalDa
     if norm_res > INT_TOL:
         raise CrossCheckFailed(f"spherical normalization residual {norm_res:.3g}")
     labels = k_orbit_labels(space)
-    k_reps = np.unique(labels)
+    k_reps = orbit_representatives(labels)
     inv_res = float(np.abs(phi - phi[:, labels]).max())
     if inv_res > INT_TOL:
         raise CrossCheckFailed(f"spherical functions not K-orbit constant: {inv_res:.3g}")
@@ -401,7 +401,7 @@ def twisted_fs_gelfand(
     match = None
     if tau_k:
         labels = k_orbit_labels(space)
-        reps = np.unique(labels)
+        reps = orbit_representatives(labels)
         tau_point = space.point_of[tau.images[space.reps]]
         invariant_orbits = int((labels[tau_point[reps]] == reps).sum())
         match = invariant_orbits == n_self
@@ -488,7 +488,7 @@ def condition_star(
         table = compute_character_table(G, seed)
         mults = table.decompose(permutation_character(space), "permutation character")
         gelfand = bool((mults <= 1).all())
-        rank = len(np.unique(k_orbit_labels(space)))
+        rank = len(orbit_representatives(k_orbit_labels(space)))
         if holds and not gelfand:
             raise CrossCheckFailed(
                 "twisted-square condition holds for an involution but the "

@@ -38,7 +38,7 @@ class GroupTable:
     def __init__(
         self,
         order: int,
-        labels: list[str],
+        label_of: Callable[[int], str],
         generators: list[int],
         family_tag: str,
         table: np.ndarray | None,
@@ -49,7 +49,8 @@ class GroupTable:
         meta: dict | None = None,
     ):
         self.order = order
-        self.labels = labels
+        self._label_of = label_of
+        self._labels: list[str] | None = None
         self.generators = generators
         self.family_tag = family_tag
         self.table = table
@@ -110,25 +111,41 @@ class GroupTable:
     # -- lookup ---------------------------------------------------------------
 
     def label(self, a: int) -> str:
-        return self.labels[a]
+        """The element's display label, computed on demand."""
+        return self._label_of(int(a))
+
+    @property
+    def labels(self) -> list[str]:
+        """Every element's label by id, built on first access."""
+        if self._labels is None:
+            self._labels = [self._label_of(a) for a in range(self.order)]
+        return self._labels
 
     def element_id(self, what) -> int:
-        """Resolve a label, concrete element, or cycle-notation string to an id."""
+        """Resolve a label, concrete element, or cycle-notation string to an id.
+
+        Permutation groups parse cycle notation first, which finds every
+        label of theirs without building the label list.
+        """
         if isinstance(what, (int, np.integer)):
             i = int(what)
             if not 0 <= i < self.order:
                 raise InvalidMap(f"element id {i} out of range for order {self.order}")
             return i
         if isinstance(what, str):
+            bad_cycles = None
+            if self.elements is not None and self.meta.get("degree"):
+                try:
+                    perm = parse_cycles(what, self.meta["degree"])
+                except InvalidMap as exc:
+                    bad_cycles = exc
+                else:
+                    if perm in self._element_index:
+                        return self._element_index[perm]
             try:
                 return self.labels.index(what)
             except ValueError:
-                pass
-            if self.elements is not None and self.meta.get("degree"):
-                perm = parse_cycles(what, self.meta["degree"])
-                if perm in self._element_index:
-                    return self._element_index[perm]
-            raise InvalidMap(f"no element matching {what!r}")
+                raise bad_cycles or InvalidMap(f"no element matching {what!r}") from None
         if self._element_index is not None and what in self._element_index:
             return self._element_index[what]
         raise InvalidMap(f"no element matching {what!r}")
@@ -157,7 +174,7 @@ class GroupTable:
 
 def perm_compose(p: tuple, q: tuple) -> tuple:
     """(p*q)(x) = p(q(x))."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def perm_label(p: tuple) -> str:
@@ -194,7 +211,10 @@ def parse_cycles(text: str, degree: int) -> tuple:
         body = chunk.strip("() \t")
         if not body:
             continue
-        pts = [int(t) for t in body.replace(",", " ").split()]
+        try:
+            pts = [int(t) for t in body.replace(",", " ").split()]
+        except ValueError:
+            raise InvalidMap(f"bad cycle {chunk!r}: points must be integers") from None
         if any(not 1 <= t <= degree for t in pts) or len(set(pts)) != len(pts):
             raise InvalidMap(f"bad cycle {chunk!r} for degree {degree}")
         for a, b in zip(pts, pts[1:] + pts[:1]):
@@ -232,28 +252,27 @@ def enumerate_from_generators(
     order: list = list(seeds)
     parent: list[tuple[int, int] | None] = [None] * len(seeds)
 
-    frontier = list(range(len(seeds)))
-    while frontier:
-        new_frontier = []
-        for i in frontier:
-            for s, gen in enumerate(seeds):
-                c = compose(order[i], gen)
-                j = index.get(c)
-                if j is None:
-                    j = len(order)
-                    if j >= cap:
-                        raise ClosureCapExceeded(
-                            f"closure exceeded cap {cap} (tag {family_tag})"
-                        )
-                    index[c] = j
-                    order.append(c)
-                    parent.append((i, s))
-                    new_frontier.append(j)
-                # fill right-multiplication columns lazily below
-        frontier = new_frontier
+    # breadth-first: element i is expanded by every generator exactly once,
+    # in discovery order, so right_by[s][i] = index of order[i] * seeds[s]
+    right_by: list[list[int]] = [[] for _ in seeds]
+    i = 0
+    while i < len(order):
+        x = order[i]
+        for s, gen in enumerate(seeds):
+            c = compose(x, gen)
+            j = index.get(c)
+            if j is None:
+                j = len(order)
+                if j >= cap:
+                    raise ClosureCapExceeded(
+                        f"closure exceeded cap {cap} (tag {family_tag})"
+                    )
+                index[c] = j
+                order.append(c)
+                parent.append((i, s))
+            right_by[s].append(j)
+        i += 1
     n = len(order)
-    # right_by[s][i] = index of order[i] * seeds[s]
-    right_by = [[index[compose(order[i], gen)] for i in range(n)] for gen in seeds]
 
     # identity: probe with the first generator, then verify on all of them
     probe = 0
@@ -273,7 +292,6 @@ def enumerate_from_generators(
         remap[old_i] = new_i
     elements = [order[i] for i in old_of_new]
     element_index = {el: i for i, el in enumerate(elements)}
-    labels = [label(el) for el in elements]
     gen_ids = [int(remap[index[g]]) for g in seeds]
 
     table = None
@@ -301,7 +319,7 @@ def enumerate_from_generators(
 
     return GroupTable(
         order=n,
-        labels=labels,
+        label_of=lambda a: label(elements[a]),
         generators=gen_ids,
         family_tag=family_tag,
         table=table,
@@ -495,7 +513,10 @@ def direct_product(g1: GroupTable, g2: GroupTable, cap: int = ORDER_CAP) -> Grou
     n = n1 * n2
     if n > cap:
         raise ClosureCapExceeded(f"direct product order {n} > cap {cap}")
-    labels = [f"({la},{lb})" for la in g1.labels for lb in g2.labels]
+
+    def label_of(a):
+        return f"({g1.label(a // n2)},{g2.label(a % n2)})"
+
     generators = [int(s) * n2 for s in g1.generators] + [int(s) for s in g2.generators]
     tag = f"product({g1.family_tag},{g2.family_tag})"
     if g1.is_dense and g2.is_dense and n <= DENSE_CAP:
@@ -508,7 +529,7 @@ def direct_product(g1: GroupTable, g2: GroupTable, cap: int = ORDER_CAP) -> Grou
             g1.inverse.astype(np.int64)[:, None] * n2
             + g2.inverse.astype(np.int64)[None, :]
         ).reshape(n).astype(np.int32)
-        return GroupTable(n, labels, generators, tag, table, inverse,
+        return GroupTable(n, label_of, generators, tag, table, inverse,
                           meta={"product_of": (n1, n2)})
     inverse = (
         g1.inverse.astype(np.int64)[:, None] * n2
@@ -520,7 +541,7 @@ def direct_product(g1: GroupTable, g2: GroupTable, cap: int = ORDER_CAP) -> Grou
 
     elements = [(a, b) for a in range(n1) for b in range(n2)]
     element_index = {el: i for i, el in enumerate(elements)}
-    return GroupTable(n, labels, generators, tag, None, inverse,
+    return GroupTable(n, label_of, generators, tag, None, inverse,
                       elements=elements, element_index=element_index,
                       compose=compose, meta={"product_of": (n1, n2)})
 
@@ -571,13 +592,16 @@ def construct_semidirect_with_involution(N: GroupTable, tau: "GroupMap") -> Grou
     inverse = np.empty(order, dtype=np.int32)
     inverse[:n] = N.inverse
     inverse[n:] = alpha[ninv] + n
-    labels = list(N.labels) + [
-        "h" if a == 0 else f"h*{la}" for a, la in enumerate(N.labels)
-    ]
+
+    def label_of(a):
+        if a < n:
+            return N.label(a)
+        return "h" if a == n else f"h*{N.label(a - n)}"
+
     generators = list(N.generators) + [n]
     g = GroupTable(
         order,
-        labels,
+        label_of,
         generators,
         f"semidirect({N.family_tag})",
         table,
@@ -648,10 +672,9 @@ def subgroup_table(G: GroupTable, ids: np.ndarray) -> tuple[GroupTable, np.ndarr
             [[pos[G.mul(int(a), int(b))] for b in ids] for a in ids], dtype=np.int32
         )
     inverse = pos[G.inverse[ids]].astype(np.int32)
-    labels = [G.labels[i] for i in ids]
     sub = GroupTable(
         k,
-        labels,
+        lambda a: G.label(ids[a]),
         list(range(k)),
         f"subgroup({G.family_tag})",
         table,

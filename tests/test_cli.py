@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from taumackey import cli, criteria
+from taumackey import cli, conjugacy, criteria
 from taumackey.errors import SpecError
 
 
@@ -203,3 +203,56 @@ def test_env_seed(monkeypatch, tmp_path):
     assert json.loads(out.read_text())["seed"] == 99
     monkeypatch.setenv(cli.ENV_SEED, "not-a-number")
     assert cli.main(["char-table", "--group", '{"family":"cyclic","n":3}']) == 1
+
+
+@pytest.mark.parametrize("group", [
+    {"family": "cyclic", "n": "3"},
+    {"family": "dihedral", "n": 2.5},
+    {"family": "cyclic", "n": True},
+    {"family": ["cyclic"], "n": 3},
+    {"semidirect": 5},
+    {"generators": ["(1 x)"], "degree": 3},
+], ids=["n-string", "n-float", "n-bool", "family-list", "semidirect-int", "cycle-point"])
+def test_malformed_group_spec_is_one_line_spec_error(group):
+    out = cli._run_isolated({"command": "power-sums", "group": group}, 1, cli.Budgets())
+    assert out["exit_code"] == 1
+    error = out["report"]["payload"]["error"]
+    assert error and "\n" not in error
+
+
+def test_batch_isolates_malformed_jobs():
+    good = {"command": "power-sums", "group": {"family": "symmetric", "n": 3},
+            "tau": "inverse", "n": 2}
+    manifest = {"jobs": [5, {**good, "seed": "x"}, {**good, "seed": 2.0},
+                         ["power-sums"], good]}
+    aggregate, code, stats = cli.run_batch(manifest, 3)
+    assert code == 1 and stats["jobs"] == 5
+    reports = aggregate["jobs"]
+    for bad, expected in zip(reports[:4], ["a job must be an object", "'seed' must",
+                                           "'seed' must", "a job must be an object"]):
+        assert bad["payload"]["error"].startswith(expected)
+        assert bad["seed"] == 3
+    assert reports[0]["input"] == 5 and reports[0]["command"] is None
+    assert reports[1]["input"]["seed"] == "x"
+    assert reports[4] == cli.run_job(good, 3)[0]
+
+
+def test_batch_manifest_that_is_not_an_object(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text("[1]")
+    assert cli.main(["batch", str(manifest), "--cache-dir", ""]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest must be an object") and "Traceback" not in err
+
+
+def test_power_sums_exponent_budget(capsys):
+    group = '{"family":"symmetric","n":3}'
+    assert cli.main(["power-sums", "--group", group, "--n", "100000"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: power 100000 exceeds the exponent budget {conjugacy.POWER_BUDGET}\n"
+    report, code = cli.run_job(
+        {"command": "power-sums", "group": {"family": "cyclic", "n": 7},
+         "tau": "identity", "n": conjugacy.POWER_BUDGET}, 1)
+    assert code == 0
+    # tau = identity on Z7: one twisted square root count of 7 at the identity
+    assert report["payload"]["sum_twisted_pow"]["value"] == str(7 ** (conjugacy.POWER_BUDGET + 1))

@@ -57,7 +57,7 @@ def test_light_test_rejects_nonassociative_loop():
     # an order-5 loop (Latin square with identity 0) that is not a group
     table = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
                       [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]], dtype=np.int32)
-    loop = groups.GroupTable(5, list("eabcd"), [1, 2], "loop", table,
+    loop = groups.GroupTable(5, "eabcd".__getitem__, [1, 2], "loop", table,
                              np.arange(5, dtype=np.int32))
     with pytest.raises(NonGroup, match="associativity"):
         groups.verify_group_axioms(loop)
@@ -248,3 +248,173 @@ def test_identity_always_id_zero():
     for name in battery_names():
         g = get_group(name)
         assert all(g.mul(0, x) == x and g.mul(x, 0) == x for x in range(g.order))
+
+
+# ---------------------------------------------------------------------------
+# lazy labels and the one-pass closure, against the eager two-pass build
+# ---------------------------------------------------------------------------
+
+def _two_pass_closure(seeds, compose, label, dense_cap=groups.DENSE_CAP):
+    """The closure as first written: breadth-first discovery, then a second
+    compose sweep for the right-multiplication columns, and every label
+    built eagerly.  Returns (elements, labels, generator ids, table, inverse)."""
+    index = {g: i for i, g in enumerate(seeds)}
+    order = list(seeds)
+    parent = [None] * len(seeds)
+    frontier = list(range(len(seeds)))
+    while frontier:
+        new_frontier = []
+        for i in frontier:
+            for s, gen in enumerate(seeds):
+                c = compose(order[i], gen)
+                if c not in index:
+                    index[c] = len(order)
+                    order.append(c)
+                    parent.append((i, s))
+                    new_frontier.append(index[c])
+        frontier = new_frontier
+    n = len(order)
+    right_by = [[index[compose(order[i], gen)] for i in range(n)] for gen in seeds]
+    e_old = next(i for i in range(n)
+                 if all(right_by[s][i] == s for s in range(len(seeds))))
+    old_of_new = [e_old] + [i for i in range(n) if i != e_old]
+    remap = np.empty(n, dtype=np.int64)
+    remap[old_of_new] = np.arange(n)
+    elements = [order[i] for i in old_of_new]
+    element_index = {el: i for i, el in enumerate(elements)}
+    labels = [label(el) for el in elements]
+    gen_ids = [int(remap[index[g]]) for g in seeds]
+    if n > dense_cap:
+        inverse = groups._inverse_by_powers(elements, element_index, compose)
+        return elements, labels, gen_ids, None, inverse
+    right_new = [remap[np.array(col)][old_of_new] for col in right_by]
+    table = np.empty((n, n), dtype=np.int32)
+    table[:, 0] = np.arange(n)
+    for s, gid in enumerate(gen_ids):
+        if gid != 0:
+            table[:, gid] = right_new[s]
+    for old_j in range(n):
+        if parent[old_j] is None or remap[old_j] == 0:
+            continue
+        pi, s = parent[old_j]
+        table[:, remap[old_j]] = right_new[s][table[:, remap[pi]]]
+    return elements, labels, gen_ids, table, groups._inverse_from_table(table)
+
+
+def _closure_inputs(G):
+    """The seeds, compose and element label a closure-built group came from."""
+    seeds = [G.elements[s] for s in G.generators]
+    if "degree" in G.meta:
+        label = groups.perm_label
+    elif "clifford_n" in G.meta:
+        def label(x):
+            return groups._clifford_label(x, G.meta["clifford_n"])
+    else:
+        label = groups._quat_label
+    return seeds, G._compose, label
+
+
+CLOSURE_BUILDERS = {
+    **{name: (lambda name=name: get_group(name))
+       for name in battery_names() if name != "A5xZ2"},
+    "D1000": lambda: groups.dihedral(1000),
+    "CL11": lambda: groups.clifford(11),
+    "S7": lambda: groups.symmetric(7),
+}
+
+
+@pytest.fixture(scope="module")
+def closure_case():
+    """name -> (group, its two-pass build); each built once per module."""
+    cases = {}
+
+    def get(name):
+        if name not in cases:
+            G = CLOSURE_BUILDERS[name]()
+            seeds, compose, label = _closure_inputs(G)
+            dense_cap = groups.DENSE_CAP if G.is_dense else 0
+            cases[name] = G, _two_pass_closure(seeds, compose, label, dense_cap)
+        return cases[name]
+
+    return get
+
+
+def _other_cycle_notation(perm) -> str:
+    """The same permutation written differently from its label: cycles in
+    reverse order, each starting at its largest point, comma separated."""
+    label = groups.perm_label(perm)
+    if label == "e":
+        return "()"
+    cycles = label.strip("()").split(")(")
+    out = []
+    for cyc in reversed(cycles):
+        pts = cyc.split()
+        k = pts.index(max(pts, key=int))
+        out.append("(" + ",".join(pts[k:] + pts[:k]) + ")")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("name", list(CLOSURE_BUILDERS))
+def test_closure_matches_two_pass_build(name, closure_case):
+    G, (elements, _, gen_ids, table, inverse) = closure_case(name)
+    assert G.elements == elements
+    assert G.generators == gen_ids
+    assert (G.table is None) == (table is None)
+    if table is not None:
+        assert np.array_equal(G.table, table)
+    assert np.array_equal(G.inverse, inverse)
+
+
+@pytest.mark.parametrize("name", list(CLOSURE_BUILDERS))
+def test_lazy_labels_match_eager(name, closure_case):
+    G, (_, labels, _, _, _) = closure_case(name)
+    assert [G.label(a) for a in range(G.order)] == labels
+    assert G.labels == labels
+
+
+@pytest.mark.parametrize("name", list(CLOSURE_BUILDERS))
+def test_element_id_resolves_labels_and_cycles(name, closure_case):
+    G, (elements, labels, _, _, _) = closure_case(name)
+    assert len(set(labels)) == G.order
+    for a, lab in enumerate(labels):
+        assert G.element_id(lab) == a
+    if "degree" in G.meta:
+        for a, perm in enumerate(elements):
+            assert G.element_id(_other_cycle_notation(perm)) == a
+
+
+def test_cycle_strings_resolve_without_building_labels():
+    g = groups.dihedral(50)
+    rotation = "(" + " ".join(str(k) for k in range(1, 51)) + ")"
+    assert g.element_id(rotation) == g.generators[0]
+    assert g.element_id("e") == 0
+    assert g._labels is None
+    with pytest.raises(InvalidMap, match="no element"):
+        g.element_id("(1 2)")  # a transposition, not a symmetry of the 50-gon
+    with pytest.raises(InvalidMap, match="bad cycle"):
+        g.element_id("(1 x)")
+
+
+def test_derived_groups_label_lazily():
+    s3, z4 = groups.symmetric(3), groups.cyclic(4)
+    lazy_s4 = groups.enumerate_from_generators(
+        [(1, 0, 2, 3), (1, 2, 3, 0)], groups.perm_compose, groups.perm_label,
+        dense_cap=1,
+    )
+    for a, b in [(s3, z4), (lazy_s4, groups.cyclic(3))]:
+        p = groups.direct_product(a, b)
+        eager = [f"({la},{lb})" for la in a.labels for lb in b.labels]
+        assert [p.label(x) for x in range(p.order)] == p.labels == eager
+        assert all(p.element_id(lab) == x for x, lab in enumerate(eager))
+    sd = groups.construct_semidirect_with_involution(z4, morphisms.tau_inverse(z4))
+    eager = z4.labels + ["h" if a == 0 else f"h*{la}" for a, la in enumerate(z4.labels)]
+    assert [sd.label(x) for x in range(sd.order)] == sd.labels == eager
+    s4 = get_group("S4")
+    ids = groups.subgroup_closure(s4, [s4.element_id("(1 2)"), s4.element_id("(3 4)")])
+    sub, emb = groups.subgroup_table(s4, ids)
+    assert sub.labels == [s4.labels[i] for i in emb] == ["e", "(1 2)", "(3 4)", "(1 2)(3 4)"]
+
+
+def test_parse_cycles_rejects_non_integer_points():
+    with pytest.raises(InvalidMap, match="integers"):
+        groups.parse_cycles("(1 x)", 3)
