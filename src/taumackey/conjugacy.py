@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,9 +13,20 @@ from .groups import GroupTable
 from .morphisms import GroupMap
 
 PAIR_BUDGET = 4_000_000
-# Largest power n in power_sum_report.  At ORDER_CAP the exact sums then stay
-# under 2,300 digits, inside Python's 4,300-digit int-to-str limit.
-POWER_BUDGET = 512
+# Python's default int-to-str limit; the exact power sums must print within it.
+SUM_DIGITS = 4300
+
+
+def power_budget(order: int) -> int | None:
+    """Largest power n that power_sum_report accepts for a group of this order.
+
+    The sum of centralizer orders^n is at most order^(n+1), and the twisted
+    sum does not exceed it; order^(n+1) has at most SUM_DIGITS digits when
+    (n+1)*log10(order) <= SUM_DIGITS - 1.  The trivial group has no bound.
+    """
+    if order == 1:
+        return None
+    return int((SUM_DIGITS - 1) / math.log10(order)) - 1
 
 
 @dataclass
@@ -206,8 +218,11 @@ def power_sum_report(
     sums are also cross-checked against the orbit scans."""
     if n < 1:
         raise InvalidMap("power must be >= 1")
-    if n > POWER_BUDGET:
-        raise BudgetExceeded(f"power {n} exceeds the exponent budget {POWER_BUDGET}")
+    budget = power_budget(G.order)
+    if budget is not None and n > budget:
+        raise BudgetExceeded(
+            f"power {n} exceeds the exponent budget {budget} for order {G.order}"
+        )
     conj = conjugacy_classes(G)
     counts = count_twisted_squares(G, tau)
     v_rep = [int(G.order // s) for s in conj.class_sizes]

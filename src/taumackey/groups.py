@@ -124,30 +124,24 @@ class GroupTable:
     def element_id(self, what) -> int:
         """Resolve a label, concrete element, or cycle-notation string to an id.
 
-        Permutation groups parse cycle notation first, which finds every
-        label of theirs without building the label list.
+        Permutation groups (those with a degree) label by cycle notation, so
+        a string is parsed, never looked up in the label list.
         """
         if isinstance(what, (int, np.integer)):
             i = int(what)
             if not 0 <= i < self.order:
                 raise InvalidMap(f"element id {i} out of range for order {self.order}")
             return i
-        if isinstance(what, str):
-            bad_cycles = None
-            if self.elements is not None and self.meta.get("degree"):
-                try:
-                    perm = parse_cycles(what, self.meta["degree"])
-                except InvalidMap as exc:
-                    bad_cycles = exc
-                else:
-                    if perm in self._element_index:
-                        return self._element_index[perm]
+        key = what
+        if isinstance(what, str) and self.meta.get("degree"):
+            key = parse_cycles(what, self.meta["degree"])
+        elif isinstance(what, str):
             try:
                 return self.labels.index(what)
             except ValueError:
-                raise bad_cycles or InvalidMap(f"no element matching {what!r}") from None
-        if self._element_index is not None and what in self._element_index:
-            return self._element_index[what]
+                raise InvalidMap(f"no element matching {what!r}") from None
+        if self._element_index is not None and key in self._element_index:
+            return self._element_index[key]
         raise InvalidMap(f"no element matching {what!r}")
 
     def is_abelian(self) -> bool:

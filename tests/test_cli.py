@@ -249,10 +249,14 @@ def test_power_sums_exponent_budget(capsys):
     group = '{"family":"symmetric","n":3}'
     assert cli.main(["power-sums", "--group", group, "--n", "100000"]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: power 100000 exceeds the exponent budget {conjugacy.POWER_BUDGET}\n"
-    report, code = cli.run_job(
-        {"command": "power-sums", "group": {"family": "cyclic", "n": 7},
-         "tau": "identity", "n": conjugacy.POWER_BUDGET}, 1)
-    assert code == 0
-    # tau = identity on Z7: one twisted square root count of 7 at the identity
-    assert report["payload"]["sum_twisted_pow"]["value"] == str(7 ** (conjugacy.POWER_BUDGET + 1))
+    budget = conjugacy.power_budget(6)
+    assert err == f"error: power 100000 exceeds the exponent budget {budget} for order 6\n"
+    for order, n in ((7, conjugacy.power_budget(7)), (10, conjugacy.power_budget(10))):
+        report, code = cli.run_job(
+            {"command": "power-sums", "group": {"family": "cyclic", "n": order},
+             "tau": "identity", "n": n}, 1)
+        assert code == 0
+        # tau = identity: every h has tau(h^-1)h = 1, so the twisted sum is order^(n+1)
+        assert report["payload"]["sum_twisted_pow"]["value"] == str(order ** (n + 1))
+    # Z10 at its budget prints a 4300-digit sum, Python's int-to-str limit
+    assert len(report["payload"]["sum_twisted_pow"]["value"]) == conjugacy.SUM_DIGITS
