@@ -26,7 +26,7 @@ from .errors import (
     ValueOutOfRange,
 )
 from .conjugacy import ConjugacyData, conjugacy_classes, count_twisted_squares
-from .groups import GroupTable, construct_semidirect_with_involution, subgroup_table
+from .groups import GroupTable, construct_semidirect_with_involution
 from .morphisms import GroupMap
 
 DEFAULT_SEED = 1729
@@ -139,12 +139,12 @@ def _class_matrices(G: GroupTable, conj: ConjugacyData) -> np.ndarray:
     A[i, j, m] = number of (x, y) in C_i x C_j with x*y equal to a fixed
     representative of C_m.
     """
-    t = G.require_dense("character table computation").astype(np.int64)
+    ids = np.arange(G.order)
     k = conj.class_count
     A = np.empty((k, k, k), dtype=np.int64)
     sizes = conj.class_sizes
     for i in range(k):
-        rows = t[conj.classes[i]]
+        rows = G.mul(conj.classes[i][:, None], ids)
         for j in range(k):
             prods = rows[:, conj.classes[j]].reshape(-1)
             cnt = np.bincount(conj.class_of[prods], minlength=k)
@@ -280,10 +280,8 @@ def _round_indicators(raw: np.ndarray, what: str) -> np.ndarray:
 def fs_indicators(table: CharacterTable) -> np.ndarray:
     """Classical indicators (1/|G|) sum of chi(g^2): 1 real, 0 complex,
     -1 quaternionic."""
-    G = table.group
-    t = G.require_dense("indicator computation").astype(np.int64)
-    squares = t.diagonal()
-    raw = _indicator_from_targets(table, squares)
+    ids = np.arange(table.group.order)
+    raw = _indicator_from_targets(table, table.group.mul(ids, ids))
     return _round_indicators(raw, "Frobenius-Schur indicator")
 
 
@@ -300,9 +298,7 @@ def twisted_fs_indicators(table: CharacterTable, tau: GroupMap) -> TwistedIndica
     G = table.group
     if tau.group is not G:
         raise GroupMismatch("map lives on a different group")
-    t = G.require_dense("indicator computation").astype(np.int64)
-    ids = np.arange(G.order)
-    targets = t[G.inverse[tau.images], ids]     # tau(g)^-1 * g
+    targets = G.mul(G.inverse[tau.images], np.arange(G.order))  # tau(g)^-1 * g
     trace_route = _indicator_from_targets(table, targets)
     counts = count_twisted_squares(G, tau).on_class_reps(table.conj)
     weights = counts * table.conj.class_sizes
@@ -403,16 +399,14 @@ def induced_character(
     G = table.group
     if f.group is not sub:
         raise GroupMismatch("class function does not live on the subgroup")
-    t = G.require_dense("induction").astype(np.int64)
     conj_g = table.conj
     conj_k = conjugacy_classes(sub)
     f_elem = np.zeros(G.order, dtype=complex)
     f_elem[embedding] = f.values[conj_k.class_of]
     ids = np.arange(G.order)
-    inv = G.inverse.astype(np.int64)
     values = np.empty(conj_g.class_count, dtype=complex)
     for c, rep in enumerate(conj_g.representatives):
-        inner = t[t[inv, int(rep)], ids]        # x^-1 * rep * x over x
+        inner = G.mul(G.mul(G.inverse, rep), ids)   # x^-1 * rep * x over x
         values[c] = f_elem[inner].sum() / len(embedding)
     induced = ClassFunction(G, values)
     for i in range(table.class_count):
@@ -480,10 +474,7 @@ def clifford_theory_check(
             raise CaseClassificationFailed(f"norm of induced row {i} not integral")
         norm = int(round(norm.real))
         # sigma^h(x) = sigma(h^-1 x h), computed inside the extension
-        hx = np.array(
-            [G.mul(G.mul(h, int(r)), h) for r in conj_n.representatives],
-            dtype=np.int64,
-        )
+        hx = G.mul(G.mul(h, conj_n.representatives), h)
         sigma_h = ClassFunction(N, sigma.values[conj_n.class_of[hx]])
         res_ind = restricted_character(induced, N, embedding)
         if norm == 1:

@@ -10,6 +10,7 @@ timing therefore goes to stderr, never into a report.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -106,7 +107,7 @@ def build_group(spec, cap: int = groups.ORDER_CAP) -> groups.GroupTable:
             raise SpecError(f"'semidirect' must be an object, got {inner!r}")
         base = build_group(inner.get("base"), cap)
         tau = build_tau(base, inner.get("tau"))
-        return groups.construct_semidirect_with_involution(base, tau)
+        return groups.construct_semidirect_with_involution(base, tau, cap)
     raise SpecError(f"group spec needs one of family/generators/product/semidirect: {spec}")
 
 
@@ -126,10 +127,10 @@ def build_tau(G: groups.GroupTable, spec) -> morphisms.GroupMap:
     if isinstance(spec, dict) and "inner" in spec:
         return morphisms.tau_inner(G, G.element_id(spec["inner"]))
     if isinstance(spec, dict) and "generator_images" in spec:
-        pairs = {
-            G.element_id(k): G.element_id(v)
-            for k, v in spec["generator_images"].items()
-        }
+        images = spec["generator_images"]
+        if not isinstance(images, dict):
+            raise SpecError(f"'generator_images' must be an object, got {images!r}")
+        pairs = {G.element_id(k): G.element_id(v) for k, v in images.items()}
         return morphisms.tau_from_generator_images(G, pairs)
     raise SpecError(f"bad tau spec: {spec!r}")
 
@@ -141,8 +142,7 @@ def build_sigma(G: groups.GroupTable, spec) -> morphisms.GroupMap:
         return morphisms.validate(G, np.arange(G.order), "automorphism")
     if isinstance(spec, dict) and "inner" in spec:
         g0 = G.element_id(spec["inner"])
-        images = np.array([G.conj(g0, x) for x in range(G.order)], dtype=np.int64)
-        return morphisms.validate(G, images, "automorphism")
+        return morphisms.validate(G, G.conj_map(g0), "automorphism")
     if isinstance(spec, dict) and "generator_images" in spec:
         raise SpecError("generator_images sigma specs are not supported; use inner")
     raise SpecError(f"bad sigma spec: {spec!r}")
@@ -454,6 +454,17 @@ def render_text(report: dict, indent: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=None)
+def _source_hash(package: Path = Path(__file__).parent) -> str:
+    """Hash of the package's Python sources: a report cached by other code
+    is never served, whatever the version string says."""
+    digest = hashlib.sha256()
+    for path in sorted(package.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
 def _cache_key(job: dict, seed: int, budgets: Budgets) -> str:
     blob = json.dumps(
         {
@@ -461,6 +472,7 @@ def _cache_key(job: dict, seed: int, budgets: Budgets) -> str:
             "seed": seed,
             "budget": [budgets.pairs, budgets.order, budgets.classes],
             "version": __version__,
+            "source": _source_hash(),
         },
         sort_keys=True,
     )
@@ -516,9 +528,9 @@ def run_batch(
     cache_dir: Path | None = None,
 ) -> tuple[dict, int, dict]:
     """Run every job in a manifest in order; per-job reports are cached by a
-    content hash of (spec, seed, budgets, version), and an entry that cannot
-    be read counts as a miss.  Returns (aggregate, worst_exit_code,
-    cache_stats)."""
+    content hash of (spec, seed, budgets, version, package source), and an
+    entry that cannot be read counts as a miss.  Returns (aggregate,
+    worst_exit_code, cache_stats)."""
     budgets = budgets or Budgets()
     jobs = manifest.get("jobs") if isinstance(manifest, dict) else None
     if not isinstance(jobs, list):

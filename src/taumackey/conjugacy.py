@@ -84,14 +84,7 @@ def count_twisted_squares(G: GroupTable, tau: GroupMap) -> TwistedSquareCounts:
     if tau.group is not G or tau.kind != "anti-automorphism" or not tau.involutory:
         raise InvalidMap("need a validated involutory anti-automorphism of this group")
     n = G.order
-    ids = np.arange(n, dtype=np.int64)
-    if G.table is not None:
-        t = G.table.astype(np.int64)
-        targets = t[tau.images[G.inverse[ids]], ids]
-    else:
-        targets = np.array(
-            [G.mul(int(tau.images[G.inv(h)]), h) for h in range(n)], dtype=np.int64
-        )
+    targets = G.mul(tau.images[G.inverse], np.arange(n))
     counts = np.bincount(targets, minlength=n).astype(np.int64)
     if counts.sum() != n:
         raise CrossCheckFailed("twisted square counts do not sum to |G|")

@@ -49,20 +49,19 @@ class CosetSpace:
 
 def build_coset_space(G: GroupTable, subgroup_ids) -> CosetSpace:
     K = check_subgroup(G, np.asarray(subgroup_ids, dtype=np.int64))
-    t = G.require_dense("coset space construction").astype(np.int64)
     n = G.order
     point_of = -np.ones(n, dtype=np.int64)
     reps = []
     for g in range(n):
         if point_of[g] >= 0:
             continue
-        point_of[t[g, K]] = len(reps)
+        point_of[G.mul(g, K)] = len(reps)
         reps.append(g)
     reps = np.array(reps, dtype=np.int64)
     size = len(reps)
     if size * len(K) != n:
         raise NotASubgroup("cosets do not partition the group evenly")
-    action = point_of[t[:, reps]]
+    action = point_of[G.mul(np.arange(n)[:, None], reps)]
     stab = np.flatnonzero(action[:, 0] == 0)
     if not np.array_equal(stab, K):
         raise CrossCheckFailed("stabilizer of the base point is not K")
@@ -111,10 +110,9 @@ def orbit_analysis(
     X = space.size
     if X * X > pair_budget:
         raise BudgetExceeded(f"|X|^2 = {X * X} exceeds the pair budget {pair_budget}")
-    inv = G.inverse.astype(np.int64)
     moves = []
     for s in G.generators:
-        left = space.action[int(tau.images[inv[s]])]   # tau-twisted action
+        left = space.action[int(tau.images[G.inverse[s]])]   # tau-twisted action
         right = space.action[int(s)]
         moves.append(np.add.outer(left * X, right).reshape(-1))
     labels = orbit_labels(np.stack(moves))
@@ -279,9 +277,8 @@ def spherical_functions(space: CosetSpace, table: CharacterTable) -> SphericalDa
     if (mults > 1).any():
         raise NotGelfand("permutation character is not multiplicity-free")
     constituents = np.flatnonzero(mults)
-    t = G.table.astype(np.int64)
     conj = table.conj
-    prods = t[np.ix_(space.reps, space.subgroup)]      # (X, |K|)
+    prods = G.mul(space.reps[:, None], space.subgroup)  # (X, |K|)
     prod_classes = conj.class_of[prods]
     phi = np.empty((len(constituents), space.size), dtype=complex)
     for a, i in enumerate(constituents):
@@ -296,10 +293,9 @@ def spherical_functions(space: CosetSpace, table: CharacterTable) -> SphericalDa
         raise CrossCheckFailed(f"spherical functions not K-orbit constant: {inv_res:.3g}")
     # recover each character from its spherical function
     ids = np.arange(G.order)
-    ginv = G.inverse.astype(np.int64)
     recon_res = 0.0
     for c, rep in enumerate(conj.representatives):
-        conjugate_points = space.point_of[t[t[ginv, int(rep)], ids]]
+        conjugate_points = space.point_of[G.mul(G.mul(G.inverse, rep), ids)]
         for a, i in enumerate(constituents):
             d = int(table.degrees[i])
             val = d / G.order * phi[a][conjugate_points].conj().sum()
@@ -354,9 +350,7 @@ def twisted_fs_gelfand(
     sph = spherical_functions(space, table)
     constituents = sph.constituent_rows
     indicators = twisted_fs_indicators(table, tau).values
-    t = G.table.astype(np.int64)
-    ids = np.arange(G.order)
-    twisted = t[G.inverse[tau.images], ids]          # tau(g)^-1 g per g
+    twisted = G.mul(G.inverse[tau.images], np.arange(G.order))  # tau(g)^-1 g per g
     twisted_points = space.point_of[twisted]
 
     # identity (1): averaging a spherical function over twisted squares gives
@@ -468,8 +462,7 @@ def condition_star(
     ids = np.arange(n)
     K = np.flatnonzero(sigma.images == ids).astype(np.int64)
     K = check_subgroup(G, K)
-    t = G.require_dense("twisted-square analysis").astype(np.int64)
-    omega = np.unique(t[ids, sigma.images[G.inverse[ids]]])
+    omega = np.unique(G.mul(ids, sigma.images[G.inverse]))
     conj = conjugacy_classes(G)
     in_g = len(np.unique(conj.class_of[omega]))
     moves = np.stack([G.conj_map(int(k)) for k in K])

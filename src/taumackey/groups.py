@@ -1,10 +1,12 @@
 """Finite group construction: Cayley closure, builtin families, products.
 
 Elements of a constructed group are dense integer ids ``0..order-1`` with
-id 0 always the identity.  Groups of order <= DENSE_CAP carry a fully
-materialized order x order multiplication table; larger groups multiply on
-demand from their concrete elements (permutation tuples, signed subsets,
-pairs) with a memoized inverse table.
+id 0 always the identity.  Every group is built the same way, from the
+right-multiplication columns x -> x*s of its generators s, and multiplies
+through one primitive, ``GroupTable.mul``.  A breadth-first search over the
+generators and their inverses gives each element a Cayley word; groups of
+order <= DENSE_CAP cache the full order x order table, filled row by row
+along those words, and larger groups walk the words on demand.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
     ClosureCapExceeded,
     InvalidMap,
     NonGroup,
@@ -33,7 +34,7 @@ ASSOC_SEED = 0
 
 
 class GroupTable:
-    """A fully enumerated finite group over element ids 0..order-1."""
+    """A finite group over element ids 0..order-1."""
 
     def __init__(
         self,
@@ -41,65 +42,114 @@ class GroupTable:
         label_of: Callable[[int], str],
         generators: list[int],
         family_tag: str,
-        table: np.ndarray | None,
-        inverse: np.ndarray,
+        columns: np.ndarray,
         elements: list | None = None,
         element_index: dict | None = None,
-        compose=None,
         meta: dict | None = None,
+        dense_cap: int | None = None,
     ):
+        """``columns[i]`` is the permutation x -> x*generators[i] of all ids.
+
+        The multiplication table is filled when order <= dense_cap, which
+        defaults to DENSE_CAP as it stands at call time.
+        """
         self.order = order
         self._label_of = label_of
         self._labels: list[str] | None = None
         self.generators = generators
         self.family_tag = family_tag
-        self.table = table
-        self.inverse = inverse
         self.elements = elements
         self._element_index = element_index
-        self._compose = compose
         self.meta = meta or {}
         self._caches: dict = {}
+        columns = np.asarray(columns, dtype=np.int64).reshape(len(generators), order)
+        moves, words = self._cayley_words(columns)
+        self.table = None
+        self.inverse = self._walk(0, np.arange(order)).astype(np.int32)
+        if order <= (DENSE_CAP if dense_cap is None else dense_cap):
+            move_rows = self.mul(np.array(moves, dtype=np.int64)[:, None], np.arange(order))
+            self.table = _fill_table(move_rows, *words)
+
+    def _cayley_words(self, columns: np.ndarray):
+        """Breadth-first search from the identity over the moves x -> x*m,
+        m a generator or a generator's inverse.
+
+        Each element other than the identity gets a parent and the move
+        that reaches it from there, so its Cayley word is read off by
+        walking up to the root.  Returns the moves and the elements in
+        search order with their parents and moves (indices into the moves).
+        """
+        n = self.order
+        moves: list[int] = []
+        cols: list[np.ndarray] = []
+        for s, col in zip(self.generators, columns):
+            if s != 0 and s not in moves:
+                moves.append(s)
+                cols.append(col)
+        for col in list(cols):
+            back = np.argsort(col)  # y -> y*s^-1, so back[0] = s^-1
+            if not np.array_equal(col[back], np.arange(n)):
+                raise NonGroup("right multiplication by a generator is not a bijection")
+            if back[0] != 0 and back[0] not in moves:
+                moves.append(int(back[0]))
+                cols.append(back)
+        cols = np.array(cols, dtype=np.int64).reshape(len(moves), n)
+        parent = np.full(n, -1, dtype=np.int64)
+        parent[0] = 0
+        step = np.full(n, len(moves), dtype=np.int64)  # the root's is the identity
+        depth = np.zeros(n, dtype=np.int64)
+        levels = [np.zeros(1, dtype=np.int64)]
+        while levels[-1].size:
+            frontier = levels[-1]
+            # each new element's parent and move: its first hit, move-major
+            found, first = np.unique(cols[:, frontier], return_index=True)
+            fresh = parent[found] < 0
+            found = found[fresh]
+            step[found], at = np.divmod(first[fresh], frontier.size)
+            parent[found] = frontier[at]
+            depth[found] = len(levels)
+            levels.append(found)
+        reached = int((parent >= 0).sum())
+        if reached != n:
+            raise NonGroup(f"generators reach {reached} of {n} elements")
+        # a walk undoes one move per step: x -> x*m^-1, by the inverse column
+        undo = np.empty_like(cols)
+        np.put_along_axis(undo, cols, np.arange(n)[None, :], axis=1)
+        self._undo = np.concatenate([undo.ravel(), np.arange(n)])
+        self._undo_at = step * n
+        self._parent = parent
+        self._depth = depth
+        found = np.concatenate(levels[1:])
+        return moves, (found, parent[found], step[found])
+
+    def _walk(self, x, w):
+        """x * w^-1 for broadcastable id arrays: if w = p*m then
+        x * w^-1 = (x * m^-1) * p^-1, so walk up w's Cayley word.  The
+        identity's step undoes nothing, so there is always one step."""
+        for _ in range(max(1, int(self._depth[w].max(initial=0)))):
+            x = self._undo[self._undo_at[w] + x]
+            w = self._parent[w]
+        return x
 
     # -- arithmetic ---------------------------------------------------------
 
-    @property
-    def is_dense(self) -> bool:
-        return self.table is not None
-
-    def mul(self, a: int, b: int) -> int:
+    def mul(self, a, b):
+        """a*b for ids or broadcastable id arrays, as int64: a gather from
+        the table, or else a walk of b^-1's Cayley word from a."""
         if self.table is not None:
-            return int(self.table[a, b])
-        c = self._compose(self.elements[a], self.elements[b])
-        return self._element_index[c]
+            return self.table[a, b].astype(np.int64)
+        return self._walk(a, self.inverse[b])
 
     def inv(self, a: int) -> int:
         return int(self.inverse[a])
 
-    def conj(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
-
-    def require_dense(self, what: str) -> np.ndarray:
-        if self.table is None:
-            raise BudgetExceeded(
-                f"{what} needs a dense multiplication table; "
-                f"|G|={self.order} exceeds the dense cap"
-            )
-        return self.table
-
     def right_mul_map(self, s: int) -> np.ndarray:
         """The permutation x -> x*s of all element ids."""
-        if self.table is not None:
-            return self.table[:, s].astype(np.int64)
-        return np.array([self.mul(x, s) for x in range(self.order)], dtype=np.int64)
+        return self.mul(np.arange(self.order), s)
 
     def conj_map(self, s: int) -> np.ndarray:
         """The permutation x -> s*x*s^-1 of all element ids."""
-        if self.table is not None:
-            si = int(self.inverse[s])
-            return self.table[self.table[s, :], si].astype(np.int64)
-        return np.array([self.conj(s, x) for x in range(self.order)], dtype=np.int64)
+        return self.mul(self.mul(s, np.arange(self.order)), self.inverse[s])
 
     def generator_conj_maps(self) -> np.ndarray:
         key = "generator_conj_maps"
@@ -125,7 +175,8 @@ class GroupTable:
         """Resolve a label, concrete element, or cycle-notation string to an id.
 
         Permutation groups (those with a degree) label by cycle notation, so
-        a string is parsed, never looked up in the label list.
+        a string is parsed, never looked up in the label list.  Anything
+        else that is not an element of the group raises InvalidMap.
         """
         if isinstance(what, (int, np.integer)):
             i = int(what)
@@ -140,26 +191,34 @@ class GroupTable:
                 return self.labels.index(what)
             except ValueError:
                 raise InvalidMap(f"no element matching {what!r}") from None
-        if self._element_index is not None and key in self._element_index:
+        try:
             return self._element_index[key]
-        raise InvalidMap(f"no element matching {what!r}")
+        except (KeyError, TypeError):  # no concrete elements, or unhashable
+            raise InvalidMap(f"no element matching {what!r}") from None
 
     def is_abelian(self) -> bool:
         key = "abelian"
         if key not in self._caches:
-            if self.table is not None:
-                self._caches[key] = bool(np.array_equal(self.table, self.table.T))
-            else:
-                gens = self.generators
-                self._caches[key] = all(
-                    self.mul(s, x) == self.mul(x, s)
-                    for s in gens
-                    for x in range(self.order)
-                )
+            gens = np.array(self.generators, dtype=np.int64)[:, None]
+            ids = np.arange(self.order)
+            self._caches[key] = bool(
+                np.array_equal(self.mul(gens, ids), self.mul(ids, gens))
+            )
         return self._caches[key]
 
     def __repr__(self):
         return f"GroupTable({self.family_tag}, order={self.order})"
+
+
+def _fill_table(move_rows: np.ndarray, found, parents, steps) -> np.ndarray:
+    """The dense table, row by row in search order: the row of w = p*m is
+    the row of p read at the row of m, as (p*m)*y = p*(m*y)."""
+    n = move_rows.shape[1]
+    table = np.empty((n, n), dtype=np.int32)
+    table[0] = np.arange(n)
+    for j, p, m in zip(found.tolist(), parents.tolist(), steps.tolist()):
+        table[j] = table[p][move_rows[m]]
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +285,14 @@ def enumerate_from_generators(
     label: Callable = str,
     family_tag: str = "generators",
     cap: int = ORDER_CAP,
-    dense_cap: int = DENSE_CAP,
+    dense_cap: int | None = None,
     meta: dict | None = None,
 ) -> GroupTable:
     """Close a set of concrete elements under composition into a GroupTable.
 
     Elements must be hashable and compose associatively.  The identity is
     discovered (one probe, then verified against all generators) and gets
-    id 0; a missing identity or inverse raises NonGroup.
+    id 0; a missing identity raises NonGroup.
     """
     seeds: list = []
     for g in generators:
@@ -244,7 +303,6 @@ def enumerate_from_generators(
 
     index: dict = {g: i for i, g in enumerate(seeds)}
     order: list = list(seeds)
-    parent: list[tuple[int, int] | None] = [None] * len(seeds)
 
     # breadth-first: element i is expanded by every generator exactly once,
     # in discovery order, so right_by[s][i] = index of order[i] * seeds[s]
@@ -263,7 +321,6 @@ def enumerate_from_generators(
                     )
                 index[c] = j
                 order.append(c)
-                parent.append((i, s))
             right_by[s].append(j)
         i += 1
     n = len(order)
@@ -282,76 +339,22 @@ def enumerate_from_generators(
     # reorder: identity first, rest in discovery order
     old_of_new = [e_old] + [i for i in range(n) if i != e_old]
     remap = np.empty(n, dtype=np.int64)
-    for new_i, old_i in enumerate(old_of_new):
-        remap[old_i] = new_i
+    remap[old_of_new] = np.arange(n)
     elements = [order[i] for i in old_of_new]
     element_index = {el: i for i, el in enumerate(elements)}
     gen_ids = [int(remap[index[g]]) for g in seeds]
-
-    table = None
-    if n <= dense_cap:
-        right_new = [
-            remap[np.array(col, dtype=np.int64)][old_of_new] for col in right_by
-        ]
-        table = np.empty((n, n), dtype=np.int32)
-        table[:, 0] = np.arange(n, dtype=np.int32)
-        for s, gid in enumerate(gen_ids):
-            if gid != 0:
-                table[:, gid] = right_new[s]
-        # column of w*s comes from the column of w: x*(w*s) = (x*w)*s
-        for old_j in range(n):
-            if parent[old_j] is None:
-                continue
-            new_j = int(remap[old_j])
-            if new_j == 0:
-                continue
-            pi, s = parent[old_j]
-            table[:, new_j] = right_new[s][table[:, int(remap[pi])]]
-        inverse = _inverse_from_table(table)
-    else:
-        inverse = _inverse_by_powers(elements, element_index, compose)
-
+    columns = remap[np.array(right_by, dtype=np.int64)][:, old_of_new]
     return GroupTable(
-        order=n,
-        label_of=lambda a: label(elements[a]),
-        generators=gen_ids,
-        family_tag=family_tag,
-        table=table,
-        inverse=inverse,
+        n,
+        lambda a: label(elements[a]),
+        gen_ids,
+        family_tag,
+        columns,
         elements=elements,
         element_index=element_index,
-        compose=compose,
         meta=meta,
+        dense_cap=dense_cap,
     )
-
-
-def _inverse_from_table(table: np.ndarray) -> np.ndarray:
-    n = table.shape[0]
-    rows, cols = np.nonzero(table == 0)
-    if not np.array_equal(rows, np.arange(n)):
-        raise NonGroup("some element lacks a unique right inverse; not a group")
-    inverse = np.empty(n, dtype=np.int32)
-    inverse[rows] = cols
-    if not (table[inverse, np.arange(n)] == 0).all():
-        raise NonGroup("one-sided inverses only; not a group")
-    return inverse
-
-
-def _inverse_by_powers(elements, element_index, compose) -> np.ndarray:
-    n = len(elements)
-    e = elements[0]
-    inverse = np.empty(n, dtype=np.int32)
-    for i, x in enumerate(elements):
-        prev, cur = x, compose(x, x)
-        steps = 1
-        while cur != e:
-            prev, cur = cur, compose(cur, x)
-            steps += 1
-            if steps > n:
-                raise NonGroup(f"element {i} has no inverse in the closure")
-        inverse[i] = element_index[prev] if steps > 1 else (i if x == e else element_index[x])
-    inverse[0] = 0
-    return inverse
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +467,6 @@ def clifford_mul(x: tuple, y: tuple) -> tuple:
     return (s, a ^ b)
 
 
-def clifford_inverse(x: tuple) -> tuple:
-    s, a = x
-    k = bin(a).count("1")
-    return (s * (-1) ** ((k * (k - 1) // 2) & 1), a)
-
-
 def _clifford_label(x: tuple, n: int) -> str:
     s, a = x
     sign = "-" if s < 0 else ""
@@ -511,33 +508,13 @@ def direct_product(g1: GroupTable, g2: GroupTable, cap: int = ORDER_CAP) -> Grou
     def label_of(a):
         return f"({g1.label(a // n2)},{g2.label(a % n2)})"
 
+    a, b = np.divmod(np.arange(n), n2)
+    columns = [g1.mul(a, s) * n2 + b for s in g1.generators]
+    columns += [a * n2 + g2.mul(b, s) for s in g2.generators]
     generators = [int(s) * n2 for s in g1.generators] + [int(s) for s in g2.generators]
     tag = f"product({g1.family_tag},{g2.family_tag})"
-    if g1.is_dense and g2.is_dense and n <= DENSE_CAP:
-        t1 = g1.table.astype(np.int64)
-        t2 = g2.table.astype(np.int64)
-        table = (
-            t1[:, None, :, None] * n2 + t2[None, :, None, :]
-        ).reshape(n, n).astype(np.int32)
-        inverse = (
-            g1.inverse.astype(np.int64)[:, None] * n2
-            + g2.inverse.astype(np.int64)[None, :]
-        ).reshape(n).astype(np.int32)
-        return GroupTable(n, label_of, generators, tag, table, inverse,
-                          meta={"product_of": (n1, n2)})
-    inverse = (
-        g1.inverse.astype(np.int64)[:, None] * n2
-        + g2.inverse.astype(np.int64)[None, :]
-    ).reshape(n).astype(np.int32)
-
-    def compose(x, y):
-        return (g1.mul(x[0], y[0]), g2.mul(x[1], y[1]))
-
-    elements = [(a, b) for a in range(n1) for b in range(n2)]
-    element_index = {el: i for i, el in enumerate(elements)}
-    return GroupTable(n, label_of, generators, tag, None, inverse,
-                      elements=elements, element_index=element_index,
-                      compose=compose, meta={"product_of": (n1, n2)})
+    return GroupTable(n, label_of, generators, tag, np.array(columns),
+                      meta={"product_of": (n1, n2)})
 
 
 def construct_family(family: str, n: int | None = None, cap: int = ORDER_CAP) -> GroupTable:
@@ -558,7 +535,9 @@ def construct_family(family: str, n: int | None = None, cap: int = ORDER_CAP) ->
     raise UnknownFamily(f"unknown family {family!r}")
 
 
-def construct_semidirect_with_involution(N: GroupTable, tau: "GroupMap") -> GroupTable:
+def construct_semidirect_with_involution(
+    N: GroupTable, tau: "GroupMap", cap: int = ORDER_CAP
+) -> GroupTable:
     """Order-2 extension of N by the automorphism n -> tau(n^-1).
 
     Elements are pairs (n, e) with id e*|N| + n, so N embeds as ids
@@ -571,43 +550,33 @@ def construct_semidirect_with_involution(N: GroupTable, tau: "GroupMap") -> Grou
         raise InvalidMap("need a validated involutory anti-automorphism")
     n = N.order
     order = 2 * n
-    if order > ORDER_CAP:
-        raise ClosureCapExceeded(f"semidirect order {order} > cap {ORDER_CAP}")
-    timg = tau.images.astype(np.int64)
-    ninv = N.inverse.astype(np.int64)
-    alpha = timg[ninv]  # n -> tau(n^-1), an automorphism
-    tN = N.require_dense("semidirect construction").astype(np.int64)
-    table = np.empty((order, order), dtype=np.int32)
-    # (a, ea)*(b, eb) = (a * alpha^ea(b), ea+eb mod 2)
-    table[:n, :n] = tN
-    table[:n, n:] = tN + n
-    table[n:, :n] = tN[:, alpha] + n
-    table[n:, n:] = tN[:, alpha]
-    inverse = np.empty(order, dtype=np.int32)
-    inverse[:n] = N.inverse
-    inverse[n:] = alpha[ninv] + n
+    if order > cap:
+        raise ClosureCapExceeded(f"semidirect order {order} > cap {cap}")
+    alpha = tau.images[N.inverse]  # n -> tau(n^-1), an automorphism
+    ids = np.arange(n)
+    # (a, e)*(s, 0) = (a * alpha^e(s), e) and (a, e)*h = (a, e+1 mod 2)
+    columns = [np.concatenate([N.mul(ids, s), N.mul(ids, alpha[s]) + n])
+               for s in N.generators]
+    columns.append((np.arange(order) + n) % order)
 
     def label_of(a):
         if a < n:
             return N.label(a)
         return "h" if a == n else f"h*{N.label(a - n)}"
 
-    generators = list(N.generators) + [n]
+    h = n
     g = GroupTable(
         order,
         label_of,
-        generators,
+        list(N.generators) + [h],
         f"semidirect({N.family_tag})",
-        table,
-        inverse,
-        meta={"base_order": n, "h": n},
+        np.array(columns),
+        meta={"base_order": n, "h": h},
     )
-    h = n
     if g.mul(h, h) != 0:
         raise NonGroup("semidirect relation h*h = 1 failed")
-    for a in range(n):
-        if g.mul(g.mul(h, a), h) != int(ninv[timg[a]]):
-            raise NonGroup("semidirect relation h*n*h = tau(n)^-1 failed")
+    if not np.array_equal(g.mul(g.mul(h, ids), h), N.inverse[tau.images]):
+        raise NonGroup("semidirect relation h*n*h = tau(n)^-1 failed")
     return g
 
 
@@ -617,19 +586,15 @@ def construct_semidirect_with_involution(N: GroupTable, tau: "GroupMap") -> Grou
 
 def subgroup_closure(G: GroupTable, gen_ids: Iterable[int]) -> np.ndarray:
     """Sorted ids of the subgroup generated by gen_ids."""
-    seen = {0}
-    frontier = [0]
-    gens = [int(g) for g in gen_ids]
-    while frontier:
-        new = []
-        for x in frontier:
-            for s in gens:
-                y = G.mul(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return np.array(sorted(seen), dtype=np.int64)
+    gens = np.array([int(g) for g in gen_ids], dtype=np.int64)
+    seen = np.zeros(G.order, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        new = np.unique(G.mul(frontier[:, None], gens))
+        frontier = new[~seen[new]]
+        seen[frontier] = True
+    return np.flatnonzero(seen)
 
 
 def check_subgroup(G: GroupTable, ids: np.ndarray) -> np.ndarray:
@@ -639,40 +604,26 @@ def check_subgroup(G: GroupTable, ids: np.ndarray) -> np.ndarray:
         raise NotASubgroup("subgroup must contain the identity (id 0)")
     member = np.zeros(G.order, dtype=bool)
     member[ids] = True
-    if G.table is not None:
-        prods = G.table[np.ix_(ids, ids)]
-        if not member[prods].all():
-            raise NotASubgroup("set is not closed under multiplication")
-    else:
-        for a in ids:
-            for b in ids:
-                if not member[G.mul(int(a), int(b))]:
-                    raise NotASubgroup("set is not closed under multiplication")
+    if not member[G.mul(ids[:, None], ids)].all():
+        raise NotASubgroup("set is not closed under multiplication")
     if not member[G.inverse[ids]].all():
         raise NotASubgroup("set is not closed under inversion")
     return ids
 
 
 def subgroup_table(G: GroupTable, ids: np.ndarray) -> tuple[GroupTable, np.ndarray]:
-    """Reindex a subgroup as its own GroupTable; returns (table, embedding)."""
+    """Reindex a subgroup as its own GroupTable; returns (table, embedding).
+    Every element is a generator: generator i is ids[i]."""
     ids = check_subgroup(G, ids)
     k = len(ids)
     pos = -np.ones(G.order, dtype=np.int64)
     pos[ids] = np.arange(k)
-    if G.table is not None:
-        table = pos[G.table[np.ix_(ids, ids)]].astype(np.int32)
-    else:
-        table = np.array(
-            [[pos[G.mul(int(a), int(b))] for b in ids] for a in ids], dtype=np.int32
-        )
-    inverse = pos[G.inverse[ids]].astype(np.int32)
     sub = GroupTable(
         k,
         lambda a: G.label(ids[a]),
         list(range(k)),
         f"subgroup({G.family_tag})",
-        table,
-        inverse,
+        pos[G.mul(ids[None, :], ids[:, None])],  # row i: x -> x*ids[i]
         meta={"parent_ids": ids},
     )
     return sub, ids
@@ -690,8 +641,8 @@ def verify_group_axioms(G: GroupTable) -> dict:
     Algebraic Theory of Semigroups, vol. 1).  The elements a with
     (x*a)*y = x*(a*y) for all x, y are closed under products, so once the
     generators reach every element the law holds for all triples.  Without
-    a table, the same test would cost |S|*n^2 Python products (about 50M
-    for S7), so ASSOC_TRIPLES seeded random triples are checked instead.
+    a table, the same test would walk |S|*n^2 Cayley words (about 50M for
+    S7), so ASSOC_TRIPLES seeded random triples are checked instead.
     Raises NonGroup on any violation; returns a report of what was checked.
     """
     n = G.order
@@ -711,13 +662,12 @@ def verify_group_axioms(G: GroupTable) -> dict:
         rng = np.random.default_rng(ASSOC_SEED)
         exhaustive = False
         checked = ASSOC_TRIPLES
-        for _ in range(checked):
-            a, b, c = (int(x) for x in rng.integers(0, n, size=3))
-            if G.mul(G.mul(a, b), c) != G.mul(a, G.mul(b, c)):
-                raise NonGroup("associativity failed on a sampled triple")
-        for a in range(n):
-            if G.mul(a, 0) != a or G.mul(0, a) != a or G.mul(a, G.inv(a)) != 0:
-                raise NonGroup("identity/inverse axiom failed")
+        a, b, c = rng.integers(0, n, size=(checked, 3)).T
+        if not np.array_equal(G.mul(G.mul(a, b), c), G.mul(a, G.mul(b, c))):
+            raise NonGroup("associativity failed on a sampled triple")
+        if not (np.array_equal(G.mul(idx, 0), idx) and np.array_equal(G.mul(0, idx), idx)
+                and (G.mul(idx, G.inverse) == 0).all()):
+            raise NonGroup("identity/inverse axiom failed")
     reached = len(subgroup_closure(G, G.generators))
     if reached != n:
         raise NonGroup(f"generators reach {reached} of {n} elements")

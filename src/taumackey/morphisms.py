@@ -47,13 +47,8 @@ def _check_hom(G: GroupTable, images: np.ndarray, kind: str) -> tuple[int, int] 
     anti = kind == "anti-automorphism"
     for s in G.generators:
         lhs = images[G.right_mul_map(s)]
-        ts = int(images[s])
-        if G.table is not None:
-            rhs = G.table[ts, images] if anti else G.table[images, ts]
-        elif anti:
-            rhs = np.array([G.mul(ts, int(x)) for x in images])
-        else:
-            rhs = np.array([G.mul(int(x), ts) for x in images])
+        ts = images[s]
+        rhs = G.mul(ts, images) if anti else G.mul(images, ts)
         bad = np.flatnonzero(lhs != rhs)
         if len(bad):
             return int(bad[0]), s
@@ -99,14 +94,7 @@ def tau_inner(G: GroupTable, g0: int) -> GroupMap:
     """g -> g0 * g^-1 * g0^-1; involutory only when g0^2 is central, so the
     involution is checked rather than assumed."""
     g0 = int(g0)
-    inv = G.inverse.astype(np.int64)
-    if G.table is not None:
-        images = G.table[G.table[g0, inv], int(inv[g0])].astype(np.int64)
-    else:
-        images = np.array(
-            [G.mul(G.mul(g0, G.inv(x)), G.inv(g0)) for x in range(G.order)],
-            dtype=np.int64,
-        )
+    images = G.mul(G.mul(g0, G.inverse), G.inverse[g0])
     m = validate(G, images, "anti-automorphism")
     if not m.involutory:
         raise NotInvolutory(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from taumackey import cli, conjugacy, criteria
+from taumackey import cli, conjugacy, criteria, groups
 from taumackey.errors import SpecError
 
 
@@ -205,19 +205,73 @@ def test_env_seed(monkeypatch, tmp_path):
     assert cli.main(["char-table", "--group", '{"family":"cyclic","n":3}']) == 1
 
 
-@pytest.mark.parametrize("group", [
-    {"family": "cyclic", "n": "3"},
-    {"family": "dihedral", "n": 2.5},
-    {"family": "cyclic", "n": True},
-    {"family": ["cyclic"], "n": 3},
-    {"semidirect": 5},
-    {"generators": ["(1 x)"], "degree": 3},
-], ids=["n-string", "n-float", "n-bool", "family-list", "semidirect-int", "cycle-point"])
-def test_malformed_group_spec_is_one_line_spec_error(group):
-    out = cli._run_isolated({"command": "power-sums", "group": group}, 1, cli.Budgets())
+S3 = {"family": "symmetric", "n": 3}
+# specs naming an element by something that is neither an id nor a string
+MALFORMED_ELEMENT_JOBS = [
+    {"command": "fs", "group": S3, "tau": {"inner": [1, 0, 2]}},
+    {"command": "gelfand", "group": S3, "subgroup": {"generators": [[1, 0, 2]]},
+     "tau": "inverse"},
+    {"command": "fs", "group": S3, "tau": {"generator_images": 5}},
+]
+
+
+@pytest.mark.parametrize("job", [
+    *({"command": "power-sums", "group": group} for group in [
+        {"family": "cyclic", "n": "3"},
+        {"family": "dihedral", "n": 2.5},
+        {"family": "cyclic", "n": True},
+        {"family": ["cyclic"], "n": 3},
+        {"semidirect": 5},
+        {"generators": ["(1 x)"], "degree": 3},
+    ]),
+    *MALFORMED_ELEMENT_JOBS,
+], ids=["n-string", "n-float", "n-bool", "family-list", "semidirect-int", "cycle-point",
+        "tau-inner-list", "subgroup-generator-list", "generator-images-int"])
+def test_malformed_group_spec_is_one_line_spec_error(job):
+    out = cli._run_isolated(job, 1, cli.Budgets())
     assert out["exit_code"] == 1
     error = out["report"]["payload"]["error"]
     assert error and "\n" not in error
+
+
+def test_batch_runs_past_malformed_element_specs():
+    good = {"command": "power-sums", "group": S3, "tau": "inverse", "n": 2}
+    aggregate, code, _ = cli.run_batch({"jobs": [*MALFORMED_ELEMENT_JOBS, good]}, 3)
+    assert code == 1
+    errors = [r["payload"]["error"] for r in aggregate["jobs"][:3]]
+    assert errors == ["no element matching [1, 0, 2]"] * 2 + [
+        "'generator_images' must be an object, got 5"]
+    assert aggregate["jobs"][3] == cli.run_job(good, 3)[0]
+
+
+def test_cache_key_covers_the_package_source(tmp_path, monkeypatch):
+    package = cli.Path(cli.__file__).parent
+    hashes = []
+    for name in ("a", "b"):
+        copy = tmp_path / name
+        copy.mkdir()
+        for path in package.glob("*.py"):
+            (copy / path.name).write_bytes(path.read_bytes())
+        if name == "b":
+            (copy / "groups.py").write_text((copy / "groups.py").read_text() + "\n")
+        hashes.append(cli._source_hash(copy))
+    assert hashes[0] == cli._source_hash(package) != hashes[1]
+    job = {"command": "power-sums", "group": S3, "tau": "inverse", "n": 2}
+    keys = set()
+    for h in hashes:
+        monkeypatch.setattr(cli, "_source_hash", lambda h=h: h)
+        keys.add(cli._cache_key(job, 1, cli.Budgets()))
+    assert len(keys) == 2
+
+
+def test_budget_order_caps_the_semidirect_extension():
+    job = {"command": "char-table",
+           "group": {"semidirect": {"base": {"family": "symmetric", "n": 4},
+                                    "tau": "inverse"}}}
+    out = cli._run_isolated(job, 1, cli.Budgets(order=30))
+    assert out["exit_code"] == 1
+    assert out["report"]["payload"]["error"] == "semidirect order 48 > cap 30"
+    assert cli._run_isolated(job, 1, cli.Budgets(order=48))["exit_code"] == 0
 
 
 def test_batch_isolates_malformed_jobs():
@@ -260,3 +314,43 @@ def test_power_sums_exponent_budget(capsys):
         assert report["payload"]["sum_twisted_pow"]["value"] == str(order ** (n + 1))
     # Z10 at its budget prints a 4300-digit sum, Python's int-to-str limit
     assert len(report["payload"]["sum_twisted_pow"]["value"]) == conjugacy.SUM_DIGITS
+
+
+def test_acceptance_manifest_reports_identical_without_table(monkeypatch):
+    manifest = json.loads((cli.Path(__file__).parent.parent / "manifests" /
+                           "acceptance.json").read_text())
+    dense, code, _ = cli.run_batch(manifest, cli.DEFAULT_SEED)
+    monkeypatch.setattr(groups, "DENSE_CAP", 1)  # every group walks its words
+    lazy, lazy_code, _ = cli.run_batch(manifest, cli.DEFAULT_SEED)
+    assert code == lazy_code == 0
+    assert cli.render_report(lazy) == cli.render_report(dense)
+
+
+@pytest.fixture(scope="module")
+def s7():
+    """S7 (order 5040, over the dense cap), built once: its conjugacy classes
+    and character table are cached on it across the jobs below."""
+    g = groups.symmetric(7)
+    assert g.table is None
+    return g
+
+
+@pytest.mark.parametrize("command", ["char-table", "fs", "simply-reducible"])
+def test_s7_runs_without_a_table(command, s7, monkeypatch):
+    spec = {"family": "symmetric", "n": 7}
+    build = cli.build_group
+    monkeypatch.setattr(cli, "build_group",
+                        lambda g, cap=groups.ORDER_CAP: s7 if g == spec else build(g, cap))
+    report, code = cli.run_job({"command": command, "group": spec, "tau": "inverse"}, 1)
+    assert code == 0
+    p = report["payload"]
+    if command == "char-table":
+        assert len(p["degrees"]) == 15 and sum(d * d for d in p["degrees"]) == 5040
+    elif command == "fs":
+        assert p["twisted_indicators"] == p["classical_indicators"] == [1] * 15
+        assert p["census"]["equal"]["holds"] and p["count_expansion"]["holds"]
+    else:
+        # S7 is not simply reducible; only the G x G scan is over its budget
+        assert p["agree"] and p["simply_reducible"] is False
+        assert p["mackey_cosets"] == {
+            "skipped": "|G|^2 = 25401600 exceeds the pair budget 4000000"}

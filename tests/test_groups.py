@@ -10,7 +10,7 @@ from taumackey.errors import (
     UnknownFamily,
 )
 
-from battery import battery_names, get_group
+from battery import BATTERY_BUILDERS, battery_names, get_group
 
 
 def test_closure_s3_from_transposition_and_cycle():
@@ -45,6 +45,9 @@ def test_non_group_detected():
 
     with pytest.raises(NonGroup):
         groups.enumerate_from_generators([(1, 2, 2)], compose, str)
+    # a constant map and the identity: a monoid with no inverses
+    with pytest.raises(NonGroup, match="not a bijection"):
+        groups.enumerate_from_generators([(0, 0), (0, 1)], compose, str)
 
 
 @pytest.mark.parametrize("name", battery_names())
@@ -57,8 +60,11 @@ def test_light_test_rejects_nonassociative_loop():
     # an order-5 loop (Latin square with identity 0) that is not a group
     table = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
                       [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]], dtype=np.int32)
-    loop = groups.GroupTable(5, "eabcd".__getitem__, [1, 2], "loop", table,
-                             np.arange(5, dtype=np.int32))
+    loop = groups.GroupTable(5, "eabcd".__getitem__, [1, 2], "loop", table[:, [1, 2]].T)
+    # filled along Cayley words from the loop's columns: not a group either
+    with pytest.raises(NonGroup):
+        groups.verify_group_axioms(loop)
+    loop.table = table  # the loop itself
     with pytest.raises(NonGroup, match="associativity"):
         groups.verify_group_axioms(loop)
 
@@ -285,7 +291,7 @@ def _two_pass_closure(seeds, compose, label, dense_cap=groups.DENSE_CAP):
     labels = [label(el) for el in elements]
     gen_ids = [int(remap[index[g]]) for g in seeds]
     if n > dense_cap:
-        inverse = groups._inverse_by_powers(elements, element_index, compose)
+        inverse = _inverse_by_powers(elements, element_index, compose)
         return elements, labels, gen_ids, None, inverse
     right_new = [remap[np.array(col)][old_of_new] for col in right_by]
     table = np.empty((n, n), dtype=np.int32)
@@ -298,20 +304,46 @@ def _two_pass_closure(seeds, compose, label, dense_cap=groups.DENSE_CAP):
             continue
         pi, s = parent[old_j]
         table[:, remap[old_j]] = right_new[s][table[:, remap[pi]]]
-    return elements, labels, gen_ids, table, groups._inverse_from_table(table)
+    return elements, labels, gen_ids, table, _inverse_from_table(table)
+
+
+def _inverse_from_table(table):
+    n = table.shape[0]
+    rows, cols = np.nonzero(table == 0)
+    assert np.array_equal(rows, np.arange(n)), "some element lacks a unique right inverse"
+    inverse = np.empty(n, dtype=np.int32)
+    inverse[rows] = cols
+    assert (table[inverse, np.arange(n)] == 0).all(), "one-sided inverses only"
+    return inverse
+
+
+def _inverse_by_powers(elements, element_index, compose):
+    """Each inverse as the last power before the identity."""
+    n = len(elements)
+    e = elements[0]
+    inverse = np.empty(n, dtype=np.int32)
+    for i, x in enumerate(elements):
+        prev, cur = x, compose(x, x)
+        steps = 1
+        while cur != e:
+            prev, cur = cur, compose(cur, x)
+            steps += 1
+            assert steps <= n, f"element {i} has no inverse in the closure"
+        inverse[i] = element_index[prev] if steps > 1 else (i if x == e else element_index[x])
+    inverse[0] = 0
+    return inverse
 
 
 def _closure_inputs(G):
     """The seeds, compose and element label a closure-built group came from."""
     seeds = [G.elements[s] for s in G.generators]
     if "degree" in G.meta:
-        label = groups.perm_label
-    elif "clifford_n" in G.meta:
+        return seeds, groups.perm_compose, groups.perm_label
+    if "clifford_n" in G.meta:
         def label(x):
             return groups._clifford_label(x, G.meta["clifford_n"])
-    else:
-        label = groups._quat_label
-    return seeds, G._compose, label
+        return seeds, groups.clifford_mul, label
+    return seeds, groups._quat_mul, groups._quat_label
 
 
 CLOSURE_BUILDERS = {
@@ -332,7 +364,7 @@ def closure_case():
         if name not in cases:
             G = CLOSURE_BUILDERS[name]()
             seeds, compose, label = _closure_inputs(G)
-            dense_cap = groups.DENSE_CAP if G.is_dense else 0
+            dense_cap = groups.DENSE_CAP if G.table is not None else 0
             cases[name] = G, _two_pass_closure(seeds, compose, label, dense_cap)
         return cases[name]
 
@@ -418,3 +450,60 @@ def test_derived_groups_label_lazily():
 def test_parse_cycles_rejects_non_integer_points():
     with pytest.raises(InvalidMap, match="integers"):
         groups.parse_cycles("(1 x)", 3)
+
+
+# ---------------------------------------------------------------------------
+# one way to multiply: the Cayley-word walk against the dense table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", battery_names())
+def test_battery_without_table_multiplies_as_dense(name, monkeypatch):
+    dense = get_group(name)
+    monkeypatch.setattr(groups, "DENSE_CAP", 1)  # read when a group is built
+    lazy = BATTERY_BUILDERS[name]()
+    assert lazy.table is None and dense.table is not None
+    assert lazy.generators == dense.generators and lazy.labels == dense.labels
+    ids = np.arange(dense.order)
+    assert np.array_equal(lazy.mul(ids[:, None], ids), dense.table)
+    assert all(lazy.mul(a, b) == dense.table[a, b] for a, b in [(0, 0), (1, 2), (2, 1)])
+    assert np.array_equal(lazy.inverse, dense.inverse)
+    for s in dense.generators:
+        assert np.array_equal(lazy.conj_map(s), dense.conj_map(s))
+        assert np.array_equal(lazy.right_mul_map(s), dense.table[:, s])
+    assert lazy.is_abelian() == dense.is_abelian()
+    groups.verify_group_axioms(lazy)
+
+
+@pytest.mark.parametrize("dense_cap", [1, 30])
+def test_semidirect_past_the_cap_multiplies_by_its_law(dense_cap, monkeypatch):
+    monkeypatch.setattr(groups, "DENSE_CAP", dense_cap)
+    s4 = groups.symmetric(4)
+    assert (s4.table is None) == (dense_cap == 1)
+    tau = morphisms.tau_inner(s4, s4.element_id("(1 2)(3 4)"))
+    g = groups.construct_semidirect_with_involution(s4, tau)
+    assert g.order == 48 and g.table is None
+    alpha = tau.images[s4.inverse]  # n -> tau(n^-1)
+    assert not np.array_equal(alpha, np.arange(24))
+    rng = np.random.default_rng(6)
+    x, y = rng.integers(0, 48, size=(2, 500))
+    (e, a), (f, b) = np.divmod(x, 24), np.divmod(y, 24)
+    # (a, e)(b, f) = (a * alpha^e(b), e + f mod 2)
+    expected = (e + f) % 2 * 24 + s4.mul(a, np.where(e == 1, alpha[b], b))
+    assert np.array_equal(g.mul(x, y), expected)
+    groups.verify_group_axioms(g)
+
+
+def test_only_groups_reads_the_table():
+    """Every other module multiplies through GroupTable.mul."""
+    import ast
+    from pathlib import Path
+
+    gone = {"require_dense", "_compose", "_inverse_by_powers", "clifford_inverse"}
+    for path in sorted(Path(groups.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "attr", None) or getattr(node, "id", None) or \
+                getattr(node, "name", None)
+            assert name not in gone, (path.name, name)
+            if path.name != "groups.py":
+                assert not (isinstance(node, ast.Attribute) and node.attr == "table"), \
+                    (path.name, node.lineno)
