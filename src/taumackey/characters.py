@@ -134,23 +134,26 @@ class CharacterTable:
 
 
 def _class_matrices(G: GroupTable, conj: ConjugacyData) -> np.ndarray:
-    """Exact integer structure constants of the class algebra.
+    """Exact structure constants of the class algebra, as float64.
 
     A[i, j, m] = number of (x, y) in C_i x C_j with x*y equal to a fixed
-    representative of C_m.
+    representative of C_m.  Each is a count of at most |G|, so float64 holds
+    it exactly.  For each i, one bincount over the |C_i|*|G| products x*y
+    gives N[j, m] = #{(x, y) in C_i x C_j : x*y in C_m}; every N[j, m] must
+    be divisible by |C_m| before it is divided by it.
     """
     ids = np.arange(G.order)
     k = conj.class_count
-    A = np.empty((k, k, k), dtype=np.int64)
+    A = np.empty((k, k, k))
     sizes = conj.class_sizes
+    class_of = conj.class_of
     for i in range(k):
-        rows = G.mul(conj.classes[i][:, None], ids)
-        for j in range(k):
-            prods = rows[:, conj.classes[j]].reshape(-1)
-            cnt = np.bincount(conj.class_of[prods], minlength=k)
-            if (cnt % sizes).any():
-                raise CrossCheckFailed("class products are not constant on classes")
-            A[i, j] = cnt // sizes
+        idx = class_of[G.mul(conj.classes[i][:, None], ids)]
+        idx += class_of * k                     # flat (class of y, class of x*y)
+        cnt = np.bincount(idx.reshape(-1), minlength=k * k).reshape(k, k)
+        if (cnt % sizes).any():
+            raise CrossCheckFailed("class products are not constant on classes")
+        A[i] = cnt // sizes
     return A
 
 
@@ -167,18 +170,17 @@ def compute_character_table(
     cache_key = ("char_table", seed)
     if cache_key in G._caches:
         return G._caches[cache_key]
-    A = _class_matrices(G, conj).astype(float)
+    A = _class_matrices(G, conj)
     sizes = conj.class_sizes.astype(float)
     rng = np.random.default_rng(seed)
     last_problem = "no attempt made"
+    upper_i, upper_j = np.triu_indices(k, 1)     # every pair of eigenvalues
     for _ in range(MAX_EIG_RETRIES):
         r = rng.standard_normal(k)
         M = np.tensordot(r, A, axes=(0, 0))
         eigvals, eigvecs = np.linalg.eig(M)
         scale = max(1.0, float(np.abs(eigvals).max()))
-        gap = min(
-            abs(eigvals[i] - eigvals[j]) for i in range(k) for j in range(i + 1, k)
-        ) if k > 1 else np.inf
+        gap = np.abs(eigvals[upper_i] - eigvals[upper_j]).min() if k > 1 else np.inf
         if gap < EIG_GAP * scale:
             last_problem = f"eigenvalue gap {gap:.3g}"
             continue
@@ -322,9 +324,12 @@ def tau_row_permutation(table: CharacterTable, tau: GroupMap) -> np.ndarray:
     if tau.group is not table.group:
         raise GroupMismatch("map lives on a different group")
     twisted = table.values[:, table.conj.tau_class_image(tau)]
-    diffs = np.abs(twisted[:, None, :] - table.values[None, :, :]).max(axis=2)
-    perm = diffs.argmin(axis=1)
-    worst = float(diffs[np.arange(len(perm)), perm].max())
+    perm = np.empty(len(twisted), dtype=np.int64)
+    worst = 0.0
+    for i, row in enumerate(twisted):           # row by row: no k x k x k array
+        diffs = np.abs(table.values - row).max(axis=1)
+        perm[i] = diffs.argmin()
+        worst = max(worst, float(diffs[perm[i]]))
     if worst > INT_TOL:
         raise NoMatchingRow(
             f"tau-conjugate of some row is not in the table (residual {worst:.3g})"

@@ -41,6 +41,7 @@ class CosetSpace:
     reps: np.ndarray           # minimal element id per point
     point_of: np.ndarray       # element id -> its coset's point
     action: np.ndarray         # (|G|, |X|): action[g, x] = point of g.x
+    _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def base_point(self) -> int:
@@ -69,19 +70,29 @@ def build_coset_space(G: GroupTable, subgroup_ids) -> CosetSpace:
 
 
 def permutation_character(space: CosetSpace) -> ClassFunction:
-    """Fixed points of each class representative acting on X (exact counts)."""
+    """Fixed points of each class representative acting on X (exact counts);
+    cached on the space."""
+    if "permutation_character" in space._caches:
+        return space._caches["permutation_character"]
     conj = conjugacy_classes(space.group)
     x = np.arange(space.size)
     values = np.array(
         [(space.action[int(r)] == x).sum() for r in conj.representatives],
         dtype=complex,
     )
-    return ClassFunction(space.group, values)
+    values.flags.writeable = False
+    perm = space._caches["permutation_character"] = ClassFunction(space.group, values)
+    return perm
 
 
 def k_orbit_labels(space: CosetSpace) -> np.ndarray:
-    """Orbit labels of K acting on X (labels are minimal point indices)."""
-    return orbit_labels(space.action[space.subgroup])
+    """Orbit labels of K acting on X (labels are minimal point indices);
+    cached on the space."""
+    if "k_orbit_labels" in space._caches:
+        return space._caches["k_orbit_labels"]
+    labels = space._caches["k_orbit_labels"] = orbit_labels(space.action[space.subgroup])
+    labels.flags.writeable = False
+    return labels
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ from taumackey import characters, conjugacy, groups, morphisms
 from taumackey.errors import (
     BudgetExceeded,
     CaseClassificationFailed,
+    CrossCheckFailed,
     GroupMismatch,
+    NoMatchingRow,
     NotASubgroup,
 )
 
-from battery import available_taus, battery_names, get_group
+from battery import BATTERY_BUILDERS, available_taus, battery_names, get_group
 
 
 def table(name):
@@ -343,3 +347,125 @@ def test_indicator_invariant_under_row_twist():
             tw = characters.twisted_fs_indicators(t, tau).values
             perm = characters.tau_row_permutation(t, tau)
             assert np.array_equal(tw[perm], tw)
+
+
+# ---------------------------------------------------------------------------
+# class algebra: one bincount per class against the per-pair double loop
+# ---------------------------------------------------------------------------
+
+def _class_matrices_oracle(G, conj):
+    """One bincount per class pair (i, j), each asserted divisible."""
+    ids = np.arange(G.order)
+    k = conj.class_count
+    A = np.empty((k, k, k), dtype=np.int64)
+    sizes = conj.class_sizes
+    for i in range(k):
+        rows = G.mul(conj.classes[i][:, None], ids)
+        for j in range(k):
+            prods = rows[:, conj.classes[j]].reshape(-1)
+            cnt = np.bincount(conj.class_of[prods], minlength=k)
+            if (cnt % sizes).any():
+                raise CrossCheckFailed("class products are not constant on classes")
+            A[i, j] = cnt // sizes
+    return A
+
+
+@pytest.mark.parametrize("name", battery_names())
+def test_class_matrices_match_double_loop(name):
+    G = get_group(name)
+    conj = conjugacy.conjugacy_classes(G)
+    A = characters._class_matrices(G, conj)
+    assert A.dtype == np.float64
+    assert np.array_equal(A, _class_matrices_oracle(G, conj))
+
+
+@pytest.mark.parametrize("name", ["S4", "A5xZ2", "Q8", "CL3"])
+def test_class_matrices_without_table_match_double_loop(name, monkeypatch):
+    monkeypatch.setattr(groups, "DENSE_CAP", 1)  # read when a group is built
+    G = BATTERY_BUILDERS[name]()
+    assert G.table is None
+    conj = conjugacy.conjugacy_classes(G)
+    assert np.array_equal(
+        characters._class_matrices(G, conj), _class_matrices_oracle(G, conj)
+    )
+
+
+def _move_element(conj, g, target):
+    """A copy of conj with element g moved into class `target`."""
+    class_of = conj.class_of.copy()
+    class_of[g] = target
+    classes = [np.flatnonzero(class_of == c) for c in range(conj.class_count)]
+    return dataclasses.replace(
+        conj,
+        class_of=class_of,
+        classes=classes,
+        class_sizes=np.bincount(class_of, minlength=conj.class_count),
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CrossCheckFailed as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "D4", "A4", "S4"])
+def test_class_matrices_refuse_a_wrong_partition_as_the_double_loop(name):
+    """Every move of one non-representative element to another class is
+    refused with the same message exactly when the double loop refuses it,
+    and otherwise gives the same constants."""
+    G = get_group(name)
+    conj = conjugacy.conjugacy_classes(G)
+    refused = 0
+    for g in np.setdiff1d(np.arange(G.order), conj.representatives):
+        for target in range(conj.class_count):
+            if target == conj.class_of[g]:
+                continue
+            moved = _move_element(conj, int(g), target)
+            got = _outcome(characters._class_matrices, G, moved)
+            want = _outcome(_class_matrices_oracle, G, moved)
+            if isinstance(want, str):
+                refused += 1
+                assert got == want == "class products are not constant on classes"
+            else:
+                assert np.array_equal(got, want)
+    assert refused > 0
+
+
+def _tau_row_permutation_oracle(t, tau):
+    """The k x k x k broadcast: every twisted row against every row at once."""
+    twisted = t.values[:, t.conj.tau_class_image(tau)]
+    diffs = np.abs(twisted[:, None, :] - t.values[None, :, :]).max(axis=2)
+    perm = diffs.argmin(axis=1)
+    return perm, float(diffs[np.arange(len(perm)), perm].max())
+
+
+@pytest.mark.parametrize("name", battery_names())
+def test_tau_row_permutation_matches_broadcast(name):
+    t = table(name)
+    for _, tau in available_taus(t.group):
+        perm, worst = _tau_row_permutation_oracle(t, tau)
+        assert worst <= characters.INT_TOL
+        assert np.array_equal(characters.tau_row_permutation(t, tau), perm)
+
+
+def test_tau_row_permutation_reports_the_worst_residual():
+    G = groups.cyclic(7)
+    t = characters.compute_character_table(G)
+    tau = morphisms.tau_inverse(G)          # pairs rows (1 2), (3 4), (5 6)
+    bent = dataclasses.replace(t, values=t.values.copy())
+    bent.values[1, 1] += 1e-3               # rows 1 and 2 now match to 1e-3,
+    bent.values[3, 1] += 2e-3               # rows 3 and 4 to 2e-3, the worst
+    with pytest.raises(NoMatchingRow, match=r"residual 0\.002\)$"):
+        characters.tau_row_permutation(bent, tau)
+    _, worst = _tau_row_permutation_oracle(bent, tau)
+    assert worst == pytest.approx(2e-3)
+
+
+def test_tau_row_permutation_refuses_a_repeated_row():
+    t = table("Z3")
+    twin = dataclasses.replace(t, values=t.values.copy())
+    twin.values[2] = twin.values[1]         # rows 1 and 2 now both match row 1
+    with pytest.raises(NoMatchingRow, match="^tau-conjugation did not permute the rows$"):
+        characters.tau_row_permutation(twin, morphisms.tau_identity(t.group))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from taumackey import characters, cli, gelfand, groups, morphisms
+from taumackey._kernels import orbit_labels
 from taumackey.errors import NotAutomorphism, NotGelfand
 
 from battery import get_group
@@ -306,3 +307,31 @@ def test_condition_star_requires_automorphism():
     s4 = get_group("S4")
     with pytest.raises(NotAutomorphism):
         gelfand.condition_star(s4, morphisms.tau_inverse(s4))
+
+
+def test_coset_space_data_is_computed_once_per_space(monkeypatch):
+    sp = space_in("S4", ["(1 2)", "(1 2 3)"])
+    tau = morphisms.tau_inverse(sp.group)
+    table = characters.compute_character_table(sp.group)
+    kernel_calls = []
+
+    def counting_orbit_labels(moves):
+        kernel_calls.append(moves.shape)
+        return orbit_labels(moves)
+
+    monkeypatch.setattr(gelfand, "orbit_labels", counting_orbit_labels)
+    rep = gelfand.gelfand_criteria_report(sp, tau, table)
+    assert rep.gelfand
+    gelfand.spherical_functions(sp, table)
+    gelfand.twisted_fs_gelfand(sp, tau, table)
+    # the K-orbits, the pair orbits of X x X, the tau(K)-orbits: one call each
+    assert kernel_calls == [(len(sp.subgroup), sp.size), (2, sp.size ** 2),
+                            (len(sp.subgroup), sp.size)]
+    labels = gelfand.k_orbit_labels(sp)
+    perm = gelfand.permutation_character(sp)
+    assert gelfand.k_orbit_labels(sp) is labels
+    assert gelfand.permutation_character(sp) is perm
+    assert not labels.flags.writeable and not perm.values.flags.writeable
+    fresh = gelfand.build_coset_space(sp.group, sp.subgroup)
+    assert np.array_equal(labels, orbit_labels(fresh.action[fresh.subgroup]))
+    assert np.array_equal(perm.values, gelfand.permutation_character(fresh).values)
