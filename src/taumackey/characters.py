@@ -238,23 +238,33 @@ def compute_character_table(
 # tensor products
 # ---------------------------------------------------------------------------
 
-def tensor_multiplicities(table: CharacterTable) -> np.ndarray:
-    """m[i, j, l] = multiplicity of row l in the product of rows i and j."""
+def tensor_blocks(table: CharacterTable):
+    """Yield the tensor multiplicities one row at a time: the i-th block is
+    the (k, k) int64 array m[i], where m[i, j, l] is the multiplicity of row
+    l in the product of rows i and j.  After the last block, raise
+    NonIntegralMultiplicity with the worst residual of all blocks if any of
+    them was not integral."""
     X = table.values
-    k = table.class_count
     w = table.conj.class_sizes / table.group.order
     dual = (X.conj() * w).T                     # (classes, k)
-    m = np.empty((k, k, k), dtype=np.int64)
     worst = 0.0
-    for i in range(k):
+    for i in range(table.class_count):
         block = (X[i][None, :] * X) @ dual      # (k, k)
         rounded = np.round(block.real).astype(np.int64)
         worst = max(worst, float(np.abs(block - rounded).max()))
-        m[i] = rounded
+        yield rounded
     if worst > INT_TOL:
         raise NonIntegralMultiplicity(
             f"tensor multiplicities are not integral (residual {worst:.3g})"
         )
+
+
+def tensor_multiplicities(table: CharacterTable) -> np.ndarray:
+    """m[i, j, l] = multiplicity of row l in the product of rows i and j."""
+    k = table.class_count
+    m = np.empty((k, k, k), dtype=np.int64)
+    for i, block in enumerate(tensor_blocks(table)):
+        m[i] = block
     return m
 
 

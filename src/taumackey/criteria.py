@@ -10,7 +10,7 @@ from .characters import (
     CharacterTable,
     compute_character_table,
     tau_row_permutation,
-    tensor_multiplicities,
+    tensor_blocks,
 )
 from .conjugacy import (
     PAIR_BUDGET,
@@ -73,16 +73,19 @@ def check_definition(
     (ii) every irreducible fixed by tau-conjugation; witnesses name the
     first violation of each."""
     table = table if table is not None else compute_character_table(G)
-    mults = tensor_multiplicities(table)
     witnesses: dict = {}
-    mf = bool((mults <= 1).all())
-    if not mf:
-        i, j, l = (int(x) for x in np.argwhere(mults > 1)[0])
-        witnesses["tensor"] = {
-            "rows": (i, j, l),
-            "degrees": tuple(int(table.degrees[x]) for x in (i, j, l)),
-            "multiplicity": int(mults[i, j, l]),
-        }
+    # One (k, k) block per row: the whole k^3 array is never held.  Every
+    # block is read before a witness is reported, so a non-integral block
+    # anywhere raises first.
+    for i, block in enumerate(tensor_blocks(table)):
+        if "tensor" not in witnesses and (block > 1).any():
+            j, l = (int(x) for x in np.argwhere(block > 1)[0])
+            witnesses["tensor"] = {
+                "rows": (i, j, l),
+                "degrees": tuple(int(table.degrees[x]) for x in (i, j, l)),
+                "multiplicity": int(block[j, l]),
+            }
+    mf = "tensor" not in witnesses
     perm = tau_row_permutation(table, tau)
     fixed = perm == np.arange(len(perm))
     selfconj = bool(fixed.all())

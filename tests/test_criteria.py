@@ -1,7 +1,10 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
-from taumackey import criteria, groups, morphisms
-from taumackey.errors import CrossCheckFailed
+from taumackey import characters, criteria, groups, morphisms
+from taumackey.errors import CrossCheckFailed, NonIntegralMultiplicity
 
 from battery import available_taus, battery_names, get_group
 
@@ -121,3 +124,60 @@ def test_downward_equality_chain(name):
     for _, tau in available_taus(g):
         flags = criteria.downward_equality_chain(g, tau, 3)
         assert len(flags) == 3
+
+
+def _tensor_witness_oracle(table):
+    """The k^3 path: every multiplicity at once, the integrality check over
+    the whole array, then the first violation in argwhere order."""
+    X = table.values
+    w = table.conj.class_sizes / table.group.order
+    raw = np.einsum("ic,jc,lc,c->ijl", X, X, X.conj(), w)
+    mults = np.round(raw.real).astype(np.int64)
+    worst = float(np.abs(raw - mults).max())
+    if worst > characters.INT_TOL:
+        raise NonIntegralMultiplicity(
+            f"tensor multiplicities are not integral (residual {worst:.3g})"
+        )
+    if (mults <= 1).all():
+        return None
+    i, j, l = (int(x) for x in np.argwhere(mults > 1)[0])
+    return {
+        "rows": (i, j, l),
+        "degrees": tuple(int(table.degrees[x]) for x in (i, j, l)),
+        "multiplicity": int(mults[i, j, l]),
+    }
+
+
+@pytest.mark.parametrize("name", battery_names() + ["A5"])
+def test_tensor_witness_matches_the_cube(name):
+    g = groups.alternating(5) if name == "A5" else get_group(name)
+    table = characters.compute_character_table(g)
+    _, _, witnesses = criteria.check_definition(g, morphisms.tau_inverse(g), table)
+    assert witnesses.get("tensor") == _tensor_witness_oracle(table)
+    cube = characters.tensor_multiplicities(table)
+    assert cube.dtype == np.int64
+    assert np.array_equal(cube, np.stack(list(characters.tensor_blocks(table))))
+
+
+def test_a5_tensor_witness_is_a_multiplicity_two():
+    g = groups.alternating(5)
+    _, _, witnesses = criteria.check_definition(g, morphisms.tau_inverse(g))
+    assert witnesses["tensor"]["multiplicity"] == 2
+    assert witnesses["tensor"]["degrees"] == (4, 5, 5)
+
+
+# A5's rows have degrees 1, 3, 3, 4, 5, and its first tensor witness is in
+# block 3.  Bending X[4, 0] puts the worst residual in block 4, after the
+# witness; bending X[1, 3] puts it in block 1 and leaves the last block
+# integral.
+@pytest.mark.parametrize("row,col", [(4, 0), (1, 3)])
+def test_non_integral_block_raises_the_worst_residual_before_any_witness(row, col):
+    g = groups.alternating(5)
+    table = characters.compute_character_table(g)
+    bent = dataclasses.replace(table, values=table.values.copy())
+    bent.values[row, col] += 1e-3
+    with pytest.raises(NonIntegralMultiplicity) as want:
+        _tensor_witness_oracle(bent)
+    with pytest.raises(NonIntegralMultiplicity) as got:
+        criteria.check_definition(g, morphisms.tau_inverse(g), bent)
+    assert str(got.value) == str(want.value)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from taumackey import _kernels, groups
+from taumackey import _kernels, cli, gelfand, groups
 
 
 def _reference_labels(moves):
@@ -81,3 +81,119 @@ def test_representatives_are_unique_labels_on_pair_moves(build):
 def test_representatives_of_no_moves_are_all_states():
     labels = _kernels.orbit_labels(np.empty((0, 5), dtype=np.int64))
     assert np.array_equal(_kernels.orbit_representatives(labels), np.arange(5))
+
+
+def _propagation_oracle(moves):
+    """The previous kernel: each round one min-propagation sweep over the
+    moves and their inverses, then a single ``labels[labels]`` jump."""
+    moves = np.asarray(moves, dtype=np.int64)
+    n = moves.shape[1]
+    both = list(moves)
+    for m in moves:
+        inv = np.empty(n, dtype=np.int64)
+        inv[m] = np.arange(n, dtype=np.int64)
+        both.append(inv)
+    labels = np.arange(n, dtype=np.int64)
+    while True:
+        prev = labels
+        for m in both:
+            labels = np.minimum(labels, labels[m])
+        labels = np.minimum(labels, labels[labels])
+        if np.array_equal(labels, prev):
+            return labels
+
+
+def _shift(n, step):
+    return ((np.arange(n) + step) % n)[None, :]
+
+
+def _s4_wr_z2_k_action():
+    """S4 x S4 acting on the two cosets of S4 wr Z2, as `gelfand` passes it."""
+    G = cli.build_group({"generators": ["(1 2)", "(1 2 3 4)", "(1 5)(2 6)(3 7)(4 8)"],
+                         "degree": 8})
+    K = groups.subgroup_closure(
+        G, [G.element_id(s) for s in ["(1 2)", "(1 2 3 4)", "(5 6)", "(5 6 7 8)"]])
+    space = gelfand.build_coset_space(G, K)
+    return space.action[space.subgroup]
+
+
+def _swaps_and_identities(count, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([[1, 0], [0, 1]])[rng.integers(0, 2, count)]
+
+
+def _random_moves(n, count, seed):
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.permutation(n) for _ in range(count)])
+
+
+ORACLE_CASES = {
+    "D397 pairs": lambda: _pair_moves(groups.dihedral(397)),
+    "D101 pairs": lambda: _pair_moves(groups.dihedral(101)),
+    "S6 pairs": lambda: _pair_moves(groups.symmetric(6)),
+    "A6xZ2 pairs": lambda: _pair_moves(
+        groups.direct_product(groups.alternating(6), groups.cyclic(2))),
+    "Z10007 shift up": lambda: _shift(10007, 1),
+    "Z10007 shift down": lambda: _shift(10007, -1),
+    "S4 x S4 on the 2 cosets of S4 wr Z2 (576 moves)": _s4_wr_z2_k_action,
+    "576 swaps or identities on 2 states": lambda: _swaps_and_identities(576, 3),
+    "identity moves": lambda: np.tile(np.arange(9), (3, 1)),
+    "no moves": lambda: np.empty((0, 9), dtype=np.int64),
+    "no states": lambda: np.empty((3, 0), dtype=np.int64),
+    "no moves, no states": lambda: np.empty((0, 0), dtype=np.int64),
+    **{f"random, {count} moves on {n} states, seed {seed}": (
+        lambda n=n, count=count, seed=seed: _random_moves(n, count, seed))
+       for n, count in [(2, 1), (30, 1), (500, 2), (3000, 3), (20000, 5)]
+       for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_matches_the_propagation_oracle(case):
+    moves = ORACLE_CASES[case]()
+    got = _kernels.orbit_labels(moves)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _propagation_oracle(moves))
+
+
+class _CountedMinimum:
+    """`np.minimum` counting its whole-array calls (the propagation steps);
+    `.at` passes through."""
+
+    at = staticmethod(np.minimum.at)
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return np.minimum(*args, **kwargs)
+
+
+class _NumpyWith:
+    """numpy with some names replaced."""
+
+    def __init__(self, **names):
+        self.__dict__.update(names)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+# The propagation oracle takes 56 rounds on D397's pairs.  Without the hook,
+# with the compress stopped a jump early, or with either direction of the
+# sweep left out, the kernel takes tens to thousands of rounds on one of
+# these cases (a label crossing Z10007 against the shift moves one state a
+# round).  Each round takes at most two `np.minimum` steps per move.
+@pytest.mark.parametrize("case,most", [
+    ("D397 pairs", 16), ("D101 pairs", 16), ("S6 pairs", 24),
+    ("Z10007 shift up", 8), ("Z10007 shift down", 8),
+])
+def test_converges_in_a_few_rounds(case, most, monkeypatch):
+    moves = ORACLE_CASES[case]()
+    minimum = _CountedMinimum()
+    monkeypatch.setattr(_kernels, "np", _NumpyWith(minimum=minimum))
+    labels = _kernels.orbit_labels(moves)
+    monkeypatch.undo()
+    assert np.array_equal(labels, _propagation_oracle(moves))
+    assert 0 < minimum.calls <= most
