@@ -25,7 +25,7 @@ from .errors import (
     NonIntegralMultiplicity,
     ValueOutOfRange,
 )
-from .conjugacy import ConjugacyData, conjugacy_classes, count_twisted_squares
+from .conjugacy import ConjugacyData, conjugacy_classes, count_twisted_squares, power_sums
 from .groups import GroupTable, construct_semidirect_with_involution
 from .morphisms import GroupMap
 
@@ -49,10 +49,6 @@ class ClassFunction:
         k = conjugacy_classes(self.group).class_count
         if self.values.shape != (k,):
             raise GroupMismatch(f"expected {k} class values, got {self.values.shape}")
-
-    def at_element(self, g: int) -> complex:
-        conj = conjugacy_classes(self.group)
-        return complex(self.values[conj.class_of[g]])
 
     def conjugate(self) -> "ClassFunction":
         return ClassFunction(self.group, self.values.conj())
@@ -106,9 +102,6 @@ class CharacterTable:
 
     def row(self, i: int) -> ClassFunction:
         return ClassFunction(self.group, self.values[i])
-
-    def rows(self) -> list[ClassFunction]:
-        return [self.row(i) for i in range(self.class_count)]
 
     def decompose(self, f: ClassFunction, what: str = "class function") -> np.ndarray:
         """Multiplicities of each irreducible row in f, asserted integral."""
@@ -207,16 +200,10 @@ def compute_character_table(
         if orth > 1e-8 * k:
             last_problem = f"orthogonality residual {orth:.3g}"
             continue
-        order = sorted(
-            range(k),
-            key=lambda i: (
-                int(degrees[i]),
-                tuple(
-                    (-round(float(v.real), 6), -round(float(v.imag), 6))
-                    for v in X[i]
-                ),
-            ),
-        )
+        # by degree, then column by column by (-real, -imag) to 6 places;
+        # lexsort's last key is the primary one
+        keys = -np.round(np.stack([X.real, X.imag], axis=2), 6).reshape(k, 2 * k)
+        order = np.lexsort((*keys.T[::-1], degrees))
         table = CharacterTable(
             group=G,
             conj=conj,
@@ -363,11 +350,7 @@ def self_conjugate_census(table: CharacterTable, tau: GroupMap) -> SelfConjugate
     perm = tau_row_permutation(table, tau)
     per_row = perm == np.arange(len(perm))
     count = int(per_row.sum())
-    counts = count_twisted_squares(table.group, tau)
-    total = sum(
-        int(s) * int(z) ** 2
-        for s, z in zip(table.conj.class_sizes, counts.on_class_reps(table.conj))
-    )
+    _, total = power_sums(table.group, tau, 1)
     if total % table.group.order:
         raise CrossCheckFailed("averaged squared counts are not integral")
     squared_route = total // table.group.order
@@ -452,11 +435,6 @@ class ExtensionReport:
     base: GroupTable
     extension: GroupTable
     cases: list[ExtensionCase] = field(default_factory=list)
-
-    def case_counts(self) -> tuple[int, int]:
-        c1 = sum(1 for c in self.cases if c.case == 1)
-        c2 = sum(1 for c in self.cases if c.case == 2)
-        return c1, c2
 
 
 def clifford_theory_check(

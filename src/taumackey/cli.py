@@ -311,8 +311,8 @@ def _cmd_gelfand(job, seed, budgets):
         ),
     }
     if rep.gelfand:
-        sph = gelfand.spherical_functions(space, table)
         tw = gelfand.twisted_fs_gelfand(space, tau, table)
+        sph = tw.spherical
         payload["spherical"] = {
             "constituent_rows": [int(i) for i in sph.constituent_rows],
             "normalization": _identity(True, sph.normalization_residual),

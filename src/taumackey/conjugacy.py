@@ -121,25 +121,9 @@ def twisted_orbit_count(
         if not np.array_equal(alpha[m], m[alpha]):
             raise NotCommuting(f"alpha does not commute with the image of {G.label(s)}")
 
-    # route one: build the permutation of every group element along the
-    # Cayley graph, then average the match counts
-    perms = np.empty((G.order, n_points), dtype=np.int64)
-    perms[0] = np.arange(n_points)
-    done = np.zeros(G.order, dtype=bool)
-    done[0] = True
-    frontier = [0]
-    while frontier:
-        new = []
-        for g in frontier:
-            for s, m in zip(gens, moves):
-                x = G.mul(g, s)
-                if not done[x]:
-                    perms[x] = perms[g][m]
-                    done[x] = True
-                    new.append(x)
-        frontier = new
-    if not done.all():
-        raise InvalidMap("generators do not reach the whole group")
+    # route one: the permutation of every group element along its Cayley
+    # word, then the average of the match counts
+    perms = G.along_words(np.arange(n_points), moves, lambda perm, m: perm[m])
     match_sum = int((perms == alpha[None, :]).sum())
     if match_sum % G.order != 0:
         raise NotInteger(
@@ -201,16 +185,10 @@ class PowerSumReport:
     skipped_reason: str | None = None
 
 
-def power_sum_report(
-    G: GroupTable,
-    tau: GroupMap,
-    n: int,
-    pair_budget: int = PAIR_BUDGET,
-) -> PowerSumReport:
-    """Exact big-integer comparison of the two power sums; for n <= 2 the
-    sums are also cross-checked against the orbit scans."""
-    if n < 1:
-        raise InvalidMap("power must be >= 1")
+def power_sums(G: GroupTable, tau: GroupMap, n: int) -> tuple[int, int]:
+    """Exact (sum over g of v(g)^n, sum over g of counts(g)^(n+1)), with v
+    the centralizer order and counts the twisted square-root counts; the
+    second never exceeds the first, which is asserted."""
     budget = power_budget(G.order)
     if budget is not None and n > budget:
         raise BudgetExceeded(
@@ -228,6 +206,20 @@ def power_sum_report(
             f"sum of twisted counts^{n + 1} = {sum_z} exceeds "
             f"sum of centralizer orders^{n} = {sum_v}"
         )
+    return sum_v, sum_z
+
+
+def power_sum_report(
+    G: GroupTable,
+    tau: GroupMap,
+    n: int,
+    pair_budget: int = PAIR_BUDGET,
+) -> PowerSumReport:
+    """Exact big-integer comparison of the two power sums; for n <= 2 the
+    sums are also cross-checked against the orbit scans."""
+    if n < 1:
+        raise InvalidMap("power must be >= 1")
+    sum_v, sum_z = power_sums(G, tau, n)
     verified = None
     reason = None
     if n <= 2:

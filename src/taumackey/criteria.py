@@ -15,8 +15,8 @@ from .characters import (
 from .conjugacy import (
     PAIR_BUDGET,
     conjugacy_classes,
-    count_twisted_squares,
     power_sum_report,
+    power_sums,
     simultaneous_conjugation_scan,
 )
 from .errors import BudgetExceeded, CrossCheckFailed
@@ -107,8 +107,8 @@ def check_mackey_cosets(
 def check_mackey_wigner(G: GroupTable, tau: GroupMap) -> tuple[bool, tuple[int, int]]:
     """Exact integer equality of the two power sums (cube of twisted counts
     vs square of centralizer orders)."""
-    rep = power_sum_report(G, tau, 2, pair_budget=0)  # sums only, no rescan
-    return rep.equal, (rep.sum_twisted_square_pow, rep.sum_centralizer_pow)
+    sum_v, sum_z = power_sums(G, tau, 2)
+    return sum_z == sum_v, (sum_z, sum_v)
 
 
 def simply_reducible_verdict(
@@ -141,12 +141,7 @@ class ClassInvarianceReport:
 def theorem_square_sum_check(G: GroupTable, tau: GroupMap,
                              table: CharacterTable | None = None) -> ClassInvarianceReport:
     conj = conjugacy_classes(G)
-    counts = count_twisted_squares(G, tau)
-    total = sum(
-        int(s) * int(z) ** 2
-        for s, z in zip(conj.class_sizes, counts.on_class_reps(conj))
-    )
-    sum_v = sum(int(G.order // s) * int(s) for s in conj.class_sizes)
+    sum_v, total = power_sums(G, tau, 1)
     sum_eq = total == sum_v
     invariant = bool(conj.tau_invariant_classes(tau).all())
     table = table if table is not None else compute_character_table(G)

@@ -10,6 +10,7 @@ import numpy as np
 
 from ._kernels import orbit_labels, orbit_representatives
 from .characters import (
+    INT_TOL,
     CharacterTable,
     ClassFunction,
     compute_character_table,
@@ -28,8 +29,6 @@ from .errors import (
 from .groups import GroupTable, check_subgroup
 from .morphisms import GroupMap
 
-INT_TOL = 1e-6
-
 
 @dataclass
 class CosetSpace:
@@ -42,10 +41,6 @@ class CosetSpace:
     point_of: np.ndarray       # element id -> its coset's point
     action: np.ndarray         # (|G|, |X|): action[g, x] = point of g.x
     _caches: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def base_point(self) -> int:
-        return 0
 
 
 def build_coset_space(G: GroupTable, subgroup_ids) -> CosetSpace:
@@ -336,7 +331,7 @@ def spherical_functions(space: CosetSpace, table: CharacterTable) -> SphericalDa
 
 @dataclass
 class TwistedPairReport:
-    constituent_rows: np.ndarray
+    spherical: SphericalData              # the spherical functions it checked
     indicator_values: np.ndarray          # per constituent
     averaged_indicator_residual: float    # identity (1)
     point_count_sum: int                  # sum of squared twisted point counts
@@ -426,7 +421,7 @@ def twisted_fs_gelfand(
     else:
         skipped["k_orbit_comparison"] = "K is not tau-invariant"
     return TwistedPairReport(
-        constituent_rows=constituents,
+        spherical=sph,
         indicator_values=indicators[constituents],
         averaged_indicator_residual=res1,
         point_count_sum=square_sum,

@@ -63,12 +63,14 @@ class GroupTable:
         self.meta = meta or {}
         self._caches: dict = {}
         columns = np.asarray(columns, dtype=np.int64).reshape(len(generators), order)
-        moves, words = self._cayley_words(columns)
+        self._cayley_words(columns)
         self.table = None
         self.inverse = self._walk(0, np.arange(order)).astype(np.int32)
         if order <= (DENSE_CAP if dense_cap is None else dense_cap):
-            move_rows = self.mul(np.array(moves, dtype=np.int64)[:, None], np.arange(order))
-            self.table = _fill_table(move_rows, *words)
+            # (p*m)*y = p*(m*y): the row of p*m is the row of p read at the row of m
+            ids = np.arange(order)
+            rows = self.mul(np.array(generators, dtype=np.int64)[:, None], ids)
+            self.table = self.along_words(ids.astype(np.int32), rows, lambda r, m: r[m])
 
     def _cayley_words(self, columns: np.ndarray):
         """Breadth-first search from the identity over the moves x -> x*m,
@@ -76,8 +78,7 @@ class GroupTable:
 
         Each element other than the identity gets a parent and the move
         that reaches it from there, so its Cayley word is read off by
-        walking up to the root.  Returns the moves and the elements in
-        search order with their parents and moves (indices into the moves).
+        walking up to the root.
         """
         n = self.order
         moves: list[int] = []
@@ -98,17 +99,16 @@ class GroupTable:
         parent[0] = 0
         step = np.full(n, len(moves), dtype=np.int64)  # the root's is the identity
         depth = np.zeros(n, dtype=np.int64)
-        levels = [np.zeros(1, dtype=np.int64)]
-        while levels[-1].size:
-            frontier = levels[-1]
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
             # each new element's parent and move: its first hit, move-major
             found, first = np.unique(cols[:, frontier], return_index=True)
             fresh = parent[found] < 0
             found = found[fresh]
             step[found], at = np.divmod(first[fresh], frontier.size)
             parent[found] = frontier[at]
-            depth[found] = len(levels)
-            levels.append(found)
+            depth[found] = depth[frontier[0]] + 1
+            frontier = found
         reached = int((parent >= 0).sum())
         if reached != n:
             raise NonGroup(f"generators reach {reached} of {n} elements")
@@ -117,10 +117,10 @@ class GroupTable:
         np.put_along_axis(undo, cols, np.arange(n)[None, :], axis=1)
         self._undo = np.concatenate([undo.ravel(), np.arange(n)])
         self._undo_at = step * n
+        self._moves = np.array(moves, dtype=np.int64)
+        self._step = step
         self._parent = parent
         self._depth = depth
-        found = np.concatenate(levels[1:])
-        return moves, (found, parent[found], step[found])
 
     def _walk(self, x, w):
         """x * w^-1 for broadcastable id arrays: if w = p*m then
@@ -130,6 +130,27 @@ class GroupTable:
             x = self._undo[self._undo_at[w] + x]
             w = self._parent[w]
         return x
+
+    def along_words(self, start, values, step) -> np.ndarray:
+        """Evaluate data along every element's Cayley word, parents first.
+
+        ``values[i]`` is a permutation attached to ``generators[i]``; a move
+        by a generator's inverse gets the inverse permutation.  Returns out
+        with out[0] = start and out[p*m] = step(out[p], value of m) for each
+        edge p -> p*m of the search tree.
+        """
+        gens = self.generators
+        by_move = [values[gens.index(m)] if m in gens
+                   else np.argsort(values[gens.index(int(self.inverse[m]))])
+                   for m in self._moves.tolist()]
+        start = np.asarray(start)
+        out = np.empty((self.order, *start.shape), dtype=start.dtype)
+        out[0] = start
+        walk = np.argsort(self._depth, kind="stable")[1:]  # level by level
+        for j, p, m in zip(walk.tolist(), self._parent[walk].tolist(),
+                           self._step[walk].tolist()):
+            out[j] = step(out[p], by_move[m])
+        return out
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -208,17 +229,6 @@ class GroupTable:
 
     def __repr__(self):
         return f"GroupTable({self.family_tag}, order={self.order})"
-
-
-def _fill_table(move_rows: np.ndarray, found, parents, steps) -> np.ndarray:
-    """The dense table, row by row in search order: the row of w = p*m is
-    the row of p read at the row of m, as (p*m)*y = p*(m*y)."""
-    n = move_rows.shape[1]
-    table = np.empty((n, n), dtype=np.int32)
-    table[0] = np.arange(n)
-    for j, p, m in zip(found.tolist(), parents.tolist(), steps.tolist()):
-        table[j] = table[p][move_rows[m]]
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +523,7 @@ def direct_product(g1: GroupTable, g2: GroupTable, cap: int = ORDER_CAP) -> Grou
     columns += [a * n2 + g2.mul(b, s) for s in g2.generators]
     generators = [int(s) * n2 for s in g1.generators] + [int(s) for s in g2.generators]
     tag = f"product({g1.family_tag},{g2.family_tag})"
-    return GroupTable(n, label_of, generators, tag, np.array(columns),
-                      meta={"product_of": (n1, n2)})
+    return GroupTable(n, label_of, generators, tag, np.array(columns))
 
 
 def construct_family(family: str, n: int | None = None, cap: int = ORDER_CAP) -> GroupTable:
@@ -571,7 +580,7 @@ def construct_semidirect_with_involution(
         list(N.generators) + [h],
         f"semidirect({N.family_tag})",
         np.array(columns),
-        meta={"base_order": n, "h": h},
+        meta={"h": h},
     )
     if g.mul(h, h) != 0:
         raise NonGroup("semidirect relation h*h = 1 failed")
@@ -624,7 +633,6 @@ def subgroup_table(G: GroupTable, ids: np.ndarray) -> tuple[GroupTable, np.ndarr
         list(range(k)),
         f"subgroup({G.family_tag})",
         pos[G.mul(ids[None, :], ids[:, None])],  # row i: x -> x*ids[i]
-        meta={"parent_ids": ids},
     )
     return sub, ids
 

@@ -139,32 +139,21 @@ def extend_to_power(tau: GroupMap, n: int) -> GroupMap:
 def tau_from_generator_images(
     G: GroupTable, pairs: dict[int, int], require_involutory: bool = False
 ) -> GroupMap:
-    """Extend generator images along the Cayley graph by the reversal rule
-    image(w*s) = image(s)*image(w), then validate globally."""
+    """Extend generator images along the Cayley search tree by the reversal
+    rule tau(p*m) = tau(m)*tau(p), with tau(s^-1) = tau(s)^-1, then
+    validate globally."""
     for s in G.generators:
         if s not in pairs:
             raise InconsistentImages(f"no image given for generator {G.label(s)}")
-    images = -np.ones(G.order, dtype=np.int64)
-    images[0] = 0
-    frontier = [0]
-    while frontier:
-        new = []
-        for w in frontier:
-            iw = int(images[w])
-            for s in G.generators:
-                x = G.mul(w, s)
-                cand = G.mul(int(pairs[s]), iw)
-                if images[x] < 0:
-                    images[x] = cand
-                    new.append(x)
-                elif images[x] != cand:
-                    raise InconsistentImages(
-                        f"two words for {G.label(x)} give images "
-                        f"{G.label(int(images[x]))} and {G.label(cand)}"
-                    )
-        frontier = new
-    if (images < 0).any():
-        raise InconsistentImages("generators do not reach the whole group")
+    rows = G.mul(np.array([pairs[s] for s in G.generators], dtype=np.int64)[:, None],
+                 np.arange(G.order))  # y -> tau(s)*y
+    images = G.along_words(np.int64(0), rows, lambda t, row: row[t])
+    for s in G.generators:
+        if images[s] != pairs[s]:
+            raise InconsistentImages(
+                f"generator {G.label(s)} is given image {G.label(pairs[s])}, "
+                f"but its Cayley word gives {G.label(int(images[s]))}"
+            )
     m = validate(G, images, "anti-automorphism")
     if require_involutory and not m.involutory:
         raise NotInvolutory("extended map is a valid but non-involutory map")

@@ -298,6 +298,25 @@ def test_table_deterministic_for_fixed_seed():
     assert np.array_equal(t1.values, t2.values)
 
 
+def _tuple_keys(values, degrees):
+    """Each row's sort key: its degree, then its (-real, -imag) pairs to 6 places."""
+    return [
+        (int(d), tuple((-round(float(v.real), 6), -round(float(v.imag), 6)) for v in row))
+        for row, d in zip(values, degrees)
+    ]
+
+
+@pytest.mark.parametrize("name", battery_names() + ["D300", "D397"])
+def test_row_order_matches_tuple_key(name):
+    """The table's rows are in the order of the per-row tuple key, and no two
+    rows tie under it, so the order is the key's own."""
+    g = get_group(name) if name in BATTERY_BUILDERS else groups.dihedral(int(name[1:]))
+    for seed in (None, 5):
+        t = characters.compute_character_table(g, seed)
+        keys = _tuple_keys(t.values, t.degrees)
+        assert keys == sorted(keys) and len(set(keys)) == t.class_count
+
+
 def _trace_indicator(table, tau, values):
     """Raw trace-formula indicator of an arbitrary class function."""
     g = table.group

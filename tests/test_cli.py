@@ -244,6 +244,36 @@ def test_batch_runs_past_malformed_element_specs():
     assert aggregate["jobs"][3] == cli.run_job(good, 3)[0]
 
 
+# generator images that no anti-automorphism has: conflicting images, and a
+# non-identity image for a generator that is the identity
+BAD_IMAGE_JOBS = [
+    {"command": "fs", "group": S3,
+     "tau": {"generator_images": {"(1 2)": "(1 2 3)", "(1 2 3)": "(1 2 3)"}}},
+    {"command": "fs", "group": {"generators": ["e", "(1 2)", "(1 2 3)"], "degree": 3},
+     "tau": {"generator_images": {"e": "(1 2)", "(1 2)": "(1 2)", "(1 2 3)": "(1 3 2)"}}},
+]
+
+
+def test_batch_runs_past_bad_generator_images():
+    good = {"command": "fs", "group": S3,
+            "tau": {"generator_images": {"(1 2)": "(1 2)", "(1 2 3)": "(1 3 2)"}}}
+    aggregate, code, _ = cli.run_batch({"jobs": [BAD_IMAGE_JOBS[0], good, BAD_IMAGE_JOBS[1]]}, 3)
+    assert code == 1
+    assert [r["payload"].get("error") for r in aggregate["jobs"]] == [
+        "images are not a permutation of element ids", None,
+        "generator e is given image (1 2), but its Cayley word gives e"]
+    assert aggregate["jobs"][1] == cli.run_job(good, 3)[0]
+    assert aggregate["jobs"][1]["payload"]["twisted_indicators"] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("job", BAD_IMAGE_JOBS, ids=["conflicting", "identity-generator"])
+def test_bad_generator_images_exit_1_with_one_line(job, capsys):
+    args = ["fs", "--group", json.dumps(job["group"]), "--tau", json.dumps(job["tau"])]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cache_key_covers_the_package_source(tmp_path, monkeypatch):
     package = cli.Path(cli.__file__).parent
     hashes = []

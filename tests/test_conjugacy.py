@@ -125,6 +125,51 @@ def test_twisted_orbit_count_rejects_noncommuting():
         conjugacy.twisted_orbit_count(s3, 6, gi, alpha)
 
 
+def _bfs_action_perms(G, gen_images, n_points):
+    """Route one's permutations as a breadth-first search over the
+    generators, one product per Cayley edge: perm(g*s) = perm(g) after the
+    image of s."""
+    perms = np.empty((G.order, n_points), dtype=np.int64)
+    perms[0] = np.arange(n_points)
+    done = np.zeros(G.order, dtype=bool)
+    done[0] = True
+    frontier = [0]
+    while frontier:
+        new = []
+        for g in frontier:
+            for s in G.generators:
+                x = G.mul(g, s)
+                if not done[x]:
+                    perms[x] = perms[g][gen_images[s]]
+                    done[x] = True
+                    new.append(x)
+        frontier = new
+    assert done.all()
+    return perms
+
+
+def test_twisted_orbit_count_matches_bfs_oracle():
+    """The fifty random actions of the acceptance suite: two copies of the
+    left regular action, alpha a swap of the copies after right translations."""
+    picks = ["S3", "Z6", "D4", "Q8", "A4", "S4", "CL2"]
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        g = get_group(picks[int(rng.integers(0, len(picks)))])
+        n = g.order
+        t = g.table.astype(np.int64)
+        a, b = (int(x) for x in rng.integers(0, n, size=2))
+        gi = {s: np.concatenate([t[s, :], t[s, :] + n]) for s in g.generators}
+        alpha = np.concatenate([t[:, a] + n, t[:, b]])
+        perms = _bfs_action_perms(g, gi, 2 * n)
+        moves = np.stack([gi[s] for s in g.generators])
+        assert np.array_equal(g.along_words(np.arange(2 * n), moves, lambda p, m: p[m]),
+                              perms)
+        match_sum = int((perms == alpha).sum())
+        out = conjugacy.twisted_orbit_count(g, 2 * n, gi, alpha)
+        assert out.per_element_matches_sum == match_sum
+        assert out.averaged_count == match_sum // n == out.fixed_orbit_count
+
+
 # --- pair scans ---------------------------------------------------------------
 
 def test_scan_n1_counts_ambivalent_classes():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from taumackey import characters, criteria, groups, morphisms
+from taumackey import characters, conjugacy, criteria, groups, morphisms
 from taumackey.errors import CrossCheckFailed, NonIntegralMultiplicity
 
 from battery import available_taus, battery_names, get_group
@@ -85,6 +85,27 @@ def test_three_way_agreement_battery(name):
     g = get_group(name)
     for _, tau in available_taus(g):
         assert criteria.simply_reducible_verdict(g, tau).agree
+
+
+@pytest.mark.parametrize("name", battery_names())
+def test_every_power_sum_caller_reads_one_function(name, monkeypatch):
+    """power_sum_report, the Mackey-Wigner route, the square-sum check and
+    the census all report conjugacy.power_sums; the Mackey-Wigner route
+    runs no orbit scan."""
+    g = get_group(name)
+    table = characters.compute_character_table(g)
+    for _, tau in available_taus(g):
+        v1, z1 = conjugacy.power_sums(g, tau, 1)
+        v2, z2 = conjugacy.power_sums(g, tau, 2)
+        rep = conjugacy.power_sum_report(g, tau, 2)
+        assert (rep.sum_centralizer_pow, rep.sum_twisted_square_pow) == (v2, z2)
+        assert v1 == g.order * conjugacy.conjugacy_classes(g).class_count
+        assert criteria.theorem_square_sum_check(g, tau, table).sum_equality == (z1 == v1)
+        census = characters.self_conjugate_census(table, tau)
+        assert census.squared_count_route * g.order == z1
+        with monkeypatch.context() as m:
+            m.setattr(conjugacy, "simultaneous_conjugation_scan", None)
+            assert criteria.check_mackey_wigner(g, tau) == (z2 == v2, (z2, v2))
 
 
 def test_square_sum_check_examples():

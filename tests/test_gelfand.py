@@ -335,3 +335,23 @@ def test_coset_space_data_is_computed_once_per_space(monkeypatch):
     fresh = gelfand.build_coset_space(sp.group, sp.subgroup)
     assert np.array_equal(labels, orbit_labels(fresh.action[fresh.subgroup]))
     assert np.array_equal(perm.values, gelfand.permutation_character(fresh).values)
+
+
+def test_gelfand_report_computes_spherical_functions_once(monkeypatch):
+    calls = []
+    spherical_functions = gelfand.spherical_functions
+
+    def counting_spherical_functions(space, table):
+        calls.append(space.size)
+        return spherical_functions(space, table)
+
+    monkeypatch.setattr(gelfand, "spherical_functions", counting_spherical_functions)
+    job = {"command": "gelfand", "group": {"family": "symmetric", "n": 4},
+           "subgroup": {"generators": ["(1 2)", "(1 2 3)"]}, "tau": "inverse"}
+    report, code = cli.run_job(job, 1)
+    assert code == 0 and report["payload"]["gelfand"]
+    assert calls == [4]
+    tw = gelfand.twisted_fs_gelfand(space_in("S4", ["(1 2)", "(1 2 3)"]),
+                                    morphisms.tau_inverse(get_group("S4")))
+    assert report["payload"]["spherical"]["constituent_rows"] == \
+        tw.spherical.constituent_rows.tolist()

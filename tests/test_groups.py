@@ -493,17 +493,45 @@ def test_semidirect_past_the_cap_multiplies_by_its_law(dense_cap, monkeypatch):
     groups.verify_group_axioms(g)
 
 
+@pytest.mark.parametrize("name", battery_names())
+def test_along_words_evaluates_parents_first(name):
+    g = get_group(name)
+    rows = g.table[g.generators].astype(np.int64)  # y -> s*y
+    # the word length of each element is its distance from the identity
+    # over the generators and their inverses
+    moves = np.concatenate([g.generators, g.inverse[g.generators]])
+    dist = np.full(g.order, -1)
+    dist[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        new = np.unique(g.mul(frontier[:, None], moves))
+        frontier = new[dist[new] < 0]
+        dist[frontier] = dist.max() + 1
+    assert np.array_equal(g.along_words(np.int64(0), rows, lambda d, _: d + 1), dist)
+    # the left regular representation evaluated along the words is the table
+    assert np.array_equal(g.along_words(np.arange(g.order), rows, lambda r, m: r[m]),
+                          g.table)
+
+
 def test_only_groups_reads_the_table():
-    """Every other module multiplies through GroupTable.mul."""
+    """Every other module multiplies through GroupTable.mul and walks G only
+    through GroupTable.along_words: no module but groups.py reads the table
+    or the search tree, and no breadth-first loop over G is left elsewhere."""
     import ast
     from pathlib import Path
 
-    gone = {"require_dense", "_compose", "_inverse_by_powers", "clifford_inverse"}
+    gone = {"require_dense", "_compose", "_inverse_by_powers", "clifford_inverse",
+            "_fill_table"}
+    internals = {"table", "_cayley_words", "_walk", "_undo", "_undo_at", "_moves",
+                 "_step", "_parent", "_depth"}
     for path in sorted(Path(groups.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             name = getattr(node, "attr", None) or getattr(node, "id", None) or \
                 getattr(node, "name", None)
             assert name not in gone, (path.name, name)
             if path.name != "groups.py":
-                assert not (isinstance(node, ast.Attribute) and node.attr == "table"), \
+                assert not (isinstance(node, ast.Attribute) and node.attr in internals), \
                     (path.name, node.lineno)
+            if path.name in ("morphisms.py", "conjugacy.py"):
+                assert not (isinstance(node, ast.While)
+                            and "frontier" in ast.unparse(node.test)), (path.name, node.lineno)

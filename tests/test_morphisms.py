@@ -5,13 +5,14 @@ from taumackey import groups, morphisms
 from taumackey.errors import (
     HomomorphismViolation,
     InconsistentImages,
+    InvalidMap,
     NotBijective,
     NotCliffordGroup,
     NotInvolutory,
     WrongKind,
 )
 
-from battery import available_taus, battery_names, get_group
+from battery import BATTERY_BUILDERS, available_taus, battery_names, get_group
 
 
 def test_identity_map_is_involutory_automorphism():
@@ -160,6 +161,101 @@ def test_generator_images_missing_generator():
     s3 = get_group("S3")
     with pytest.raises(InconsistentImages):
         morphisms.tau_from_generator_images(s3, {s3.generators[0]: 0})
+
+
+def test_generator_images_identity_generator_needs_identity_image():
+    # an identity generator is no move of the search tree, so its given
+    # image is checked against what its word gives
+    s3 = groups.enumerate_from_generators(
+        [(0, 1, 2), (1, 0, 2), (1, 2, 0)], groups.perm_compose, groups.perm_label,
+        meta={"degree": 3},
+    )
+    assert s3.generators[0] == 0
+    pairs = {s: int(s3.inverse[s]) for s in s3.generators}
+    assert np.array_equal(morphisms.tau_from_generator_images(s3, pairs).images, s3.inverse)
+    pairs[0] = s3.element_id("(1 2)")
+    with pytest.raises(InconsistentImages, match="generator e is given image"):
+        morphisms.tau_from_generator_images(s3, pairs)
+    assert _bfs_generator_images(s3, pairs) is None
+
+
+def test_generator_images_conflicting_are_refused():
+    s3 = get_group("S3")
+    pairs = {
+        s3.element_id("(1 2)"): s3.element_id("(1 2 3)"),
+        s3.element_id("(1 2 3)"): s3.element_id("(1 2 3)"),
+    }
+    with pytest.raises(InvalidMap):
+        morphisms.tau_from_generator_images(s3, pairs)
+    assert _bfs_generator_images(s3, pairs) is None
+    # a generator and its inverse, both given: the tree moves by each one's
+    # own image, and validation refuses images that are not each other's inverse
+    z5 = groups.enumerate_from_generators(
+        [(1, 2, 3, 4, 0), (4, 0, 1, 2, 3)], groups.perm_compose, groups.perm_label
+    )
+    c, c_inv = z5.generators
+    assert z5.inverse[c] == c_inv
+    assert morphisms.tau_from_generator_images(z5, {c: c, c_inv: c_inv}).is_identity()
+    with pytest.raises(InvalidMap):
+        morphisms.tau_from_generator_images(z5, {c: c, c_inv: c})
+    assert _bfs_generator_images(z5, {c: c, c_inv: c}) is None
+
+
+# -- generator images against the breadth-first oracle ---------------------------
+
+def _bfs_generator_images(G, pairs):
+    """The extension as a breadth-first search over the generators, one
+    product per Cayley edge: images(w*s) = pairs[s]*images(w), and two words
+    for one element must give one image.  None when they do not."""
+    images = -np.ones(G.order, dtype=np.int64)
+    images[0] = 0
+    frontier = [0]
+    while frontier:
+        new = []
+        for w in frontier:
+            iw = int(images[w])
+            for s in G.generators:
+                x = G.mul(w, s)
+                cand = G.mul(int(pairs[s]), iw)
+                if images[x] < 0:
+                    images[x] = cand
+                    new.append(x)
+                elif images[x] != cand:
+                    return None
+        frontier = new
+    assert (images >= 0).all()
+    return images
+
+
+def _involutory_inner_twists(G):
+    """Every distinct g -> g0*g^-1*g0^-1 with g0^2 central."""
+    ids = np.arange(G.order)
+    central = {z for z in range(G.order) if np.array_equal(G.mul(z, ids), G.mul(ids, z))}
+    seen = {}
+    for g0 in range(G.order):
+        if G.mul(g0, g0) in central:
+            m = morphisms.tau_inner(G, g0)
+            seen.setdefault(m.images.tobytes(), m)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["table", "no-table"])
+@pytest.mark.parametrize("name", battery_names())
+def test_generator_images_match_bfs_oracle(name, dense, monkeypatch):
+    """Every battery twist and involutory inner twist, given by its generator
+    images, extends to itself, as the breadth-first oracle extends it."""
+    g = get_group(name)
+    taus = [tau.images for _, tau in available_taus(g)]
+    taus += [tau.images for tau in _involutory_inner_twists(g)]
+    if not dense:
+        monkeypatch.setattr(groups, "DENSE_CAP", 1)  # same ids, no table
+        g = BATTERY_BUILDERS[name]()
+        assert g.table is None
+    for images in taus:
+        pairs = {s: int(images[s]) for s in g.generators}
+        m = morphisms.tau_from_generator_images(g, pairs, require_involutory=True)
+        assert np.array_equal(m.images, images)
+        assert np.array_equal(_bfs_generator_images(g, pairs), images)
 
 
 @pytest.mark.parametrize("name", battery_names())
