@@ -110,20 +110,37 @@ def twisted_orbit_count(
     The action is given by generator images on 0..n_points-1; alpha must
     commute with it.  Route one averages |{x: g.x = alpha(x)}| over the
     group; route two enumerates orbits directly; they are asserted equal.
+    Images that are not permutations, or that satisfy no action of G,
+    raise InvalidMap.
     """
-    alpha = np.asarray(alpha, dtype=np.int64)
+    points = np.arange(n_points)
+
+    def permutation(what, m):
+        m = np.asarray(m, dtype=np.int64)
+        if m.shape != (n_points,) or not np.array_equal(np.sort(m), points):
+            raise InvalidMap(f"{what} is not a permutation of 0..{n_points - 1}")
+        return m
+
+    alpha = permutation("alpha", alpha)
     gens = list(G.generators)
     for s in gens:
         if s not in gen_images:
             raise InvalidMap(f"no action image for generator {G.label(s)}")
-    moves = np.stack([np.asarray(gen_images[s], dtype=np.int64) for s in gens])
+    moves = np.stack([permutation(f"the image of {G.label(s)}", gen_images[s])
+                      for s in gens])
     for s, m in zip(gens, moves):
         if not np.array_equal(alpha[m], m[alpha]):
             raise NotCommuting(f"alpha does not commute with the image of {G.label(s)}")
 
     # route one: the permutation of every group element along its Cayley
-    # word, then the average of the match counts
-    perms = G.along_words(np.arange(n_points), moves, lambda perm, m: perm[m])
+    # word, then the average of the match counts.  The words follow one
+    # search tree, so perm(g*s) = perm(g) after the image of s is checked
+    # for every g and s: that proves the images define an action.
+    perms = G.along_words(points, moves, lambda perm, m: perm[m])
+    ids = np.arange(G.order)
+    for s, m in zip(gens, moves):
+        if not np.array_equal(perms[G.mul(ids, s)], perms[:, m]):
+            raise InvalidMap(f"the images do not define an action: {G.label(s)} fails")
     match_sum = int((perms == alpha[None, :]).sum())
     if match_sum % G.order != 0:
         raise NotInteger(

@@ -374,16 +374,16 @@ def enumerate_from_generators(
 def cyclic(n: int, cap: int = ORDER_CAP) -> GroupTable:
     if n < 1:
         raise UnknownFamily(f"cyclic({n})")
-    deg = max(n, 1)
-    gen = tuple(range(1, n)) + (0,) if n > 1 else (0,)
-    return enumerate_from_generators(
-        [gen], perm_compose, perm_label, f"cyclic({n})", cap, meta={"degree": deg}
-    )
+    if n > cap:
+        raise ClosureCapExceeded(f"cyclic({n}) has order {n} > cap {cap}")
+    return _affine_group([(1 % n, 0)], n, f"cyclic({n})", cap)
 
 
 def symmetric(n: int, cap: int = ORDER_CAP) -> GroupTable:
     if n < 1:
         raise UnknownFamily(f"symmetric({n})")
+    if _product_over(2, n, cap):
+        raise ClosureCapExceeded(f"symmetric({n}) has order {n}! > cap {cap}")
     if n == 1:
         return cyclic(1)
     swap = (1, 0) + tuple(range(2, n))
@@ -397,6 +397,8 @@ def symmetric(n: int, cap: int = ORDER_CAP) -> GroupTable:
 def alternating(n: int, cap: int = ORDER_CAP) -> GroupTable:
     if n < 1:
         raise UnknownFamily(f"alternating({n})")
+    if _product_over(3, n, cap):
+        raise ClosureCapExceeded(f"alternating({n}) has order {n}!/2 > cap {cap}")
     if n <= 2:
         g = cyclic(1)
         g.family_tag = f"alternating({n})"
@@ -415,6 +417,8 @@ def dihedral(n: int, cap: int = ORDER_CAP) -> GroupTable:
     """Symmetry group of the n-gon, order 2n."""
     if n < 1:
         raise UnknownFamily(f"dihedral({n})")
+    if 2 * n > cap:
+        raise ClosureCapExceeded(f"dihedral({n}) has order {2 * n} > cap {cap}")
     if n == 1:
         g = symmetric(2)
         g.family_tag = "dihedral(1)"
@@ -426,11 +430,64 @@ def dihedral(n: int, cap: int = ORDER_CAP) -> GroupTable:
         return enumerate_from_generators(
             [a, b], perm_compose, perm_label, "dihedral(2)", cap, meta={"degree": 4}
         )
-    rot = tuple(range(1, n)) + (0,)
-    refl = tuple((n - i) % n for i in range(n))
-    return enumerate_from_generators(
-        [rot, refl], perm_compose, perm_label, f"dihedral({n})", cap, meta={"degree": n}
+    return _affine_group([(1, 0), (0, 1)], n, f"dihedral({n})", cap)
+
+
+def _product_over(lo: int, hi: int, cap: int) -> bool:
+    """Whether lo * (lo+1) * ... * hi > cap, stopping once it is."""
+    product = 1
+    for k in range(lo, hi + 1):
+        product *= k
+        if product > cap:
+            return True
+    return False
+
+
+# The cyclic and dihedral families as affine maps of Z/n: the pair (a, b)
+# is i -> (-1)^b * i + a mod n, so the rotation is (1, 0) and the reflection
+# i -> -i is (0, 1).  A product costs O(1) instead of an n-point tuple; the
+# permutation is formed only to label an element or to look one up.
+
+def _affine_compose(p: tuple, q: tuple, n: int) -> tuple:
+    """The pair of p*q, read as perm_compose reads tuples: p(q(i))."""
+    (a1, b1), (a2, b2) = p, q
+    return ((a1 - a2 if b1 else a1 + a2) % n, b1 ^ b2)
+
+
+def _affine_perm(x: tuple, n: int) -> tuple:
+    a, b = x
+    sign = -1 if b else 1
+    return tuple((sign * i + a) % n for i in range(n))
+
+
+class _AffineIndex(dict):
+    """Pair -> id, looked up by the n-point permutation a pair denotes."""
+
+    def __init__(self, index: dict, n: int):
+        super().__init__(index)
+        self.n = n
+
+    def __getitem__(self, perm):
+        n = self.n
+        if isinstance(perm, tuple) and len(perm) == n and perm[0] in range(n):
+            # p(0) = a and p(1) = (-1)^b + a; for n <= 2 only b = 0 is a member
+            pair = (perm[0], int(n > 2 and perm[1] != (perm[0] + 1) % n))
+            if _affine_perm(pair, n) == perm:
+                return super().__getitem__(pair)
+        raise KeyError(perm)
+
+
+def _affine_group(gens: list, n: int, tag: str, cap: int) -> GroupTable:
+    g = enumerate_from_generators(
+        gens,
+        lambda p, q: _affine_compose(p, q, n),
+        lambda x: perm_label(_affine_perm(x, n)),
+        tag,
+        cap,
+        meta={"degree": n},
     )
+    g._element_index = _AffineIndex(g._element_index, n)
+    return g
 
 
 _QUAT_BASIS = [
@@ -495,8 +552,8 @@ def clifford(n: int, cap: int = ORDER_CAP) -> GroupTable:
     """
     if n < 1:
         raise UnknownFamily(f"clifford({n})")
-    if 2 ** (n + 1) > cap:
-        raise ClosureCapExceeded(f"clifford({n}) has order {2 ** (n + 1)} > cap {cap}")
+    if n + 1 > cap.bit_length() or 2 ** (n + 1) > cap:
+        raise ClosureCapExceeded(f"clifford({n}) has order 2^{n + 1} > cap {cap}")
     gens = [(1, 1 << i) for i in range(n)] + [(-1, 0)]
     return enumerate_from_generators(
         gens,

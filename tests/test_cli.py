@@ -244,6 +244,20 @@ def test_batch_runs_past_malformed_element_specs():
     assert aggregate["jobs"][3] == cli.run_job(good, 3)[0]
 
 
+def test_batch_runs_past_a_non_member_inner_twist(capsys):
+    d7 = {"family": "dihedral", "n": 7}
+    bad = {"command": "fs", "group": d7, "tau": {"inner": "(1 2)"}}
+    good = {"command": "fs", "group": d7, "tau": {"inner": "(2 7)(3 6)(4 5)"}}
+    aggregate, code, _ = cli.run_batch({"jobs": [bad, good]}, 3)
+    assert code == 1
+    assert aggregate["jobs"][0]["payload"]["error"] == "no element matching '(1 2)'"
+    assert aggregate["jobs"][1] == cli.run_job(good, 3)[0]
+    assert "error" not in aggregate["jobs"][1]["payload"]
+    args = ["fs", "--group", json.dumps(d7), "--tau", json.dumps(bad["tau"])]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == "error: no element matching '(1 2)'\n"
+
+
 # generator images that no anti-automorphism has: conflicting images, and a
 # non-identity image for a generator that is the identity
 BAD_IMAGE_JOBS = [

@@ -125,6 +125,41 @@ def test_twisted_orbit_count_rejects_noncommuting():
         conjugacy.twisted_orbit_count(s3, 6, gi, alpha)
 
 
+def _regular_images(G):
+    return {s: G.table[s, :].astype(np.int64) for s in G.generators}
+
+
+@pytest.mark.parametrize("bad", ["zeros", "short", "out-of-range", "alpha-zeros"])
+def test_twisted_orbit_count_refuses_images_that_are_not_permutations(bad):
+    s3 = get_group("S3")
+    gi, alpha = _regular_images(s3), np.arange(6)
+    s = s3.generators[0]
+    if bad == "zeros":  # unchecked, these end in a NotInteger cross-check failure
+        gi = {t: np.zeros(6, dtype=np.int64) for t in s3.generators}
+    elif bad == "short":
+        gi[s] = gi[s][:5]
+    elif bad == "out-of-range":
+        gi[s] = gi[s] + 1
+    else:
+        alpha = np.zeros(6, dtype=np.int64)
+    with pytest.raises(InvalidMap, match="is not a permutation of 0..5"):
+        conjugacy.twisted_orbit_count(s3, 6, gi, alpha)
+
+
+def test_twisted_orbit_count_refuses_images_that_define_no_action():
+    # the transposition acts trivially and the 3-cycle swaps two points:
+    # a permutation of order 2 cannot be the image of an element of order 3
+    s3 = get_group("S3")
+    swap, cycle = s3.generators
+    assert s3.label(swap) == "(1 2)" and s3.label(cycle) == "(1 2 3)"
+    gi = {swap: np.array([0, 1]), cycle: np.array([1, 0])}
+    with pytest.raises(InvalidMap, match="do not define an action"):
+        conjugacy.twisted_orbit_count(s3, 2, gi, np.arange(2))
+    # the sign action is one
+    gi = {swap: np.array([1, 0]), cycle: np.array([0, 1])}
+    assert conjugacy.twisted_orbit_count(s3, 2, gi, np.arange(2)).orbit_count == 1
+
+
 def _bfs_action_perms(G, gen_images, n_points):
     """Route one's permutations as a breadth-first search over the
     generators, one product per Cayley edge: perm(g*s) = perm(g) after the

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -334,9 +336,20 @@ def _inverse_by_powers(elements, element_index, compose):
     return inverse
 
 
+def _denoted_elements(G) -> list:
+    """The concrete element each id denotes: the n-point permutation of an
+    affine pair, else the closure's own element."""
+    if isinstance(G._element_index, groups._AffineIndex):
+        return [groups._affine_perm(x, G.meta["degree"]) for x in G.elements]
+    return G.elements
+
+
 def _closure_inputs(G):
-    """The seeds, compose and element label a closure-built group came from."""
-    seeds = [G.elements[s] for s in G.generators]
+    """The seeds, compose and element label a closure-built group came from.
+    The cyclic and dihedral families give their generators as n-point
+    tuples, so the oracle closes the permutations, not the pairs."""
+    elements = _denoted_elements(G)
+    seeds = [elements[s] for s in G.generators]
     if "degree" in G.meta:
         return seeds, groups.perm_compose, groups.perm_label
     if "clifford_n" in G.meta:
@@ -346,10 +359,21 @@ def _closure_inputs(G):
     return seeds, groups._quat_mul, groups._quat_label
 
 
+# the cyclic and dihedral families built as affine pairs (D1 and D2 stay
+# permutation groups), each against the closure of its n-point tuples
+AFFINE_CASES = [f"Z{n}" for n in range(1, 21)] + [f"D{n}" for n in range(1, 21)] + [
+    "D397", "D1000"]
+
+
+def _family_builder(name):
+    family = groups.cyclic if name[0] == "Z" else groups.dihedral
+    return lambda: family(int(name[1:]))
+
+
 CLOSURE_BUILDERS = {
     **{name: (lambda name=name: get_group(name))
        for name in battery_names() if name != "A5xZ2"},
-    "D1000": lambda: groups.dihedral(1000),
+    **{name: _family_builder(name) for name in AFFINE_CASES if name not in BATTERY_BUILDERS},
     "CL11": lambda: groups.clifford(11),
     "S7": lambda: groups.symmetric(7),
 }
@@ -389,7 +413,7 @@ def _other_cycle_notation(perm) -> str:
 @pytest.mark.parametrize("name", list(CLOSURE_BUILDERS))
 def test_closure_matches_two_pass_build(name, closure_case):
     G, (elements, _, gen_ids, table, inverse) = closure_case(name)
-    assert G.elements == elements
+    assert _denoted_elements(G) == elements
     assert G.generators == gen_ids
     assert (G.table is None) == (table is None)
     if table is not None:
@@ -535,3 +559,130 @@ def test_only_groups_reads_the_table():
             if path.name in ("morphisms.py", "conjugacy.py"):
                 assert not (isinstance(node, ast.While)
                             and "frontier" in ast.unparse(node.test)), (path.name, node.lineno)
+
+
+# ---------------------------------------------------------------------------
+# the cyclic and dihedral families as affine pairs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", AFFINE_CASES)
+def test_affine_walks_without_table_match_the_tuple_closure(name, closure_case, monkeypatch):
+    G, (_, _, gen_ids, table, inverse) = closure_case(name)
+    monkeypatch.setattr(groups, "DENSE_CAP", 1)
+    lazy = _family_builder(name)()
+    assert (lazy.table is None) == (G.order > 1) and lazy.generators == gen_ids
+    assert np.array_equal(lazy.inverse, inverse)
+    if G.order <= 40:
+        a, b = np.divmod(np.arange(G.order * G.order), G.order)
+    else:
+        a, b = np.random.default_rng(11).integers(0, G.order, size=(2, 2000))
+    assert np.array_equal(lazy.mul(a, b), table[a, b])
+
+
+@pytest.mark.parametrize("family, n, cycles", [
+    ("dihedral", 7, "(1 2)"),          # a transposition
+    ("dihedral", 8, "(1 2 3)"),        # a 3-cycle
+    ("cyclic", 6, "(1 6)(2 5)(3 4)"),  # a reflection, not a rotation
+    ("cyclic", 6, "(1 3 2 4 5 6)"),    # moves 0 like a rotation, then not
+])
+def test_affine_element_id_refuses_non_members(family, n, cycles):
+    g = groups.construct_family(family, n)
+    with pytest.raises(InvalidMap, match="no element matching"):
+        g.element_id(cycles)
+
+
+def test_affine_element_id_refuses_other_concrete_keys():
+    g = groups.dihedral(4)
+    assert g.element_id((1, 2, 3, 0)) == g.generators[0]
+    for what in [(1, 0), [1, 2, 3, 0], (1, 2, 3), (9, 2, 3, 0), ("a", 2, 3, 0)]:
+        with pytest.raises(InvalidMap, match="no element matching"):
+            g.element_id(what)
+
+
+@pytest.fixture(scope="module")
+def affine_at_the_cap():
+    """Z20000 and D10000, each of order ORDER_CAP, built once."""
+    return [groups.cyclic(20000), groups.dihedral(10000)]
+
+
+def test_affine_families_build_at_the_order_cap(affine_at_the_cap):
+    rng = np.random.default_rng(12)
+    for g in affine_at_the_cap:
+        n = g.meta["degree"]
+        assert g.order == groups.ORDER_CAP and g.table is None
+        r = g.generators[0]
+        assert g.mul(r, g.inv(r)) == 0
+        x, y = rng.integers(0, g.order, size=(2, 500))
+        products = g.mul(x, y)
+        for i, j, k in zip(x.tolist(), y.tolist(), products.tolist()):
+            assert groups._affine_compose(g.elements[i], g.elements[j], n) == g.elements[k]
+        assert g._labels is None  # nothing built every label
+
+
+def test_affine_labels_and_lookup_at_the_order_cap(affine_at_the_cap):
+    for g in affine_at_the_cap:
+        n = g.meta["degree"]
+        for x in (0, 1, g.order // 2 + 1, g.order - 1):
+            perm = groups._affine_perm(g.elements[x], n)
+            assert g.label(x) == groups.perm_label(perm)
+            assert g.element_id(g.label(x)) == g.element_id(perm) == x
+
+
+def test_groups_defines_no_new_public_function():
+    """The benchmark's spans wrap every public module-level function, so a
+    per-element helper stays private."""
+    import inspect
+
+    public = {name for name, f in vars(groups).items()
+              if inspect.isfunction(f) and f.__module__ == groups.__name__
+              and not name.startswith("_")}
+    assert public == {
+        "perm_compose", "perm_label", "parse_cycles", "enumerate_from_generators",
+        "cyclic", "symmetric", "alternating", "dihedral", "quaternion8",
+        "clifford_mul", "clifford", "direct_product", "construct_family",
+        "construct_semidirect_with_involution", "subgroup_closure", "check_subgroup",
+        "subgroup_table", "verify_group_axioms",
+    }
+
+
+# ---------------------------------------------------------------------------
+# family orders refused before any closure
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family, n, order", [
+    ("cyclic", 9, 9),
+    ("dihedral", 9, 18),
+    ("symmetric", 5, 120),
+    ("alternating", 5, 60),
+    ("clifford", 4, 32),
+])
+def test_family_order_over_the_cap_is_refused_up_front(family, n, order, monkeypatch):
+    assert groups.construct_family(family, n, cap=order).order == order
+    # one past the order: no closure may start
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure started")
+    monkeypatch.setattr(groups, "enumerate_from_generators", no_closure)
+    with pytest.raises(ClosureCapExceeded, match=rf"^{family}\({n}\) has order .* > cap {order - 1}$"):
+        groups.construct_family(family, n, cap=order - 1)
+    # n alone decides: no n-point tuple, n! or 2^(n+1) is formed (2^(10^9+1)
+    # alone takes seconds), so the refusal is immediate
+    start = time.perf_counter()
+    with pytest.raises(ClosureCapExceeded, match=rf"^{family}\(1000000000\) has order"):
+        groups.construct_family(family, 10**9)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_family_cap_refusal_texts():
+    texts = {}
+    for family, n in [("cyclic", 20001), ("dihedral", 10001), ("symmetric", 8),
+                      ("alternating", 9), ("clifford", 14)]:
+        with pytest.raises(ClosureCapExceeded) as info:
+            groups.construct_family(family, n)
+        texts[family] = str(info.value)
+    assert texts == {
+        "cyclic": "cyclic(20001) has order 20001 > cap 20000",
+        "dihedral": "dihedral(10001) has order 20002 > cap 20000",
+        "symmetric": "symmetric(8) has order 8! > cap 20000",
+        "alternating": "alternating(9) has order 9!/2 > cap 20000",
+        "clifford": "clifford(14) has order 2^15 > cap 20000",
+    }
