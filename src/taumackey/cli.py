@@ -65,6 +65,13 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _seed(value: int, what: str) -> int:
+    """A seed is a non-negative integer, as numpy's generators take it."""
+    if value < 0:
+        raise SpecError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _generator_list(spec: dict) -> list:
     gens = spec["generators"]
     if not isinstance(gens, list):
@@ -88,7 +95,7 @@ def build_group(spec, cap: int = groups.ORDER_CAP) -> groups.GroupTable:
     if "generators" in spec:
         gens = _generator_list(spec)
         degree = spec.get("degree")
-        if not isinstance(degree, int) or degree < 1:
+        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
             raise SpecError("generator specs need a positive integer 'degree'")
         perms = [groups.parse_cycles(s, degree) for s in gens]
         return groups.enumerate_from_generators(
@@ -279,8 +286,8 @@ def _cmd_gelfand(job, seed, budgets):
     if "subgroup" not in job:
         raise SpecError("gelfand needs a 'subgroup' spec")
     K = build_subgroup(G, job["subgroup"])
-    space = gelfand.build_coset_space(G, K)
     table = characters.compute_character_table(G, seed, budgets.classes)
+    space = gelfand.build_coset_space(G, K)
     rep = gelfand.gelfand_criteria_report(space, tau, table, pair_budget=budgets.pairs)
     payload = {
         "order": G.order,
@@ -541,7 +548,7 @@ def run_batch(
         try:
             if not isinstance(job, dict):
                 raise SpecError(f"a job must be an object, got {job!r}")
-            job_seed = _integer(job.get("seed", seed), "'seed'")
+            job_seed = _seed(_integer(job.get("seed", seed), "'seed'"), "'seed'")
         except SpecError as exc:
             results.append(_spec_error_outcome(job, seed, budgets, exc))
             continue
@@ -611,13 +618,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def _effective_seed(arg_seed) -> int:
     if arg_seed is not None:
-        return int(arg_seed)
+        return _seed(arg_seed, "--seed")
     env = os.environ.get(ENV_SEED)
     if env:
         try:
-            return int(env)
+            value = int(env)
         except ValueError as exc:
             raise SpecError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
+        return _seed(value, ENV_SEED)
     return DEFAULT_SEED
 
 

@@ -22,7 +22,6 @@ from .conjugacy import PAIR_BUDGET, conjugacy_classes
 from .errors import (
     BudgetExceeded,
     CrossCheckFailed,
-    NotASubgroup,
     NotAutomorphism,
     NotGelfand,
 )
@@ -30,64 +29,48 @@ from .groups import GroupTable, check_subgroup
 from .morphisms import GroupMap
 
 
-@dataclass
+@dataclass(frozen=True)
 class CosetSpace:
-    """Left cosets of K in G with the tabulated G-action; point 0 is K."""
+    """Left cosets xK of K in G; point 0 is K.  G acts through ``rows``, and
+    the K-orbits and the permutation character are computed once, read-only,
+    when the space is built."""
 
     group: GroupTable
     subgroup: np.ndarray       # sorted element ids of K
+    generators: np.ndarray     # K's generators, from check_subgroup
     size: int                  # |X| = |G| / |K|
     reps: np.ndarray           # minimal element id per point
     point_of: np.ndarray       # element id -> its coset's point
-    action: np.ndarray         # (|G|, |X|): action[g, x] = point of g.x
-    _caches: dict = field(default_factory=dict, repr=False, compare=False)
+    k_orbit_labels: np.ndarray = field(init=False)   # minimal point per K-orbit
+    permutation_character: ClassFunction = field(init=False)  # fixed points
+
+    def __post_init__(self):
+        labels = orbit_labels(self.rows(self.generators))
+        labels.flags.writeable = False
+        object.__setattr__(self, "k_orbit_labels", labels)
+        points = np.arange(self.size)
+        fixed = [np.count_nonzero(self.rows(r) == points)
+                 for r in conjugacy_classes(self.group).representatives]
+        values = np.array(fixed, dtype=complex)
+        values.flags.writeable = False
+        object.__setattr__(self, "permutation_character", ClassFunction(self.group, values))
+
+    def rows(self, g) -> np.ndarray:
+        """The points g.x of every point x, with one row per id of an id array."""
+        return self.point_of[self.group.mul(np.asarray(g)[..., None], self.reps)]
 
 
 def build_coset_space(G: GroupTable, subgroup_ids) -> CosetSpace:
-    K = check_subgroup(G, np.asarray(subgroup_ids, dtype=np.int64))
-    n = G.order
-    point_of = -np.ones(n, dtype=np.int64)
-    reps = []
-    for g in range(n):
-        if point_of[g] >= 0:
-            continue
-        point_of[G.mul(g, K)] = len(reps)
-        reps.append(g)
-    reps = np.array(reps, dtype=np.int64)
-    size = len(reps)
-    if size * len(K) != n:
-        raise NotASubgroup("cosets do not partition the group evenly")
-    action = point_of[G.mul(np.arange(n)[:, None], reps)]
-    stab = np.flatnonzero(action[:, 0] == 0)
-    if not np.array_equal(stab, K):
+    """The cosets xK are the orbits of x -> x*k, k a generator of K, so one
+    kernel call labels each with its minimal element, as conjugacy_classes
+    labels the classes."""
+    K, gens = check_subgroup(G, subgroup_ids)
+    labels = orbit_labels(G.mul(np.arange(G.order), gens[:, None]))
+    reps = orbit_representatives(labels)
+    point_of = np.searchsorted(reps, labels)
+    if not np.array_equal(np.flatnonzero(point_of == 0), K):
         raise CrossCheckFailed("stabilizer of the base point is not K")
-    return CosetSpace(G, K, size, reps, point_of, action)
-
-
-def permutation_character(space: CosetSpace) -> ClassFunction:
-    """Fixed points of each class representative acting on X (exact counts);
-    cached on the space."""
-    if "permutation_character" in space._caches:
-        return space._caches["permutation_character"]
-    conj = conjugacy_classes(space.group)
-    x = np.arange(space.size)
-    values = np.array(
-        [(space.action[int(r)] == x).sum() for r in conj.representatives],
-        dtype=complex,
-    )
-    values.flags.writeable = False
-    perm = space._caches["permutation_character"] = ClassFunction(space.group, values)
-    return perm
-
-
-def k_orbit_labels(space: CosetSpace) -> np.ndarray:
-    """Orbit labels of K acting on X (labels are minimal point indices);
-    cached on the space."""
-    if "k_orbit_labels" in space._caches:
-        return space._caches["k_orbit_labels"]
-    labels = space._caches["k_orbit_labels"] = orbit_labels(space.action[space.subgroup])
-    labels.flags.writeable = False
-    return labels
+    return CosetSpace(G, K, gens, len(reps), reps, point_of)
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +99,10 @@ def orbit_analysis(
     X = space.size
     if X * X > pair_budget:
         raise BudgetExceeded(f"|X|^2 = {X * X} exceeds the pair budget {pair_budget}")
-    moves = []
-    for s in G.generators:
-        left = space.action[int(tau.images[G.inverse[s]])]   # tau-twisted action
-        right = space.action[int(s)]
-        moves.append(np.add.outer(left * X, right).reshape(-1))
-    labels = orbit_labels(np.stack(moves))
+    gens = np.array(G.generators, dtype=np.int64)
+    left = space.rows(tau.images[G.inverse[gens]])   # tau-twisted action
+    right = space.rows(gens)
+    labels = orbit_labels((left[:, :, None] * X + right[:, None, :]).reshape(len(gens), -1))
     pair_reps = orbit_representatives(labels)
     x1, x2 = np.divmod(pair_reps, X)
     symmetric = labels[x2 * X + x1] == pair_reps
@@ -131,7 +112,7 @@ def orbit_analysis(
         raise CrossCheckFailed(f"antisymmetric orbit count {m2} is odd")
     # every orbit meets {(base point, y)}; the first group element hitting an
     # orbit there is its double-coset representative
-    label_of_s = labels[space.action[:, 0]]
+    label_of_s = labels[space.point_of]
     orbit_labels_sorted, first_s = np.unique(label_of_s, return_index=True)
     if not np.array_equal(orbit_labels_sorted, pair_reps):
         raise CrossCheckFailed("double-coset representatives missed an orbit")
@@ -150,8 +131,9 @@ def double_coset_tau_invariant(
     space: CosetSpace, tau: GroupMap, reps: np.ndarray
 ) -> np.ndarray:
     """Per element s of reps: tau(s) in tau(K) s K.  That holds exactly when
-    tau(s)K lies in the tau(K)-orbit of sK on X; tau(K) need not be K."""
-    labels = orbit_labels(space.action[tau.images[space.subgroup]])
+    tau(s)K lies in the tau(K)-orbit of sK on X; tau(K) need not be K, and
+    it is generated by the images of K's generators."""
+    labels = orbit_labels(space.rows(tau.images[space.generators]))
     reps = np.asarray(reps, dtype=np.int64)
     points = space.point_of
     return labels[points[tau.images[reps]]] == labels[points[reps]]
@@ -160,7 +142,7 @@ def double_coset_tau_invariant(
 def weak_symmetry_holds(space: CosetSpace, tau: GroupMap) -> bool:
     """g in K tau(g) K for every g.  That is KgK = K tau(g) K, which holds
     exactly when gK and tau(g)K lie in the same K-orbit on X."""
-    labels = k_orbit_labels(space)
+    labels = space.k_orbit_labels
     points = space.point_of
     return bool((labels[points] == labels[points[tau.images]]).all())
 
@@ -208,11 +190,11 @@ def gelfand_criteria_report(
     equivalence is asserted.  Facts are still reported when it is not."""
     G = space.group
     table = table if table is not None else compute_character_table(G, seed)
-    perm = permutation_character(space)
+    perm = space.permutation_character
     mults = table.decompose(perm, "permutation character")
     gelfand = bool((mults <= 1).all())
     constituents = np.flatnonzero(mults)
-    rank = len(orbit_representatives(k_orbit_labels(space)))
+    rank = len(orbit_representatives(space.k_orbit_labels))
     norm = inner_product(perm, perm)
     if abs(norm - round(norm.real)) > INT_TOL or round(norm.real) != int((mults**2).sum()):
         raise CrossCheckFailed("permutation character norm disagrees with multiplicities")
@@ -279,7 +261,7 @@ def spherical_functions(space: CosetSpace, table: CharacterTable) -> SphericalDa
     """Averaged bi-K-invariant matrix coefficients of each constituent, with
     the normalization, inversion, and orthogonality identities checked."""
     G = space.group
-    mults = table.decompose(permutation_character(space), "permutation character")
+    mults = table.decompose(space.permutation_character, "permutation character")
     if (mults > 1).any():
         raise NotGelfand("permutation character is not multiplicity-free")
     constituents = np.flatnonzero(mults)
@@ -292,7 +274,7 @@ def spherical_functions(space: CosetSpace, table: CharacterTable) -> SphericalDa
     norm_res = float(np.abs(phi[:, 0] - 1).max())
     if norm_res > INT_TOL:
         raise CrossCheckFailed(f"spherical normalization residual {norm_res:.3g}")
-    labels = k_orbit_labels(space)
+    labels = space.k_orbit_labels
     k_reps = orbit_representatives(labels)
     inv_res = float(np.abs(phi - phi[:, labels]).max())
     if inv_res > INT_TOL:
@@ -400,7 +382,7 @@ def twisted_fs_gelfand(
     invariant_orbits = None
     match = None
     if tau_k:
-        labels = k_orbit_labels(space)
+        labels = space.k_orbit_labels
         reps = orbit_representatives(labels)
         tau_point = space.point_of[tau.images[space.reps]]
         invariant_orbits = int((labels[tau_point[reps]] == reps).sum())
@@ -466,13 +448,11 @@ def condition_star(
         raise NotAutomorphism("automorphism lives on a different group")
     n = G.order
     ids = np.arange(n)
-    K = np.flatnonzero(sigma.images == ids).astype(np.int64)
-    K = check_subgroup(G, K)
+    K, gens = check_subgroup(G, np.flatnonzero(sigma.images == ids))
     omega = np.unique(G.mul(ids, sigma.images[G.inverse]))
     conj = conjugacy_classes(G)
     in_g = len(np.unique(conj.class_of[omega]))
-    moves = np.stack([G.conj_map(int(k)) for k in K])
-    labels = orbit_labels(moves)
+    labels = orbit_labels(G.conj_map(gens[:, None]))
     in_k = len(np.unique(labels[omega]))
     if in_k < in_g:
         raise CrossCheckFailed(
@@ -483,11 +463,11 @@ def condition_star(
     rank = None
     skipped = {}
     if sigma.involutory:
-        space = build_coset_space(G, K)
         table = compute_character_table(G, seed)
-        mults = table.decompose(permutation_character(space), "permutation character")
+        space = build_coset_space(G, K)
+        mults = table.decompose(space.permutation_character, "permutation character")
         gelfand = bool((mults <= 1).all())
-        rank = len(orbit_representatives(k_orbit_labels(space)))
+        rank = len(orbit_representatives(space.k_orbit_labels))
         if holds and not gelfand:
             raise CrossCheckFailed(
                 "twisted-square condition holds for an involution but the "

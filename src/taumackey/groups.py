@@ -169,7 +169,8 @@ class GroupTable:
         return self.mul(np.arange(self.order), s)
 
     def conj_map(self, s: int) -> np.ndarray:
-        """The permutation x -> s*x*s^-1 of all element ids."""
+        """The permutation x -> s*x*s^-1 of all element ids (a row per s
+        when s is a column of ids)."""
         return self.mul(self.mul(s, np.arange(self.order)), self.inverse[s])
 
     def generator_conj_maps(self) -> np.ndarray:
@@ -196,9 +197,12 @@ class GroupTable:
         """Resolve a label, concrete element, or cycle-notation string to an id.
 
         Permutation groups (those with a degree) label by cycle notation, so
-        a string is parsed, never looked up in the label list.  Anything
-        else that is not an element of the group raises InvalidMap.
+        a string is parsed, never looked up in the label list.  A boolean,
+        or anything else that is not an element of the group, raises
+        InvalidMap.
         """
+        if isinstance(what, bool):
+            raise InvalidMap(f"no element matching {what!r}")
         if isinstance(what, (int, np.integer)):
             i = int(what)
             if not 0 <= i < self.order:
@@ -663,33 +667,48 @@ def subgroup_closure(G: GroupTable, gen_ids: Iterable[int]) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
-def check_subgroup(G: GroupTable, ids: np.ndarray) -> np.ndarray:
-    """Validate that ids form a subgroup; returns them sorted."""
+def check_subgroup(G: GroupTable, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate that ids form a subgroup K; returns (sorted ids, generators).
+
+    Each generator is the smallest member not yet in the span of the ones
+    before it, so each at least doubles the span: at most log2|K| of them,
+    found in about |K|*log|K| products.  The set is refused as soon as the
+    span leaves it, and a span that reaches every member proves it a
+    subgroup.
+    """
     ids = np.unique(np.asarray(ids, dtype=np.int64))
     if len(ids) == 0 or ids[0] != 0:
         raise NotASubgroup("subgroup must contain the identity (id 0)")
     member = np.zeros(G.order, dtype=bool)
     member[ids] = True
-    if not member[G.mul(ids[:, None], ids)].all():
-        raise NotASubgroup("set is not closed under multiplication")
-    if not member[G.inverse[ids]].all():
-        raise NotASubgroup("set is not closed under inversion")
-    return ids
+    spanned = np.zeros(G.order, dtype=bool)
+    spanned[0] = True
+    gens = np.zeros(0, dtype=np.int64)
+    while (rest := ids[~spanned[ids]]).size:
+        gens = np.append(gens, rest[0])
+        # the span is closed under the earlier generators: multiply it by the
+        # new one, then every element it adds by all of them
+        found = G.mul(ids[spanned[ids]], gens[-1])
+        while (found := np.unique(found[~spanned[found]])).size:
+            if not member[found].all():
+                raise NotASubgroup("set is not closed under multiplication")
+            spanned[found] = True
+            found = G.mul(found[:, None], gens).ravel()
+    return ids, gens
 
 
 def subgroup_table(G: GroupTable, ids: np.ndarray) -> tuple[GroupTable, np.ndarray]:
     """Reindex a subgroup as its own GroupTable; returns (table, embedding).
-    Every element is a generator: generator i is ids[i]."""
-    ids = check_subgroup(G, ids)
-    k = len(ids)
+    Its generators are those of check_subgroup, renumbered."""
+    ids, gens = check_subgroup(G, ids)
     pos = -np.ones(G.order, dtype=np.int64)
-    pos[ids] = np.arange(k)
+    pos[ids] = np.arange(len(ids))
     sub = GroupTable(
-        k,
+        len(ids),
         lambda a: G.label(ids[a]),
-        list(range(k)),
+        pos[gens].tolist(),
         f"subgroup({G.family_tag})",
-        pos[G.mul(ids[None, :], ids[:, None])],  # row i: x -> x*ids[i]
+        pos[G.mul(ids[None, :], gens[:, None])],  # row i: x -> x*gens[i]
     )
     return sub, ids
 

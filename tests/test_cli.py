@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from taumackey import cli, conjugacy, criteria, groups
+from taumackey import cli, conjugacy, criteria, gelfand, groups
 from taumackey.errors import SpecError
 
 
@@ -398,3 +398,48 @@ def test_s7_runs_without_a_table(command, s7, monkeypatch):
         assert p["agree"] and p["simply_reducible"] is False
         assert p["mackey_cosets"] == {
             "skipped": "|G|^2 = 25401600 exceeds the pair budget 4000000"}
+
+
+def test_negative_seed_is_a_one_line_spec_error(monkeypatch, capsys, tmp_path):
+    good = {"command": "power-sums", "group": S3, "tau": "inverse", "n": 2}
+    aggregate, code, _ = cli.run_batch({"jobs": [good, {**good, "seed": -1}, good]}, 3)
+    assert code == 1
+    assert aggregate["jobs"][1]["payload"] == {
+        "error": "'seed' must be a non-negative integer, got -1"}
+    assert aggregate["jobs"][0] == aggregate["jobs"][2] == cli.run_job(good, 3)[0]
+    char_table = ["char-table", "--group", json.dumps(S3)]
+    assert cli.main([*char_table, "--seed", "-5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --seed must be a non-negative integer, got -5\n")
+    monkeypatch.setenv(cli.ENV_SEED, "-2")
+    assert cli.main(char_table) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cli.ENV_SEED} must be a non-negative integer, got -2\n")
+    monkeypatch.setenv(cli.ENV_SEED, "0")
+    out = tmp_path / "r.json"
+    assert cli.main([*char_table, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == 0
+
+
+@pytest.mark.parametrize("job,error", [
+    ({"command": "char-table", "group": {"generators": ["e"], "degree": True}},
+     "generator specs need a positive integer 'degree'"),
+    ({"command": "gelfand", "group": S3, "subgroup": {"generators": [True]},
+      "tau": "inverse"}, "no element matching True"),
+    ({"command": "fs", "group": S3, "tau": {"inner": False}}, "no element matching False"),
+], ids=["degree", "subgroup-generator", "tau-inner"])
+def test_booleans_are_not_degrees_or_element_ids(job, error):
+    out = cli._run_isolated(job, 1, cli.Budgets())
+    assert out["exit_code"] == 1
+    assert out["report"]["payload"] == {"error": error}
+
+
+def test_gelfand_refuses_on_the_class_cap_before_coset_work(monkeypatch, capsys):
+    def no_coset_space(*args):
+        raise AssertionError("build_coset_space ran before the class cap")
+
+    monkeypatch.setattr(gelfand, "build_coset_space", no_coset_space)
+    args = ["gelfand", "--group", json.dumps({"family": "dihedral", "n": 2048}),
+            "--subgroup", json.dumps({"generators": []}), "--tau", "inverse"]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == "error: class count 1027 exceeds the cap 200\n"

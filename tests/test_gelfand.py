@@ -1,13 +1,39 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from taumackey import characters, cli, gelfand, groups, morphisms
 from taumackey._kernels import orbit_labels
-from taumackey.errors import NotAutomorphism, NotGelfand
+from taumackey.conjugacy import conjugacy_classes
+from taumackey.errors import BudgetExceeded, NotAutomorphism, NotGelfand
 
-from battery import get_group
+from battery import BATTERY_BUILDERS, battery_names, get_group
+
+
+def coset_oracle(G, K):
+    """The cosets by a loop over G, each new element covering its coset
+    gK, and the full |G| x |X| action table: (reps, point_of, action)."""
+    n = G.order
+    point_of = -np.ones(n, dtype=np.int64)
+    reps = []
+    for g in range(n):
+        if point_of[g] >= 0:
+            continue
+        point_of[G.mul(g, K)] = len(reps)
+        reps.append(g)
+    reps = np.array(reps, dtype=np.int64)
+    action = point_of[G.mul(np.arange(n)[:, None], reps)]
+    return reps, point_of, action
+
+
+def oracle_fixed_points(G, action):
+    """The permutation character: fixed points of each class representative,
+    read from the action table."""
+    points = np.arange(action.shape[1])
+    return np.array([(action[int(r)] == points).sum()
+                     for r in conjugacy_classes(G).representatives], dtype=complex)
 
 
 def space_in(big, gen_labels):
@@ -22,8 +48,8 @@ def test_coset_space_shapes():
     assert len(sp.subgroup) * sp.size == 24
     assert sp.point_of[0] == 0
     # transitive action
-    assert len(np.unique(gelfand.k_orbit_labels(
-        gelfand.build_coset_space(sp.group, np.arange(24))))) == 1
+    assert len(np.unique(
+        gelfand.build_coset_space(sp.group, np.arange(24)).k_orbit_labels)) == 1
 
 
 def test_whole_group_single_point():
@@ -36,12 +62,12 @@ def test_trivial_subgroup_regular_action():
     s3 = get_group("S3")
     sp = gelfand.build_coset_space(s3, [0])
     assert sp.size == 6
-    assert np.array_equal(sp.action, s3.table.astype(np.int64))
+    assert np.array_equal(sp.rows(np.arange(6)), s3.table.astype(np.int64))
 
 
 def test_permutation_character_values():
     sp = space_in("S4", ["(1 2)", "(1 2 3)"])  # natural 4-point action
-    perm = gelfand.permutation_character(sp)
+    perm = sp.permutation_character
     # fixed points by class: identity 4, transpositions 2, 3-cycles 1,
     # double transpositions 0, 4-cycles 0
     assert sorted(int(v.real) for v in perm.values) == [0, 0, 1, 2, 4]
@@ -310,9 +336,10 @@ def test_condition_star_requires_automorphism():
 
 
 def test_coset_space_data_is_computed_once_per_space(monkeypatch):
-    sp = space_in("S4", ["(1 2)", "(1 2 3)"])
-    tau = morphisms.tau_inverse(sp.group)
-    table = characters.compute_character_table(sp.group)
+    G = get_group("S4")
+    K = groups.subgroup_closure(G, [G.element_id("(1 2)"), G.element_id("(1 2 3)")])
+    tau = morphisms.tau_inverse(G)
+    table = characters.compute_character_table(G)
     kernel_calls = []
 
     def counting_orbit_labels(moves):
@@ -320,21 +347,24 @@ def test_coset_space_data_is_computed_once_per_space(monkeypatch):
         return orbit_labels(moves)
 
     monkeypatch.setattr(gelfand, "orbit_labels", counting_orbit_labels)
+    sp = gelfand.build_coset_space(G, K)
+    labels = sp.k_orbit_labels
+    perm = sp.permutation_character
     rep = gelfand.gelfand_criteria_report(sp, tau, table)
     assert rep.gelfand
     gelfand.spherical_functions(sp, table)
     gelfand.twisted_fs_gelfand(sp, tau, table)
-    # the K-orbits, the pair orbits of X x X, the tau(K)-orbits: one call each
-    assert kernel_calls == [(len(sp.subgroup), sp.size), (2, sp.size ** 2),
-                            (len(sp.subgroup), sp.size)]
-    labels = gelfand.k_orbit_labels(sp)
-    perm = gelfand.permutation_character(sp)
-    assert gelfand.k_orbit_labels(sp) is labels
-    assert gelfand.permutation_character(sp) is perm
+    # the cosets, the K-orbits, the pair orbits of X x X, the tau(K)-orbits:
+    # one call each, with K's generators as moves
+    gens = len(sp.generators)
+    assert kernel_calls == [(gens, G.order), (gens, sp.size), (2, sp.size ** 2),
+                            (gens, sp.size)]
+    assert sp.k_orbit_labels is labels
+    assert sp.permutation_character is perm
     assert not labels.flags.writeable and not perm.values.flags.writeable
-    fresh = gelfand.build_coset_space(sp.group, sp.subgroup)
-    assert np.array_equal(labels, orbit_labels(fresh.action[fresh.subgroup]))
-    assert np.array_equal(perm.values, gelfand.permutation_character(fresh).values)
+    _, _, action = coset_oracle(G, K)
+    assert np.array_equal(labels, orbit_labels(action[K]))
+    assert np.array_equal(perm.values, oracle_fixed_points(G, action))
 
 
 def test_gelfand_report_computes_spherical_functions_once(monkeypatch):
@@ -355,3 +385,94 @@ def test_gelfand_report_computes_spherical_functions_once(monkeypatch):
                                     morphisms.tau_inverse(get_group("S4")))
     assert report["payload"]["spherical"]["constituent_rows"] == \
         tw.spherical.constituent_rows.tolist()
+
+
+# ---------------------------------------------------------------------------
+# coset spaces against the loop over G and its |G| x |X| action table
+# ---------------------------------------------------------------------------
+
+def oracle_subgroups(G):
+    """K trivial, K = G, <g> for each class representative g, and the fixed
+    subgroup of every inner involution, each once."""
+    ids = np.arange(G.order)
+    cases = [np.zeros(1, dtype=np.int64), ids]
+    cases += [groups.subgroup_closure(G, [int(g)])
+              for g in conjugacy_classes(G).representatives]
+    for g in range(G.order):
+        c = G.conj_map(g)
+        if np.array_equal(c[c], ids):
+            cases.append(np.flatnonzero(c == ids))
+    return list({K.tobytes(): K for K in cases}.values())
+
+
+@pytest.mark.parametrize("dense_cap", [None, 1], ids=["table", "walks"])
+@pytest.mark.parametrize("name", battery_names())
+def test_coset_space_matches_the_loop_over_g(name, dense_cap, monkeypatch):
+    if dense_cap is None:
+        G = get_group(name)
+    else:
+        monkeypatch.setattr(groups, "DENSE_CAP", dense_cap)  # read when a group is built
+        G = BATTERY_BUILDERS[name]()
+        assert G.table is None
+    for K in oracle_subgroups(G):
+        space = gelfand.build_coset_space(G, K)
+        reps, point_of, action = coset_oracle(G, K)
+        assert np.array_equal(space.subgroup, K) and space.size == len(reps)
+        assert np.array_equal(space.reps, reps)
+        assert np.array_equal(space.point_of, point_of)
+        assert np.array_equal(space.rows(np.arange(G.order)), action)
+        assert np.array_equal(space.k_orbit_labels, orbit_labels(action[K]))
+        assert np.array_equal(space.permutation_character.values,
+                              oracle_fixed_points(G, action))
+        assert np.array_equal(groups.subgroup_closure(G, space.generators), K)
+
+
+# ---------------------------------------------------------------------------
+# memory: no |K|^2 products, no |G| x |X| table, no coset work past the cap
+# ---------------------------------------------------------------------------
+
+def peak_mb(run):
+    """tracemalloc's peak, in MB, while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def s7():
+    """S7 (order 5040, no table), built once for the guards below."""
+    return groups.symmetric(7)
+
+
+@pytest.fixture(scope="module")
+def d2000():
+    """D2000 (order 4000, 1003 classes) with sigma = identity, built once."""
+    G = groups.dihedral(2000)
+    return G, morphisms.validate(G, np.arange(G.order), "automorphism")
+
+
+def test_check_subgroup_of_all_of_s7_stays_small(s7):
+    assert peak_mb(lambda: groups.check_subgroup(s7, np.arange(s7.order))) < 8
+
+
+def test_coset_space_of_s3_in_s7_stays_small(s7):
+    K = groups.subgroup_closure(s7, [s7.element_id("(1 2)"), s7.element_id("(1 2 3)")])
+    assert peak_mb(lambda: gelfand.build_coset_space(s7, K)) < 8
+
+
+def test_condition_star_refuses_on_the_class_cap_before_coset_work(d2000, monkeypatch):
+    G, sigma = d2000
+
+    def no_coset_space(*args):
+        raise AssertionError("build_coset_space ran before the class cap")
+
+    monkeypatch.setattr(gelfand, "build_coset_space", no_coset_space)
+
+    def run():
+        with pytest.raises(BudgetExceeded, match="class count 1003 exceeds the cap 200"):
+            gelfand.condition_star(G, sigma)
+
+    assert peak_mb(run) < 16

@@ -232,6 +232,89 @@ def test_not_a_subgroup():
         groups.check_subgroup(s3, [s3.element_id("(1 2)")])
 
 
+def closure_oracle_refusal(G, ids):
+    """The |K|^2 check: the refusal text for ids, or None for a subgroup."""
+    ids = np.unique(np.asarray(ids, dtype=np.int64))
+    if len(ids) == 0 or ids[0] != 0:
+        return "subgroup must contain the identity (id 0)"
+    member = np.zeros(G.order, dtype=bool)
+    member[ids] = True
+    if not member[G.mul(ids[:, None], ids)].all():
+        return "set is not closed under multiplication"
+    if not member[G.inverse[ids]].all():
+        return "set is not closed under inversion"
+    return None
+
+
+def check_subgroup_against_oracle(G, ids):
+    """check_subgroup refuses exactly when the oracle does, with its text;
+    otherwise its generators are the greedy picks and span exactly the ids.
+    Returns whether the set was accepted."""
+    expected = closure_oracle_refusal(G, ids)
+    if expected is not None:
+        with pytest.raises(NotASubgroup) as info:
+            groups.check_subgroup(G, ids)
+        assert str(info.value) == expected
+        return False
+    K, gens = groups.check_subgroup(G, ids)
+    assert np.array_equal(K, np.unique(ids)) and gens.dtype == np.int64
+    assert np.array_equal(groups.subgroup_closure(G, gens), K)
+    assert 2 ** len(gens) <= len(K)
+    for i, g in enumerate(gens):
+        span = groups.subgroup_closure(G, gens[:i])
+        assert g == K[~np.isin(K, span)].min()
+    # the subgroup's own table, built from the generators' columns, is G's
+    sub, emb = groups.subgroup_table(G, K)
+    assert np.array_equal(emb, K) and sub.generators == np.searchsorted(K, gens).tolist()
+    a = np.arange(len(K))
+    assert np.array_equal(emb[sub.mul(a[:, None], a)], G.mul(K[:, None], K))
+    return True
+
+
+def test_check_subgroup_on_every_s3_subset_with_the_identity():
+    s3 = get_group("S3")
+    accepted = [
+        check_subgroup_against_oracle(s3, [0] + [x for x in range(1, 6) if mask >> (x - 1) & 1])
+        for mask in range(32)
+    ]
+    assert sum(accepted) == 6  # e, three of order 2, A3, S3
+
+
+def _s4_subsets(count, seed):
+    """Seeded subsets of S4: random sets with and without the identity,
+    subgroups generated by one or two random elements, and such subgroups
+    with one non-identity element added or removed."""
+    rng = np.random.default_rng(seed)
+    s4 = get_group("S4")
+    for i in range(count):
+        if i % 4 < 2:
+            ids = rng.choice(24, size=rng.integers(1, 25), replace=False)
+            yield np.union1d(ids, [0]) if i % 4 == 0 else ids
+            continue
+        K = groups.subgroup_closure(s4, rng.integers(0, 24, size=rng.integers(1, 3)))
+        if i % 4 == 3:
+            K = np.setxor1d(K, [rng.integers(1, 24)])
+        yield K
+
+
+def test_check_subgroup_on_seeded_s4_subsets():
+    s4 = get_group("S4")
+    accepted = [check_subgroup_against_oracle(s4, ids) for ids in _s4_subsets(200, 4)]
+    assert 50 <= sum(accepted) <= 150
+
+
+def test_check_subgroup_refuses_the_empty_set():
+    with pytest.raises(NotASubgroup, match="identity"):
+        groups.check_subgroup(get_group("S3"), [])
+
+
+def test_check_subgroup_trivial_subgroup_has_no_generators():
+    K, gens = groups.check_subgroup(get_group("S4"), [0])
+    assert K.tolist() == [0] and gens.tolist() == []
+    sub, emb = groups.subgroup_table(get_group("S4"), [0])
+    assert sub.order == 1 and sub.generators == [] and emb.tolist() == [0]
+
+
 def test_lazy_path_agrees_with_dense():
     dense = groups.symmetric(4)
     lazy = groups.enumerate_from_generators(

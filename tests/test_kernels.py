@@ -114,7 +114,7 @@ def _s4_wr_z2_k_action():
     K = groups.subgroup_closure(
         G, [G.element_id(s) for s in ["(1 2)", "(1 2 3 4)", "(5 6)", "(5 6 7 8)"]])
     space = gelfand.build_coset_space(G, K)
-    return space.action[space.subgroup]
+    return space.rows(space.subgroup)
 
 
 def _swaps_and_identities(count, seed):
