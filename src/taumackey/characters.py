@@ -1,7 +1,9 @@
 """Complex character tables and character-level functionals.
 
 The table is computed by the class-algebra method: the exact integer
-class-multiplication coefficients are assembled, a random real linear
+class-multiplication coefficients are counted from k*|G| products (one
+x^-1 * r_m per element x and class representative r_m, after a proof that
+every class is closed under conjugation), a random real linear
 combination of the class matrices is diagonalized, and eigenvectors are
 normalized into central characters.  Floats enter only at the eigen stage;
 every quantity that must be an integer (degrees, multiplicities,
@@ -129,24 +131,28 @@ class CharacterTable:
 def _class_matrices(G: GroupTable, conj: ConjugacyData) -> np.ndarray:
     """Exact structure constants of the class algebra, as float64.
 
-    A[i, j, m] = number of (x, y) in C_i x C_j with x*y equal to a fixed
-    representative of C_m.  Each is a count of at most |G|, so float64 holds
-    it exactly.  For each i, one bincount over the |C_i|*|G| products x*y
-    gives N[j, m] = #{(x, y) in C_i x C_j : x*y in C_m}; every N[j, m] must
-    be divisible by |C_m| before it is divided by it.
+    A[i, j, m] = number of (x, y) in C_i x C_j with x*y = r_m, the
+    representative of C_m; that is #{x in C_i : x^-1 * r_m in C_j}
+    (Dixon 1967, Schneider 1990).  Each is a count of at most |G|, so
+    float64 holds it exactly.  One batched mul forms the k*|G| products
+    x^-1 * r_m (every x, every m), and one count of the triples
+    (class of x, class of x^-1 * r_m, m) fills A.
+
+    Reading one representative per class is sound only if every class is
+    closed under conjugation; then conjugating r_m by any g permutes each
+    class, and the count does not depend on the representative.  That is
+    proved first: conjugation by each generator maps every class into
+    itself (|S|*|G| reads).
     """
-    ids = np.arange(G.order)
-    k = conj.class_count
-    A = np.empty((k, k, k))
-    sizes = conj.class_sizes
     class_of = conj.class_of
-    for i in range(k):
-        idx = class_of[G.mul(conj.classes[i][:, None], ids)]
-        idx += class_of * k                     # flat (class of y, class of x*y)
-        cnt = np.bincount(idx.reshape(-1), minlength=k * k).reshape(k, k)
-        if (cnt % sizes).any():
-            raise CrossCheckFailed("class products are not constant on classes")
-        A[i] = cnt // sizes
+    if any((class_of[c] != class_of).any() for c in G.generator_conj_maps()):
+        raise CrossCheckFailed("class products are not constant on classes")
+    k = conj.class_count
+    prods = G.mul(G.inverse[:, None], conj.representatives)   # (|G|, k)
+    flat = (class_of[:, None] * k + class_of[prods]) * k + np.arange(k)
+    cells, counts = np.unique(flat, return_counts=True)
+    A = np.zeros((k, k, k))
+    A.flat[cells] = counts
     return A
 
 

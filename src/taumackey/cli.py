@@ -65,8 +65,8 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _seed(value: int, what: str) -> int:
-    """A seed is a non-negative integer, as numpy's generators take it."""
+def _non_negative(value: int, what: str) -> int:
+    """Seeds (as numpy's generators take them) and budgets are non-negative."""
     if value < 0:
         raise SpecError(f"{what} must be a non-negative integer, got {value!r}")
     return value
@@ -548,7 +548,7 @@ def run_batch(
         try:
             if not isinstance(job, dict):
                 raise SpecError(f"a job must be an object, got {job!r}")
-            job_seed = _seed(_integer(job.get("seed", seed), "'seed'"), "'seed'")
+            job_seed = _non_negative(_integer(job.get("seed", seed), "'seed'"), "'seed'")
         except SpecError as exc:
             results.append(_spec_error_outcome(job, seed, budgets, exc))
             continue
@@ -618,14 +618,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def _effective_seed(arg_seed) -> int:
     if arg_seed is not None:
-        return _seed(arg_seed, "--seed")
+        return _non_negative(arg_seed, "--seed")
     env = os.environ.get(ENV_SEED)
     if env:
         try:
             value = int(env)
         except ValueError as exc:
             raise SpecError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
-        return _seed(value, ENV_SEED)
+        return _non_negative(value, ENV_SEED)
     return DEFAULT_SEED
 
 
@@ -641,7 +641,11 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         seed = _effective_seed(args.seed)
-        budgets = Budgets(args.budget_pairs, args.budget_order, args.budget_classes)
+        budgets = Budgets(
+            _non_negative(args.budget_pairs, "--budget-pairs"),
+            _non_negative(args.budget_order, "--budget-order"),
+            _non_negative(args.budget_classes, "--budget-classes"),
+        )
         if args.command == "batch":
             manifest = json.loads(Path(args.manifest).read_text())
             cache_dir = Path(args.cache_dir) if args.cache_dir else None

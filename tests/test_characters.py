@@ -369,8 +369,11 @@ def test_indicator_invariant_under_row_twist():
 
 
 # ---------------------------------------------------------------------------
-# class algebra: one bincount per class against the per-pair double loop
+# class algebra: k*|G| products against the per-pair double loop
 # ---------------------------------------------------------------------------
+
+NOT_CONSTANT = "class products are not constant on classes"
+
 
 def _class_matrices_oracle(G, conj):
     """One bincount per class pair (i, j), each asserted divisible."""
@@ -384,7 +387,7 @@ def _class_matrices_oracle(G, conj):
             prods = rows[:, conj.classes[j]].reshape(-1)
             cnt = np.bincount(conj.class_of[prods], minlength=k)
             if (cnt % sizes).any():
-                raise CrossCheckFailed("class products are not constant on classes")
+                raise CrossCheckFailed(NOT_CONSTANT)
             A[i, j] = cnt // sizes
     return A
 
@@ -398,14 +401,53 @@ def test_class_matrices_match_double_loop(name):
     assert np.array_equal(A, _class_matrices_oracle(G, conj))
 
 
-@pytest.mark.parametrize("name", ["S4", "A5xZ2", "Q8", "CL3"])
+_NO_TABLE_BUILDERS = {
+    **{name: BATTERY_BUILDERS[name] for name in ("S4", "A5xZ2", "Q8", "CL3")},
+    "S6": lambda: groups.symmetric(6),
+}
+
+
+@pytest.mark.parametrize("name", list(_NO_TABLE_BUILDERS))
 def test_class_matrices_without_table_match_double_loop(name, monkeypatch):
     monkeypatch.setattr(groups, "DENSE_CAP", 1)  # read when a group is built
-    G = BATTERY_BUILDERS[name]()
+    G = _NO_TABLE_BUILDERS[name]()
     assert G.table is None
     conj = conjugacy.conjugacy_classes(G)
     assert np.array_equal(
         characters._class_matrices(G, conj), _class_matrices_oracle(G, conj)
+    )
+
+
+@pytest.mark.parametrize("name", ["S4", "A5xZ2"])
+def test_class_matrices_form_at_most_k_times_order_products(name, monkeypatch):
+    """Without a table every product is a word walk; the class constants take
+    one per (element, class), not one per pair of elements."""
+    monkeypatch.setattr(groups, "DENSE_CAP", 1)
+    G = BATTERY_BUILDERS[name]()
+    conj = conjugacy.conjugacy_classes(G)
+    mul = groups.GroupTable.mul
+    counted = []
+
+    def counting_mul(self, a, b):
+        counted.append(np.broadcast(np.asarray(a), np.asarray(b)).size)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(groups.GroupTable, "mul", counting_mul)
+    characters._class_matrices(G, conj)
+    assert 0 < sum(counted) <= conj.class_count * G.order < G.order**2
+
+
+@pytest.mark.parametrize("name", battery_names())
+def test_class_matrices_do_not_depend_on_the_representatives(name):
+    G = get_group(name)
+    conj = conjugacy.conjugacy_classes(G)
+    last = dataclasses.replace(
+        conj, representatives=np.array([c[-1] for c in conj.classes])
+    )
+    if not G.is_abelian():
+        assert not np.array_equal(last.representatives, conj.representatives)
+    assert np.array_equal(
+        characters._class_matrices(G, last), characters._class_matrices(G, conj)
     )
 
 
@@ -422,6 +464,14 @@ def _move_element(conj, g, target):
     )
 
 
+def _moves(G, conj):
+    """Every (element, target class) move of a non-representative element."""
+    for g in np.setdiff1d(np.arange(G.order), conj.representatives).tolist():
+        for target in range(conj.class_count):
+            if target != conj.class_of[g]:
+                yield g, target
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -429,27 +479,46 @@ def _outcome(fn, *args):
         return str(exc)
 
 
-@pytest.mark.parametrize("name", ["S3", "Q8", "D4", "A4", "S4"])
+# The only moves whose partitions pass the double loop's divisibility check,
+# as (element, target class): each gives constants of a partition that is
+# not the class partition.
+_ACCEPTED_BY_THE_DOUBLE_LOOP = {
+    "S3": {("(2 3)", 0), ("(1 3)", 0)},
+    "D4": {("(1 4)(2 3)", 3), ("(1 3)", 3)},
+    "A4": {("(1 4)(2 3)", 0), ("(1 2)(3 4)", 0)},
+}
+_MOVE_GROUPS = ["S3", "Q8", "D4", "A4", "S4"]
+
+
+@pytest.mark.parametrize("name", _MOVE_GROUPS)
 def test_class_matrices_refuse_a_wrong_partition_as_the_double_loop(name):
-    """Every move of one non-representative element to another class is
-    refused with the same message exactly when the double loop refuses it,
-    and otherwise gives the same constants."""
+    """Every move of one non-representative element to another class that
+    the double loop refuses is refused with the same message.  The double
+    loop accepts only the named moves, and those are refused too."""
     G = get_group(name)
     conj = conjugacy.conjugacy_classes(G)
-    refused = 0
-    for g in np.setdiff1d(np.arange(G.order), conj.representatives):
-        for target in range(conj.class_count):
-            if target == conj.class_of[g]:
-                continue
-            moved = _move_element(conj, int(g), target)
-            got = _outcome(characters._class_matrices, G, moved)
-            want = _outcome(_class_matrices_oracle, G, moved)
-            if isinstance(want, str):
-                refused += 1
-                assert got == want == "class products are not constant on classes"
-            else:
-                assert np.array_equal(got, want)
-    assert refused > 0
+    accepted = set()
+    for g, target in _moves(G, conj):
+        moved = _move_element(conj, g, target)
+        got = _outcome(characters._class_matrices, G, moved)
+        want = _outcome(_class_matrices_oracle, G, moved)
+        assert isinstance(got, str) and got == NOT_CONSTANT
+        if isinstance(want, str):
+            assert want == got
+        else:
+            accepted.add((G.label(g), target))
+    assert accepted == _ACCEPTED_BY_THE_DOUBLE_LOOP.get(name, set())
+
+
+def test_class_matrices_refuse_every_wrong_partition():
+    outcomes = [
+        _outcome(characters._class_matrices, G, _move_element(conj, g, target))
+        for G in map(get_group, _MOVE_GROUPS)
+        for conj in [conjugacy.conjugacy_classes(G)]
+        for g, target in _moves(G, conj)
+    ]
+    assert len(outcomes) == 130
+    assert all(isinstance(o, str) and o == NOT_CONSTANT for o in outcomes)
 
 
 def _tau_row_permutation_oracle(t, tau):

@@ -421,6 +421,25 @@ def test_negative_seed_is_a_one_line_spec_error(monkeypatch, capsys, tmp_path):
     assert json.loads(out.read_text())["seed"] == 0
 
 
+@pytest.mark.parametrize("flag", ["--budget-pairs", "--budget-order", "--budget-classes"])
+def test_negative_budget_is_a_one_line_spec_error(flag, capsys, tmp_path):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"jobs": [
+        {"command": "power-sums", "group": S3, "tau": "inverse", "n": 2}]}))
+    cache = tmp_path / "c"
+    for argv in (["char-table", "--group", json.dumps(S3)],
+                 ["batch", str(manifest), "--cache-dir", str(cache)]):
+        assert cli.main([*argv, flag, "-3"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {flag} must be a non-negative integer, got -3\n")
+    assert not cache.exists()
+    # zero is accepted; a zero order cap then refuses the group
+    code = cli.main(["power-sums", "--group", json.dumps(S3), "--tau", "inverse",
+                     "--n", "2", "--out", str(tmp_path / "r.json"), flag, "0"])
+    assert "non-negative" not in capsys.readouterr().err
+    assert code == (1 if flag == "--budget-order" else 0)
+
+
 @pytest.mark.parametrize("job,error", [
     ({"command": "char-table", "group": {"generators": ["e"], "degree": True}},
      "generator specs need a positive integer 'degree'"),
