@@ -397,31 +397,32 @@ def induced_character(
 ) -> ClassFunction:
     """Induce a class function of a subgroup up to G.
 
-    Standard averaged formula; Frobenius reciprocity against every table row
-    is asserted before returning.
+    Ind f(r) = |C_G(r)| / |K| * sum of f over r^G n K (Isaacs 5.1-5.2), read
+    off one count of K's elements by (G-class, K-class); Frobenius
+    reciprocity against every table row is asserted before returning.
     """
     G = table.group
     if f.group is not sub:
         raise GroupMismatch("class function does not live on the subgroup")
     conj_g = table.conj
     conj_k = conjugacy_classes(sub)
-    f_elem = np.zeros(G.order, dtype=complex)
-    f_elem[embedding] = f.values[conj_k.class_of]
-    ids = np.arange(G.order)
-    values = np.empty(conj_g.class_count, dtype=complex)
-    for c, rep in enumerate(conj_g.representatives):
-        inner = G.mul(G.mul(G.inverse, rep), ids)   # x^-1 * rep * x over x
-        values[c] = f_elem[inner].sum() / len(embedding)
-    induced = ClassFunction(G, values)
-    for i in range(table.class_count):
-        lhs = inner_product(induced, table.row(i))
-        res = restricted_character(table.row(i), sub, embedding)
-        rhs = inner_product(f, res)
-        if abs(lhs - rhs) > 1e-8:
-            raise CrossCheckFailed(
-                f"Frobenius reciprocity fails on row {i}: {lhs} vs {rhs}"
-            )
-    return induced
+    k_g, k_k = conj_g.class_count, conj_k.class_count
+    fuse = np.bincount(
+        conj_g.class_of[embedding] * k_k + conj_k.class_of, minlength=k_g * k_k
+    ).reshape(k_g, k_k)
+    centralizers = conj_g.centralizer_order[conj_g.representatives]
+    values = centralizers * (fuse @ f.values) / len(embedding)
+    # <Ind f, chi> = <f, Res chi> for every row chi
+    lhs = table.values.conj() @ (conj_g.class_sizes * values) / G.order
+    restricted = table.values[:, conj_g.class_of[embedding[conj_k.representatives]]]
+    rhs = restricted.conj() @ (conj_k.class_sizes * f.values) / sub.order
+    bad = np.flatnonzero(np.abs(lhs - rhs) > 1e-8)
+    if bad.size:
+        i = bad[0]
+        raise CrossCheckFailed(
+            f"Frobenius reciprocity fails on row {i}: {lhs[i]} vs {rhs[i]}"
+        )
+    return ClassFunction(G, values)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ class Budgets:
 # specification parsing
 # ---------------------------------------------------------------------------
 
-def _load_json_arg(text: str, what: str):
+def _load_json_arg(text: str):
     if text.startswith("@"):
         return json.loads(Path(text[1:]).read_text())
     try:
@@ -313,7 +313,7 @@ def _cmd_gelfand(job, seed, budgets):
             "hom_skew_dim": rep.analysis.hom_skew_dim,
         },
         "equivalences": (
-            _identity(True) if rep.equivalences_asserted
+            _identity(True) if rep.hypothesis_holds
             else {"skipped": "twisted permutation representation not equivalent"}
         ),
     }
@@ -354,7 +354,7 @@ def _cmd_condition_star(job, seed, budgets):
     if "sigma" not in job:
         raise SpecError("condition-star needs a 'sigma' spec")
     sigma = build_sigma(G, job["sigma"])
-    star = gelfand.condition_star(G, sigma, seed, budgets.pairs)
+    star = gelfand.condition_star(G, sigma, seed)
     payload = {
         "holds": star.holds,
         "fixed_subgroup_order": star.fixed_subgroup_order,
@@ -434,7 +434,7 @@ def render_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def render_text(report: dict, indent: int = 0) -> str:
+def render_text(report: dict) -> str:
     lines = []
 
     def walk(obj, depth):
@@ -457,7 +457,7 @@ def render_text(report: dict, indent: int = 0) -> str:
         else:
             lines.append(f"{pad}{obj}")
 
-    walk(report, indent)
+    walk(report, 0)
     return "\n".join(lines) + "\n"
 
 
@@ -666,7 +666,7 @@ def main(argv=None) -> int:
         for key in ("group", "tau", "subgroup", "sigma"):
             raw = getattr(args, key)
             if raw is not None:
-                job[key] = _load_json_arg(raw, key)
+                job[key] = _load_json_arg(raw)
         if args.n is not None:
             job["n"] = args.n
         if args.command != "clifford-battery" and "group" not in job:
@@ -678,9 +678,6 @@ def main(argv=None) -> int:
             f"{args.command}: {time.perf_counter() - started:.2f}s", file=sys.stderr
         )
         return code
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MathCheckError as exc:
         print(f"cross-check failure: {exc}", file=sys.stderr)
         return 2

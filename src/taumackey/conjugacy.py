@@ -33,7 +33,6 @@ def power_budget(order: int) -> int | None:
 class ConjugacyData:
     group: GroupTable
     class_of: np.ndarray          # element id -> class index
-    classes: list[np.ndarray]     # sorted element ids per class
     representatives: np.ndarray   # minimal element id per class
     class_sizes: np.ndarray
     centralizer_order: np.ndarray  # per element
@@ -58,11 +57,8 @@ def conjugacy_classes(G: GroupTable) -> ConjugacyData:
     representatives = orbit_representatives(labels)
     class_of = np.searchsorted(representatives, labels)
     class_sizes = np.bincount(class_of)
-    classes = [np.flatnonzero(class_of == c) for c in range(len(representatives))]
     centralizer_order = (G.order // class_sizes)[class_of]
-    data = ConjugacyData(
-        G, class_of, classes, representatives, class_sizes, centralizer_order
-    )
+    data = ConjugacyData(G, class_of, representatives, class_sizes, centralizer_order)
     G._caches["conjugacy"] = data
     return data
 

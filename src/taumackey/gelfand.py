@@ -31,9 +31,9 @@ from .morphisms import GroupMap
 
 @dataclass(frozen=True)
 class CosetSpace:
-    """Left cosets xK of K in G; point 0 is K.  G acts through ``rows``, and
-    the K-orbits and the permutation character are computed once, read-only,
-    when the space is built."""
+    """Left cosets xK of K in G; point 0 is K.  G acts through ``rows``; the
+    K-orbits and the permutation character are read-only arrays computed by
+    build_coset_space."""
 
     group: GroupTable
     subgroup: np.ndarray       # sorted element ids of K
@@ -41,19 +41,8 @@ class CosetSpace:
     size: int                  # |X| = |G| / |K|
     reps: np.ndarray           # minimal element id per point
     point_of: np.ndarray       # element id -> its coset's point
-    k_orbit_labels: np.ndarray = field(init=False)   # minimal point per K-orbit
-    permutation_character: ClassFunction = field(init=False)  # fixed points
-
-    def __post_init__(self):
-        labels = orbit_labels(self.rows(self.generators))
-        labels.flags.writeable = False
-        object.__setattr__(self, "k_orbit_labels", labels)
-        points = np.arange(self.size)
-        fixed = [np.count_nonzero(self.rows(r) == points)
-                 for r in conjugacy_classes(self.group).representatives]
-        values = np.array(fixed, dtype=complex)
-        values.flags.writeable = False
-        object.__setattr__(self, "permutation_character", ClassFunction(self.group, values))
+    k_orbit_labels: np.ndarray  # minimal point per K-orbit
+    permutation_character: ClassFunction  # fixed points per class
 
     def rows(self, g) -> np.ndarray:
         """The points g.x of every point x, with one row per id of an id array."""
@@ -63,14 +52,27 @@ class CosetSpace:
 def build_coset_space(G: GroupTable, subgroup_ids) -> CosetSpace:
     """The cosets xK are the orbits of x -> x*k, k a generator of K, so one
     kernel call labels each with its minimal element, as conjugacy_classes
-    labels the classes."""
+    labels the classes.
+
+    The permutation character is the induced trivial character (Isaacs
+    5.1-5.2): g fixes |C_G(g)| * |g^G n K| / |K| cosets, one count of K's
+    classes in G; each quotient is asserted exact.
+    """
     K, gens = check_subgroup(G, subgroup_ids)
     labels = orbit_labels(G.mul(np.arange(G.order), gens[:, None]))
     reps = orbit_representatives(labels)
     point_of = np.searchsorted(reps, labels)
     if not np.array_equal(np.flatnonzero(point_of == 0), K):
         raise CrossCheckFailed("stabilizer of the base point is not K")
-    return CosetSpace(G, K, gens, len(reps), reps, point_of)
+    k_orbits = orbit_labels(point_of[G.mul(gens[:, None], reps)])
+    conj = conjugacy_classes(G)
+    meets = np.bincount(conj.class_of[K], minlength=conj.class_count)
+    fixed, remainder = np.divmod(conj.centralizer_order[conj.representatives] * meets, len(K))
+    if remainder.any():
+        raise CrossCheckFailed("fixed-point counts are not integers")
+    perm = ClassFunction(G, fixed.astype(complex))
+    k_orbits.flags.writeable = perm.values.flags.writeable = False
+    return CosetSpace(G, K, gens, len(reps), reps, point_of, k_orbits, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +166,7 @@ class GelfandCriteria:
     cond_orbits_symmetric: bool        # (b)
     cond_cosets_invariant: bool        # (c)
     cond_constituents_positive: bool   # (d)
-    equivalences_asserted: bool
     analysis: OrbitAnalysis
-    skipped: dict = field(default_factory=dict)
 
     @property
     def conditions(self) -> tuple[bool, bool, bool, bool]:
@@ -237,7 +237,6 @@ def gelfand_criteria_report(
         cond_orbits_symmetric=cond_b,
         cond_cosets_invariant=cond_c,
         cond_constituents_positive=cond_d,
-        equivalences_asserted=hypothesis,
         analysis=analysis,
     )
 
@@ -259,18 +258,23 @@ class SphericalData:
 
 def spherical_functions(space: CosetSpace, table: CharacterTable) -> SphericalData:
     """Averaged bi-K-invariant matrix coefficients of each constituent, with
-    the normalization, inversion, and orthogonality identities checked."""
-    G = space.group
+    the normalization, inversion, and orthogonality identities checked.
+
+    Both directions read meets[c, x] = #{g in C_c : gK = x}: phi(x) is the
+    mean of conj(chi) over the coset x, and as g runs over G, g^-1 r g
+    covers the class of r |C_G(r)| times, so the inversion average of
+    conj(phi) is d / |C| times its sum over the class's points."""
     mults = table.decompose(space.permutation_character, "permutation character")
     if (mults > 1).any():
         raise NotGelfand("permutation character is not multiplicity-free")
     constituents = np.flatnonzero(mults)
     conj = table.conj
-    prods = G.mul(space.reps[:, None], space.subgroup)  # (X, |K|)
-    prod_classes = conj.class_of[prods]
-    phi = np.empty((len(constituents), space.size), dtype=complex)
-    for a, i in enumerate(constituents):
-        phi[a] = table.values[i][prod_classes].conj().mean(axis=1)
+    meets = np.bincount(
+        conj.class_of * space.size + space.point_of,
+        minlength=conj.class_count * space.size,
+    ).reshape(conj.class_count, space.size)
+    chi = table.values[constituents]
+    phi = chi.conj() @ meets / len(space.subgroup)
     norm_res = float(np.abs(phi[:, 0] - 1).max())
     if norm_res > INT_TOL:
         raise CrossCheckFailed(f"spherical normalization residual {norm_res:.3g}")
@@ -280,14 +284,9 @@ def spherical_functions(space: CosetSpace, table: CharacterTable) -> SphericalDa
     if inv_res > INT_TOL:
         raise CrossCheckFailed(f"spherical functions not K-orbit constant: {inv_res:.3g}")
     # recover each character from its spherical function
-    ids = np.arange(G.order)
-    recon_res = 0.0
-    for c, rep in enumerate(conj.representatives):
-        conjugate_points = space.point_of[G.mul(G.mul(G.inverse, rep), ids)]
-        for a, i in enumerate(constituents):
-            d = int(table.degrees[i])
-            val = d / G.order * phi[a][conjugate_points].conj().sum()
-            recon_res = max(recon_res, abs(val - table.values[i, c]))
+    degrees = table.degrees[constituents][:, None]
+    recon = degrees * (phi.conj() @ meets.T) / conj.class_sizes
+    recon_res = float(np.abs(recon - chi).max())
     orth = phi @ phi.conj().T / space.size
     expected = np.diag(1.0 / table.degrees[constituents].astype(float))
     orth_res = float(np.abs(orth - expected).max())
@@ -302,7 +301,7 @@ def spherical_functions(space: CosetSpace, table: CharacterTable) -> SphericalDa
         k_orbit_reps=k_reps,
         normalization_residual=norm_res,
         invariance_residual=inv_res,
-        inversion_residual=float(recon_res),
+        inversion_residual=recon_res,
         orthogonality_residual=orth_res,
     )
 
@@ -319,7 +318,6 @@ class TwistedPairReport:
     point_count_sum: int                  # sum of squared twisted point counts
     degree_sum_lhs: Fraction              # exact (1/|G|) sum counts^2
     degree_sum_rhs: Fraction              # exact |K| * sum 1/d over self-conj
-    degree_sum_residual: float            # identity (2)
     count_inversion_residual: float
     self_conjugate_constituents: int
     tau_invariant_k_orbits: int | None    # None when tau(K) != K
@@ -339,30 +337,25 @@ def twisted_fs_gelfand(
     constituents = sph.constituent_rows
     indicators = twisted_fs_indicators(table, tau).values
     twisted = G.mul(G.inverse[tau.images], np.arange(G.order))  # tau(g)^-1 g per g
-    twisted_points = space.point_of[twisted]
+    counts_x = np.bincount(space.point_of[twisted], minlength=space.size)
 
     # identity (1): averaging a spherical function over twisted squares gives
     # the indicator of its constituent
-    res1 = 0.0
-    for a, i in enumerate(constituents):
-        d = int(table.degrees[i])
-        val = d / G.order * sph.values[a][twisted_points].sum()
-        res1 = max(res1, abs(val - indicators[i]))
+    averaged = table.degrees[constituents] * (sph.values @ counts_x) / G.order
+    res1 = float(np.abs(averaged - indicators[constituents]).max())
     if res1 > INT_TOL:
         raise CrossCheckFailed(f"averaged spherical indicator residual {res1:.3g}")
 
     # identity (2): exact rational comparison
-    counts_x = np.bincount(twisted_points, minlength=space.size)
     square_sum = int((counts_x.astype(object) ** 2).sum())
     lhs = Fraction(square_sum, G.order)
     perm = tau_row_permutation(table, tau)
-    self_conj = np.array([perm[i] == i for i in constituents])
+    self_conj = perm[constituents] == constituents
     rhs = Fraction(len(space.subgroup), 1) * sum(
         (Fraction(1, int(table.degrees[i]))
          for i in constituents[self_conj]),
         Fraction(0),
     )
-    res2 = abs(float(lhs - rhs))
     if lhs != rhs:
         raise CrossCheckFailed(
             f"twisted point-count identity fails: {lhs} != {rhs}"
@@ -392,10 +385,7 @@ def twisted_fs_gelfand(
                 f"tau-invariant K-orbits {invariant_orbits} != "
                 f"self-conjugate constituents {n_self}"
             )
-        bad = [
-            int(i) for i, sc in zip(constituents, self_conj)
-            if sc and indicators[i] != 1
-        ]
+        bad = constituents[self_conj & (indicators[constituents] != 1)].tolist()
         if bad:
             raise CrossCheckFailed(
                 f"self-conjugate constituents with indicator != 1: rows {bad}"
@@ -409,7 +399,6 @@ def twisted_fs_gelfand(
         point_count_sum=square_sum,
         degree_sum_lhs=lhs,
         degree_sum_rhs=rhs,
-        degree_sum_residual=res2,
         count_inversion_residual=res3,
         self_conjugate_constituents=n_self,
         tau_invariant_k_orbits=invariant_orbits,
@@ -435,8 +424,7 @@ class TwistedSquareConjugacy:
 
 
 def condition_star(
-    G: GroupTable, sigma: GroupMap, seed: int | None = None,
-    pair_budget: int = PAIR_BUDGET,
+    G: GroupTable, sigma: GroupMap, seed: int | None = None
 ) -> TwistedSquareConjugacy:
     """Whether group-level conjugacy of the twisted squares x sigma(x^-1)
     already implies conjugacy inside the fixed subgroup of sigma.  For an

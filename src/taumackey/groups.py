@@ -46,12 +46,11 @@ class GroupTable:
         elements: list | None = None,
         element_index: dict | None = None,
         meta: dict | None = None,
-        dense_cap: int | None = None,
     ):
         """``columns[i]`` is the permutation x -> x*generators[i] of all ids.
 
-        The multiplication table is filled when order <= dense_cap, which
-        defaults to DENSE_CAP as it stands at call time.
+        The multiplication table is filled when order <= DENSE_CAP, read at
+        call time.
         """
         self.order = order
         self._label_of = label_of
@@ -66,7 +65,7 @@ class GroupTable:
         self._cayley_words(columns)
         self.table = None
         self.inverse = self._walk(0, np.arange(order)).astype(np.int32)
-        if order <= (DENSE_CAP if dense_cap is None else dense_cap):
+        if order <= DENSE_CAP:
             # (p*m)*y = p*(m*y): the row of p*m is the row of p read at the row of m
             ids = np.arange(order)
             rows = self.mul(np.array(generators, dtype=np.int64)[:, None], ids)
@@ -299,7 +298,6 @@ def enumerate_from_generators(
     label: Callable = str,
     family_tag: str = "generators",
     cap: int = ORDER_CAP,
-    dense_cap: int | None = None,
     meta: dict | None = None,
 ) -> GroupTable:
     """Close a set of concrete elements under composition into a GroupTable.
@@ -367,7 +365,6 @@ def enumerate_from_generators(
         elements=elements,
         element_index=element_index,
         meta=meta,
-        dense_cap=dense_cap,
     )
 
 

@@ -210,6 +210,20 @@ def test_induction_from_whole_group_is_identity():
         assert t.find_row(ind) == i
 
 
+def test_induction_refuses_an_embedding_that_splits_a_class():
+    """Reciprocity restricts through the embedding: one that sends conjugate
+    elements of K = S3 into different classes of S4 fails it."""
+    s4 = get_group("S4")
+    ids = groups.subgroup_closure(s4, [s4.element_id("(1 2)"), s4.element_id("(1 2 3)")])
+    sub, emb = groups.subgroup_table(s4, ids)
+    a, b = (int(np.flatnonzero(emb == s4.element_id(c))[0]) for c in ("(1 2)", "(1 2 3)"))
+    bent = emb.copy()
+    bent[[a, b]] = emb[[b, a]]
+    with pytest.raises(CrossCheckFailed, match="Frobenius reciprocity fails on row 1"):
+        characters.induced_character(
+            table("S4"), sub, bent, characters.trivial_character(sub))
+
+
 def test_subgroup_required():
     s3 = get_group("S3")
     with pytest.raises(NotASubgroup):
@@ -375,16 +389,22 @@ def test_indicator_invariant_under_row_twist():
 NOT_CONSTANT = "class products are not constant on classes"
 
 
+def _members(conj):
+    """Sorted element ids per class."""
+    return [np.flatnonzero(conj.class_of == c) for c in range(conj.class_count)]
+
+
 def _class_matrices_oracle(G, conj):
     """One bincount per class pair (i, j), each asserted divisible."""
     ids = np.arange(G.order)
     k = conj.class_count
     A = np.empty((k, k, k), dtype=np.int64)
     sizes = conj.class_sizes
+    classes = _members(conj)
     for i in range(k):
-        rows = G.mul(conj.classes[i][:, None], ids)
+        rows = G.mul(classes[i][:, None], ids)
         for j in range(k):
-            prods = rows[:, conj.classes[j]].reshape(-1)
+            prods = rows[:, classes[j]].reshape(-1)
             cnt = np.bincount(conj.class_of[prods], minlength=k)
             if (cnt % sizes).any():
                 raise CrossCheckFailed(NOT_CONSTANT)
@@ -442,7 +462,7 @@ def test_class_matrices_do_not_depend_on_the_representatives(name):
     G = get_group(name)
     conj = conjugacy.conjugacy_classes(G)
     last = dataclasses.replace(
-        conj, representatives=np.array([c[-1] for c in conj.classes])
+        conj, representatives=np.array([c[-1] for c in _members(conj)])
     )
     if not G.is_abelian():
         assert not np.array_equal(last.representatives, conj.representatives)
@@ -455,11 +475,9 @@ def _move_element(conj, g, target):
     """A copy of conj with element g moved into class `target`."""
     class_of = conj.class_of.copy()
     class_of[g] = target
-    classes = [np.flatnonzero(class_of == c) for c in range(conj.class_count)]
     return dataclasses.replace(
         conj,
         class_of=class_of,
-        classes=classes,
         class_sizes=np.bincount(class_of, minlength=conj.class_count),
     )
 

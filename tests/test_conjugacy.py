@@ -38,7 +38,8 @@ def test_class_invariants_across_battery():
         assert conj.class_sizes.sum() == g.order
         assert (conj.class_sizes * conj.centralizer_order[conj.representatives]
                 == g.order).all()
-        for cls in conj.classes:
+        for c in range(conj.class_count):
+            cls = np.flatnonzero(conj.class_of == c)
             assert len({int(conj.centralizer_order[x]) for x in cls}) == 1
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 from taumackey import characters, cli, gelfand, groups, morphisms
 from taumackey._kernels import orbit_labels
 from taumackey.conjugacy import conjugacy_classes
-from taumackey.errors import BudgetExceeded, NotAutomorphism, NotGelfand
+from taumackey.errors import BudgetExceeded, CrossCheckFailed, NotAutomorphism, NotGelfand
 
 from battery import BATTERY_BUILDERS, battery_names, get_group
 
@@ -425,6 +426,117 @@ def test_coset_space_matches_the_loop_over_g(name, dense_cap, monkeypatch):
         assert np.array_equal(space.permutation_character.values,
                               oracle_fixed_points(G, action))
         assert np.array_equal(groups.subgroup_closure(G, space.generators), K)
+
+
+# ---------------------------------------------------------------------------
+# spherical functions and induction against the product sweeps
+# ---------------------------------------------------------------------------
+
+def spherical_oracle(space, table):
+    """phi from the |X| x |K| products rep * k, and each constituent
+    recovered by the conjugation sweep x^-1 * r * x over all x, per class and
+    constituent: (constituents, phi, recovered characters)."""
+    G, conj = space.group, table.conj
+    constituents = np.flatnonzero(
+        table.decompose(space.permutation_character, "permutation character"))
+    prod_classes = conj.class_of[G.mul(space.reps[:, None], space.subgroup)]
+    phi = np.array([table.values[i][prod_classes].conj().mean(axis=1)
+                    for i in constituents])
+    ids = np.arange(G.order)
+    recovered = np.empty((len(constituents), conj.class_count), dtype=complex)
+    for c, rep in enumerate(conj.representatives):
+        points = space.point_of[G.mul(G.mul(G.inverse, rep), ids)]
+        for a, i in enumerate(constituents):
+            recovered[a, c] = table.degrees[i] / G.order * phi[a][points].conj().sum()
+    return constituents, phi, recovered
+
+
+def induced_oracle(table, sub, embedding, f):
+    """Ind f at each class representative r: the average of f over the
+    conjugates x^-1 * r * x of every x, by a loop over the classes."""
+    G = table.group
+    f_elem = np.zeros(G.order, dtype=complex)
+    f_elem[embedding] = f.values[conjugacy_classes(sub).class_of]
+    ids = np.arange(G.order)
+    return np.array([f_elem[G.mul(G.mul(G.inverse, rep), ids)].sum() / len(embedding)
+                     for rep in table.conj.representatives])
+
+
+@pytest.mark.parametrize("dense_cap", [None, 1], ids=["table", "walks"])
+@pytest.mark.parametrize("name", battery_names())
+def test_spherical_and_induction_match_the_product_sweeps(name, dense_cap, monkeypatch):
+    if dense_cap is None:
+        G = get_group(name)
+    else:
+        monkeypatch.setattr(groups, "DENSE_CAP", dense_cap)  # read when a group is built
+        G = BATTERY_BUILDERS[name]()
+        assert G.table is None
+    table = characters.compute_character_table(G)
+    gelfand_pairs = 0
+    for K in oracle_subgroups(G):
+        space = gelfand.build_coset_space(G, K)
+        sub, emb = groups.subgroup_table(G, K)
+        rows = characters.compute_character_table(sub)
+        for f in map(rows.row, range(rows.class_count)):
+            induced = characters.induced_character(table, sub, emb, f)
+            assert np.abs(induced.values - induced_oracle(table, sub, emb, f)).max() < 1e-9
+        # the permutation character is the induced trivial character
+        trivial = characters.induced_character(
+            table, sub, emb, characters.trivial_character(sub))
+        assert np.abs(trivial.values - space.permutation_character.values).max() < 1e-9
+        if (table.decompose(space.permutation_character) > 1).any():
+            with pytest.raises(NotGelfand):
+                gelfand.spherical_functions(space, table)
+            continue
+        gelfand_pairs += 1
+        sph = gelfand.spherical_functions(space, table)
+        constituents, phi, recovered = spherical_oracle(space, table)
+        assert np.array_equal(sph.constituent_rows, constituents)
+        assert np.abs(sph.values - phi).max() < 1e-12
+        oracle_residual = np.abs(recovered - table.values[constituents]).max()
+        assert abs(sph.inversion_residual - oracle_residual) < 1e-12
+    assert gelfand_pairs >= 2  # K = G and at least one more
+
+
+@pytest.mark.parametrize("name", ["S4", "A5xZ2"])
+def test_spherical_functions_and_induction_form_no_products(name, monkeypatch):
+    """Both read the classes and cosets the space already labelled: without a
+    table, where every product is a word walk, they call mul zero times."""
+    monkeypatch.setattr(groups, "DENSE_CAP", 1)
+    G = BATTERY_BUILDERS[name]()
+    table = characters.compute_character_table(G)
+    pairs = []
+    for K in oracle_subgroups(G):
+        space = gelfand.build_coset_space(G, K)
+        if space.size > 1 and (table.decompose(space.permutation_character) <= 1).all():
+            sub, emb = groups.subgroup_table(G, K)
+            pairs.append((space, sub, emb, characters.trivial_character(sub)))
+    assert pairs
+    counted = []
+    mul = groups.GroupTable.mul
+
+    def counting_mul(self, a, b):
+        counted.append(np.broadcast(np.asarray(a), np.asarray(b)).size)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(groups.GroupTable, "mul", counting_mul)
+    for space, sub, emb, trivial in pairs:
+        gelfand.spherical_functions(space, table)
+        characters.induced_character(table, sub, emb, trivial)
+    assert counted == []
+
+
+def test_corrupted_classes_fail_the_permutation_character_division():
+    """A transposition of K = <(1 2)> in S3 moved into the 3-cycles' class:
+    |C_G((1 2 3))| * 1 / |K| = 3/2 fixed points, which is refused."""
+    G = groups.symmetric(3)
+    K = groups.subgroup_closure(G, [G.element_id("(1 2)")])
+    conj = conjugacy_classes(G)
+    class_of = conj.class_of.copy()
+    class_of[G.element_id("(1 2)")] = class_of[G.element_id("(1 2 3)")]
+    G._caches["conjugacy"] = dataclasses.replace(conj, class_of=class_of)
+    with pytest.raises(CrossCheckFailed, match="fixed-point counts are not integers"):
+        gelfand.build_coset_space(G, K)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
 from taumackey import groups, morphisms
+from taumackey.conjugacy import ConjugacyData
 from taumackey.errors import (
     ClosureCapExceeded,
     InvalidMap,
@@ -315,13 +317,13 @@ def test_check_subgroup_trivial_subgroup_has_no_generators():
     assert sub.order == 1 and sub.generators == [] and emb.tolist() == [0]
 
 
-def test_lazy_path_agrees_with_dense():
+def test_lazy_path_agrees_with_dense(monkeypatch):
     dense = groups.symmetric(4)
+    monkeypatch.setattr(groups, "DENSE_CAP", 1)  # read when a group is built
     lazy = groups.enumerate_from_generators(
         [(1, 0, 2, 3), (1, 2, 3, 0)],
         groups.perm_compose,
         groups.perm_label,
-        dense_cap=1,
     )
     assert lazy.table is None
     assert lazy.order == dense.order == 24
@@ -536,10 +538,12 @@ def test_cycle_strings_resolve_without_building_labels():
 
 def test_derived_groups_label_lazily():
     s3, z4 = groups.symmetric(3), groups.cyclic(4)
-    lazy_s4 = groups.enumerate_from_generators(
-        [(1, 0, 2, 3), (1, 2, 3, 0)], groups.perm_compose, groups.perm_label,
-        dense_cap=1,
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "DENSE_CAP", 1)  # only lazy_s4 goes without a table
+        lazy_s4 = groups.enumerate_from_generators(
+            [(1, 0, 2, 3), (1, 2, 3, 0)], groups.perm_compose, groups.perm_label,
+        )
+    assert lazy_s4.table is None
     for a, b in [(s3, z4), (lazy_s4, groups.cyclic(3))]:
         p = groups.direct_product(a, b)
         eager = [f"({la},{lb})" for la in a.labels for lb in b.labels]
@@ -623,7 +627,8 @@ def test_along_words_evaluates_parents_first(name):
 def test_only_groups_reads_the_table():
     """Every other module multiplies through GroupTable.mul and walks G only
     through GroupTable.along_words: no module but groups.py reads the table
-    or the search tree, and no breadth-first loop over G is left elsewhere."""
+    or the search tree, no breadth-first loop over G is left elsewhere, and
+    no module reads per-class member lists off a ConjugacyData."""
     import ast
     from pathlib import Path
 
@@ -631,11 +636,16 @@ def test_only_groups_reads_the_table():
             "_fill_table"}
     internals = {"table", "_cayley_words", "_walk", "_undo", "_undo_at", "_moves",
                  "_step", "_parent", "_depth"}
+    # class members are read off class_of; the only `.classes` left is the
+    # class budget of the CLI
+    assert "classes" not in {f.name for f in dataclasses.fields(ConjugacyData)}
     for path in sorted(Path(groups.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             name = getattr(node, "attr", None) or getattr(node, "id", None) or \
                 getattr(node, "name", None)
             assert name not in gone, (path.name, name)
+            if isinstance(node, ast.Attribute) and node.attr == "classes":
+                assert ast.unparse(node.value) == "budgets", (path.name, node.lineno)
             if path.name != "groups.py":
                 assert not (isinstance(node, ast.Attribute) and node.attr in internals), \
                     (path.name, node.lineno)

@@ -321,10 +321,10 @@ def _s4_wr_z2():
     )
 
 
-def _lazy_s4():
+def _lazy_s4(monkeypatch):
+    monkeypatch.setattr(groups, "DENSE_CAP", 1)  # read when a group is built
     return groups.enumerate_from_generators(
         [(1, 0, 2, 3), (1, 2, 3, 0)], groups.perm_compose, groups.perm_label,
-        dense_cap=1,
     )
 
 
@@ -368,8 +368,8 @@ def test_generator_check_matches_oracle_on_s4_wr_z2():
         assert _assert_matches_oracle(g, images) >= 1
 
 
-def test_generator_check_matches_oracle_without_dense_table():
-    g = _lazy_s4()
+def test_generator_check_matches_oracle_without_dense_table(monkeypatch):
+    g = _lazy_s4(monkeypatch)
     assert g.table is None
     _assert_matches_oracle(g, g.inverse)
     _assert_matches_oracle(g, morphisms.tau_inner(g, g.element_id("(1 2)")).images)
