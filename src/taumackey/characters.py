@@ -3,11 +3,12 @@
 The table is computed by the class-algebra method: the exact integer
 class-multiplication coefficients are counted from k*|G| products (one
 x^-1 * r_m per element x and class representative r_m, after a proof that
-every class is closed under conjugation), a random real linear
-combination of the class matrices is diagonalized, and eigenvectors are
-normalized into central characters.  Floats enter only at the eigen stage;
-every quantity that must be an integer (degrees, multiplicities,
-indicators) is rounded with its residual asserted.
+every class is closed under conjugation) and kept as their at most k*|G|
+nonzero cells, a random real linear combination of the class matrices is
+formed from those cells by one weighted count and diagonalized, and
+eigenvectors are normalized into central characters.  Floats enter only at
+the eigen stage; every quantity that must be an integer (degrees,
+multiplicities, indicators) is rounded with its residual asserted.
 """
 
 from __future__ import annotations
@@ -128,15 +129,17 @@ class CharacterTable:
         return j
 
 
-def _class_matrices(G: GroupTable, conj: ConjugacyData) -> np.ndarray:
-    """Exact structure constants of the class algebra, as float64.
+def _class_matrices(G: GroupTable, conj: ConjugacyData) -> tuple[np.ndarray, np.ndarray]:
+    """Exact structure constants of the class algebra, as their nonzero cells.
 
     A[i, j, m] = number of (x, y) in C_i x C_j with x*y = r_m, the
     representative of C_m; that is #{x in C_i : x^-1 * r_m in C_j}
-    (Dixon 1967, Schneider 1990).  Each is a count of at most |G|, so
-    float64 holds it exactly.  One batched mul forms the k*|G| products
+    (Dixon 1967, Schneider 1990).  One batched mul forms the k*|G| products
     x^-1 * r_m (every x, every m), and one count of the triples
-    (class of x, class of x^-1 * r_m, m) fills A.
+    (class of x, class of x^-1 * r_m, m) gives every nonzero constant.
+    Returns (cells, counts): the ascending flat indices (i*k + j)*k + m of
+    the nonzero A[i, j, m] and their int64 values, at most k*|G| of each
+    (D397: 79,402 of k^3 = 8,000,000); the k^3 array is never formed.
 
     Reading one representative per class is sound only if every class is
     closed under conjugation; then conjugating r_m by any g permutes each
@@ -150,10 +153,15 @@ def _class_matrices(G: GroupTable, conj: ConjugacyData) -> np.ndarray:
     k = conj.class_count
     prods = G.mul(G.inverse[:, None], conj.representatives)   # (|G|, k)
     flat = (class_of[:, None] * k + class_of[prods]) * k + np.arange(k)
-    cells, counts = np.unique(flat, return_counts=True)
-    A = np.zeros((k, k, k))
-    A.flat[cells] = counts
-    return A
+    return np.unique(flat, return_counts=True)
+
+
+def _class_combination(cells: np.ndarray, counts: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """M = sum_i r_i * A_i, the (k, k) matrix M[j, m] = sum_i r_i * A[i, j, m],
+    from the nonzero cells of A: one weighted count over the (j, m) part."""
+    k = len(r)
+    first, rest = np.divmod(cells, k * k)
+    return np.bincount(rest, weights=r[first] * counts, minlength=k * k).reshape(k, k)
 
 
 def compute_character_table(
@@ -169,14 +177,14 @@ def compute_character_table(
     cache_key = ("char_table", seed)
     if cache_key in G._caches:
         return G._caches[cache_key]
-    A = _class_matrices(G, conj)
+    cells, counts = _class_matrices(G, conj)
     sizes = conj.class_sizes.astype(float)
     rng = np.random.default_rng(seed)
     last_problem = "no attempt made"
     upper_i, upper_j = np.triu_indices(k, 1)     # every pair of eigenvalues
     for _ in range(MAX_EIG_RETRIES):
         r = rng.standard_normal(k)
-        M = np.tensordot(r, A, axes=(0, 0))
+        M = _class_combination(cells, counts, r)
         eigvals, eigvecs = np.linalg.eig(M)
         scale = max(1.0, float(np.abs(eigvals).max()))
         gap = np.abs(eigvals[upper_i] - eigvals[upper_j]).min() if k > 1 else np.inf
@@ -232,17 +240,18 @@ def compute_character_table(
 # ---------------------------------------------------------------------------
 
 def tensor_blocks(table: CharacterTable):
-    """Yield the tensor multiplicities one row at a time: the i-th block is
-    the (k, k) int64 array m[i], where m[i, j, l] is the multiplicity of row
-    l in the product of rows i and j.  After the last block, raise
-    NonIntegralMultiplicity with the worst residual of all blocks if any of
-    them was not integral."""
+    """Yield the tensor multiplicities one row at a time, upper half only:
+    the i-th block is the (k - i, k) int64 array m[i, i:], where m[i, j, l]
+    is the multiplicity of row l in the product of rows i and j.  The rows
+    j < i are not formed, since m[i, j] = m[j, i].  After the last block,
+    raise NonIntegralMultiplicity with the worst residual of all blocks if
+    any of them was not integral."""
     X = table.values
     w = table.conj.class_sizes / table.group.order
     dual = (X.conj() * w).T                     # (classes, k)
     worst = 0.0
     for i in range(table.class_count):
-        block = (X[i][None, :] * X) @ dual      # (k, k)
+        block = (X[i] * X[i:]) @ dual           # (k - i, k)
         rounded = np.round(block.real).astype(np.int64)
         worst = max(worst, float(np.abs(block - rounded).max()))
         yield rounded
@@ -257,7 +266,7 @@ def tensor_multiplicities(table: CharacterTable) -> np.ndarray:
     k = table.class_count
     m = np.empty((k, k, k), dtype=np.int64)
     for i, block in enumerate(tensor_blocks(table)):
-        m[i] = block
+        m[i, i:] = m[i:, i] = block
     return m
 
 

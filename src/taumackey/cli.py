@@ -286,6 +286,7 @@ def _cmd_gelfand(job, seed, budgets):
     if "subgroup" not in job:
         raise SpecError("gelfand needs a 'subgroup' spec")
     K = build_subgroup(G, job["subgroup"])
+    gelfand.check_pair_budget(G.order // len(K), budgets.pairs)
     table = characters.compute_character_table(G, seed, budgets.classes)
     space = gelfand.build_coset_space(G, K)
     rep = gelfand.gelfand_criteria_report(space, tau, table, pair_budget=budgets.pairs)
@@ -318,7 +319,7 @@ def _cmd_gelfand(job, seed, budgets):
         ),
     }
     if rep.gelfand:
-        tw = gelfand.twisted_fs_gelfand(space, tau, table)
+        tw = gelfand.twisted_fs_gelfand(space, tau, table, indicators=rep.indicators)
         sph = tw.spherical
         payload["spherical"] = {
             "constituent_rows": [int(i) for i in sph.constituent_rows],

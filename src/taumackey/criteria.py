@@ -74,15 +74,16 @@ def check_definition(
     first violation of each."""
     table = table if table is not None else compute_character_table(G)
     witnesses: dict = {}
-    # One (k, k) block per row: the whole k^3 array is never held.  Every
-    # block is read before a witness is reported, so a non-integral block
-    # anywhere raises first.
+    # One block m[i, i:] per row: the whole k^3 array is never held, and
+    # since m[i, j] = m[j, i] the first violation in (i, j, l) order has
+    # i <= j.  Every block is read before a witness is reported, so a
+    # non-integral block anywhere raises first.
     for i, block in enumerate(tensor_blocks(table)):
         if "tensor" not in witnesses and (block > 1).any():
             j, l = (int(x) for x in np.argwhere(block > 1)[0])
             witnesses["tensor"] = {
-                "rows": (i, j, l),
-                "degrees": tuple(int(table.degrees[x]) for x in (i, j, l)),
+                "rows": (i, i + j, l),
+                "degrees": tuple(int(table.degrees[x]) for x in (i, i + j, l)),
                 "multiplicity": int(block[j, l]),
             }
     mf = "tensor" not in witnesses

@@ -94,13 +94,21 @@ class OrbitAnalysis:
     rep_symmetric: np.ndarray     # flip flag aligned with coset_reps
 
 
+def check_pair_budget(points: int, pair_budget: int) -> None:
+    """Refuse a space of |X| points whose |X|^2 pair states exceed the budget;
+    |X| = |G| / |K| is known before the space is built."""
+    if points * points > pair_budget:
+        raise BudgetExceeded(
+            f"|X|^2 = {points * points} exceeds the pair budget {pair_budget}"
+        )
+
+
 def orbit_analysis(
     space: CosetSpace, tau: GroupMap, pair_budget: int = PAIR_BUDGET
 ) -> OrbitAnalysis:
     G = space.group
     X = space.size
-    if X * X > pair_budget:
-        raise BudgetExceeded(f"|X|^2 = {X * X} exceeds the pair budget {pair_budget}")
+    check_pair_budget(X, pair_budget)
     gens = np.array(G.generators, dtype=np.int64)
     left = space.rows(tau.images[G.inverse[gens]])   # tau-twisted action
     right = space.rows(gens)
@@ -159,6 +167,7 @@ class GelfandCriteria:
     rank: int                          # number of K-orbits on X
     multiplicities: np.ndarray
     constituent_rows: np.ndarray
+    indicators: np.ndarray             # twisted indicator per table row
     hypothesis_holds: bool             # twisted permutation character = plain one
     weak_symmetry: bool
     subgroup_tau_invariant: bool
@@ -230,6 +239,7 @@ def gelfand_criteria_report(
         rank=rank,
         multiplicities=mults,
         constituent_rows=constituents,
+        indicators=indicators,
         hypothesis_holds=hypothesis,
         weak_symmetry=weak,
         subgroup_tau_invariant=tau_k,
@@ -327,15 +337,18 @@ class TwistedPairReport:
 
 def twisted_fs_gelfand(
     space: CosetSpace, tau: GroupMap, table: CharacterTable | None = None,
-    seed: int | None = None,
+    seed: int | None = None, indicators: np.ndarray | None = None,
 ) -> TwistedPairReport:
     """The two averaged identities for a multiplicity-free pair, plus the
-    K-orbit count comparison when K is tau-invariant."""
+    K-orbit count comparison when K is tau-invariant.  ``indicators`` are
+    the table's twisted indicators, as GelfandCriteria.indicators holds
+    them; they are computed when not given."""
     G = space.group
     table = table if table is not None else compute_character_table(G, seed)
     sph = spherical_functions(space, table)
     constituents = sph.constituent_rows
-    indicators = twisted_fs_indicators(table, tau).values
+    if indicators is None:
+        indicators = twisted_fs_indicators(table, tau).values
     twisted = G.mul(G.inverse[tau.images], np.arange(G.order))  # tau(g)^-1 g per g
     counts_x = np.bincount(space.point_of[twisted], minlength=space.size)
 

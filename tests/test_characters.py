@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,13 +413,26 @@ def _class_matrices_oracle(G, conj):
     return A
 
 
+def _dense(G, conj):
+    """The sparse class constants as the k x k x k array they stand for,
+    after checking their layout: ascending distinct cells, positive int64
+    counts, at most k*|G| of them."""
+    cells, counts = characters._class_matrices(G, conj)
+    k = conj.class_count
+    assert cells.dtype == counts.dtype == np.int64
+    assert (np.diff(cells) > 0).all() and (counts > 0).all()
+    assert len(cells) == len(counts) <= k * G.order
+    assert 0 <= cells[0] and cells[-1] < k**3
+    A = np.zeros(k**3, dtype=np.int64)
+    A[cells] = counts
+    return A.reshape(k, k, k)
+
+
 @pytest.mark.parametrize("name", battery_names())
 def test_class_matrices_match_double_loop(name):
     G = get_group(name)
     conj = conjugacy.conjugacy_classes(G)
-    A = characters._class_matrices(G, conj)
-    assert A.dtype == np.float64
-    assert np.array_equal(A, _class_matrices_oracle(G, conj))
+    assert np.array_equal(_dense(G, conj), _class_matrices_oracle(G, conj))
 
 
 _NO_TABLE_BUILDERS = {
@@ -433,9 +447,7 @@ def test_class_matrices_without_table_match_double_loop(name, monkeypatch):
     G = _NO_TABLE_BUILDERS[name]()
     assert G.table is None
     conj = conjugacy.conjugacy_classes(G)
-    assert np.array_equal(
-        characters._class_matrices(G, conj), _class_matrices_oracle(G, conj)
-    )
+    assert np.array_equal(_dense(G, conj), _class_matrices_oracle(G, conj))
 
 
 @pytest.mark.parametrize("name", ["S4", "A5xZ2"])
@@ -466,9 +478,7 @@ def test_class_matrices_do_not_depend_on_the_representatives(name):
     )
     if not G.is_abelian():
         assert not np.array_equal(last.representatives, conj.representatives)
-    assert np.array_equal(
-        characters._class_matrices(G, last), characters._class_matrices(G, conj)
-    )
+    assert np.array_equal(_dense(G, last), _dense(G, conj))
 
 
 def _move_element(conj, g, target):
@@ -537,6 +547,63 @@ def test_class_matrices_refuse_every_wrong_partition():
     ]
     assert len(outcomes) == 130
     assert all(isinstance(o, str) and o == NOT_CONSTANT for o in outcomes)
+
+
+def _tensordot_combination(cells, counts, r):
+    """The dense path: the k x k x k array filled from the cells and
+    contracted with r."""
+    k = len(r)
+    A = np.zeros(k**3)
+    A[cells] = counts
+    return np.tensordot(r, A.reshape(k, k, k), axes=(0, 0))
+
+
+_LARGE_BUILDERS = {
+    "D397": lambda: groups.dihedral(397),        # 200 classes, the class cap
+    "D300": lambda: groups.dihedral(300),
+    "A5xA5": lambda: groups.direct_product(groups.alternating(5), groups.alternating(5)),
+    "S7": lambda: groups.symmetric(7),           # no table
+    "CL7": lambda: groups.clifford(7),
+}
+
+
+@pytest.mark.parametrize("name", battery_names() + ["D397", "S7"])
+def test_class_combination_matches_the_dense_tensordot(name):
+    G = get_group(name) if name in BATTERY_BUILDERS else _LARGE_BUILDERS[name]()
+    conj = conjugacy.conjugacy_classes(G)
+    cells, counts = characters._class_matrices(G, conj)
+    rng = np.random.default_rng(characters.DEFAULT_SEED)
+    for _ in range(3):
+        r = rng.standard_normal(conj.class_count)
+        M = characters._class_combination(cells, counts, r)
+        want = _tensordot_combination(cells, counts, r)
+        assert M.shape == want.shape == (conj.class_count,) * 2
+        assert np.abs(M - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", list(_LARGE_BUILDERS))
+def test_table_rows_keep_the_dense_path_order(name, monkeypatch):
+    """The sparse combination moves the eigenvectors by float noise only:
+    the same degrees, the same row order and entries within 1e-9 of the
+    table from the dense tensordot under the same seed."""
+    sparse = characters.compute_character_table(_LARGE_BUILDERS[name]())
+    monkeypatch.setattr(characters, "_class_combination", _tensordot_combination)
+    dense = characters.compute_character_table(_LARGE_BUILDERS[name]())
+    assert np.array_equal(sparse.degrees, dense.degrees)
+    assert np.abs(sparse.values - dense.values).max() < 1e-9
+
+
+def test_d397_table_holds_no_cube_of_class_constants():
+    """At D397's 200 classes the dense constants alone were 64 MB."""
+    G = groups.dihedral(397)
+    tracemalloc.start()
+    try:
+        t = characters.compute_character_table(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.class_count == 200
+    assert peak < 16e6
 
 
 def _tau_row_permutation_oracle(t, tau):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from taumackey import cli, conjugacy, criteria, gelfand, groups
+from taumackey import characters, cli, conjugacy, criteria, gelfand, groups
 from taumackey.errors import SpecError
 
 
@@ -458,7 +458,47 @@ def test_gelfand_refuses_on_the_class_cap_before_coset_work(monkeypatch, capsys)
         raise AssertionError("build_coset_space ran before the class cap")
 
     monkeypatch.setattr(gelfand, "build_coset_space", no_coset_space)
+    # |X|^2 = 4096^2 is within this pair budget, so the class cap refuses
     args = ["gelfand", "--group", json.dumps({"family": "dihedral", "n": 2048}),
-            "--subgroup", json.dumps({"generators": []}), "--tau", "inverse"]
+            "--subgroup", json.dumps({"generators": []}), "--tau", "inverse",
+            "--budget-pairs", str(4096**2)]
     assert cli.main(args) == 1
     assert capsys.readouterr().err == "error: class count 1027 exceeds the cap 200\n"
+
+
+@pytest.mark.parametrize("group,pairs", [
+    ({"family": "symmetric", "n": 7}, 5040**2),
+    ({"family": "dihedral", "n": 2048}, 4096**2),   # before the class cap
+], ids=["S7", "D2048"])
+def test_gelfand_refuses_on_the_pair_budget_before_the_table(group, pairs, monkeypatch,
+                                                            capsys):
+    """|X| = |G| / |K| is known once K is built: a trivial K is refused
+    before any character table or coset space."""
+    calls = []
+    table = characters.compute_character_table
+    monkeypatch.setattr(characters, "compute_character_table",
+                        lambda *a: calls.append(a) or table(*a))
+    args = ["gelfand", "--group", json.dumps(group),
+            "--subgroup", json.dumps({"generators": []}), "--tau", "inverse"]
+    assert cli.main(args) == 1
+    assert capsys.readouterr() == (
+        "", f"error: |X|^2 = {pairs} exceeds the pair budget 4000000\n")
+    assert calls == []
+
+
+def test_gelfand_job_computes_the_twisted_indicators_once(monkeypatch):
+    calls = []
+    indicators = gelfand.twisted_fs_indicators
+    monkeypatch.setattr(gelfand, "twisted_fs_indicators",
+                        lambda *a: calls.append(a) or indicators(*a))
+    job = {"command": "gelfand", "tau": "inverse",
+           "group": {"generators": ["(1 2)", "(1 2 3 4)", "(1 5)(2 6)(3 7)(4 8)"],
+                     "degree": 8},
+           "subgroup": {"generators": ["(1 2)", "(1 2 3 4)", "(5 6)", "(5 6 7 8)"]}}
+    report, code = cli.run_job(job, 1)
+    assert code == 0
+    p = report["payload"]
+    assert (p["order"], p["points"], p["gelfand"]) == (1152, 2, True)
+    assert p["conditions"]["constituents_indicator_one"] is True
+    assert p["twisted_pair"]["indicators"] == [1, 1]
+    assert len(calls) == 1

@@ -147,9 +147,9 @@ def test_downward_equality_chain(name):
         assert len(flags) == 3
 
 
-def _tensor_witness_oracle(table):
-    """The k^3 path: every multiplicity at once, the integrality check over
-    the whole array, then the first violation in argwhere order."""
+def _tensor_cube_oracle(table):
+    """The k^3 path: every multiplicity at once, with the integrality check
+    over the whole array."""
     X = table.values
     w = table.conj.class_sizes / table.group.order
     raw = np.einsum("ic,jc,lc,c->ijl", X, X, X.conj(), w)
@@ -159,6 +159,12 @@ def _tensor_witness_oracle(table):
         raise NonIntegralMultiplicity(
             f"tensor multiplicities are not integral (residual {worst:.3g})"
         )
+    return mults
+
+
+def _tensor_witness_oracle(table):
+    """The first violation of the whole cube in argwhere order."""
+    mults = _tensor_cube_oracle(table)
     if (mults <= 1).all():
         return None
     i, j, l = (int(x) for x in np.argwhere(mults > 1)[0])
@@ -177,7 +183,12 @@ def test_tensor_witness_matches_the_cube(name):
     assert witnesses.get("tensor") == _tensor_witness_oracle(table)
     cube = characters.tensor_multiplicities(table)
     assert cube.dtype == np.int64
-    assert np.array_equal(cube, np.stack(list(characters.tensor_blocks(table))))
+    assert np.array_equal(cube, _tensor_cube_oracle(table))
+    blocks = list(characters.tensor_blocks(table))
+    assert len(blocks) == table.class_count
+    for i, block in enumerate(blocks):                # the upper half only
+        assert block.dtype == np.int64
+        assert np.array_equal(block, cube[i, i:])
 
 
 def test_a5_tensor_witness_is_a_multiplicity_two():
