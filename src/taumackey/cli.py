@@ -27,15 +27,6 @@ from .errors import MathCheckError, SpecError, TauMackeyError
 
 ENV_SEED = "TAUMACKEY_SEED"
 DEFAULT_SEED = characters.DEFAULT_SEED
-COMMANDS = (
-    "char-table",
-    "fs",
-    "simply-reducible",
-    "gelfand",
-    "clifford-battery",
-    "condition-star",
-    "power-sums",
-)
 
 
 @dataclass(frozen=True)
@@ -79,20 +70,32 @@ def _generator_list(spec: dict) -> list:
     return gens
 
 
+# each group form's keys: the form key first, then the keys it may carry
+_GROUP_FORMS = (("family", "n"), ("generators", "degree"), ("product",), ("semidirect",))
+
+
+def _form(spec, key: str) -> bool:
+    """A single-key spec object {key: ...}."""
+    return isinstance(spec, dict) and set(spec) == {key}
+
+
 def build_group(spec, cap: int = groups.ORDER_CAP) -> groups.GroupTable:
     """Group specification: {"family": name, "n": int} |
     {"generators": [cycles], "degree": int} | {"product": [spec, spec]} |
-    {"semidirect": {"base": spec, "tau": tau-spec}}."""
+    {"semidirect": {"base": spec, "tau": tau-spec}}; exactly one form, and
+    no key outside it."""
     if not isinstance(spec, dict):
         raise SpecError(f"group spec must be an object, got {spec!r}")
-    if "family" in spec:
+    form = next((keys[0] for keys in _GROUP_FORMS
+                 if keys[0] in spec and set(spec) <= set(keys)), None)
+    if form == "family":
         family, n = spec["family"], spec.get("n")
         if not isinstance(family, str):
             raise SpecError(f"'family' must be a string, got {family!r}")
         if n is not None:
             _integer(n, "'n'")
         return groups.construct_family(family, n, cap)
-    if "generators" in spec:
+    if form == "generators":
         gens = _generator_list(spec)
         degree = spec.get("degree")
         if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
@@ -102,20 +105,21 @@ def build_group(spec, cap: int = groups.ORDER_CAP) -> groups.GroupTable:
             perms, groups.perm_compose, groups.perm_label,
             "generators", cap, meta={"degree": degree},
         )
-    if "product" in spec:
+    if form == "product":
         parts = spec["product"]
         if not isinstance(parts, list) or len(parts) != 2:
             raise SpecError("'product' takes exactly two group specs")
         return groups.direct_product(build_group(parts[0], cap),
                                      build_group(parts[1], cap), cap)
-    if "semidirect" in spec:
+    if form == "semidirect":
         inner = spec["semidirect"]
-        if not isinstance(inner, dict):
-            raise SpecError(f"'semidirect' must be an object, got {inner!r}")
+        if not isinstance(inner, dict) or not set(inner) <= {"base", "tau"}:
+            raise SpecError(f"'semidirect' takes an object of 'base' and 'tau', got {inner!r}")
         base = build_group(inner.get("base"), cap)
         tau = build_tau(base, inner.get("tau"))
         return groups.construct_semidirect_with_involution(base, tau, cap)
-    raise SpecError(f"group spec needs one of family/generators/product/semidirect: {spec}")
+    raise SpecError(f"group spec needs one of family/generators/product/semidirect "
+                    f"and only that form's keys: {spec}")
 
 
 def build_tau(G: groups.GroupTable, spec) -> morphisms.GroupMap:
@@ -123,7 +127,7 @@ def build_tau(G: groups.GroupTable, spec) -> morphisms.GroupMap:
     {"inner": element} | {"generator_images": {gen: image}}."""
     if spec is None:
         spec = "inverse"
-    if isinstance(spec, dict) and set(spec) == {"tau"}:
+    if _form(spec, "tau"):
         spec = spec["tau"]
     if spec == "inverse":
         return morphisms.tau_inverse(G)
@@ -131,9 +135,9 @@ def build_tau(G: groups.GroupTable, spec) -> morphisms.GroupMap:
         return morphisms.tau_identity(G)
     if spec == "clifford":
         return morphisms.tau_clifford(G)
-    if isinstance(spec, dict) and "inner" in spec:
+    if _form(spec, "inner"):
         return morphisms.tau_inner(G, G.element_id(spec["inner"]))
-    if isinstance(spec, dict) and "generator_images" in spec:
+    if _form(spec, "generator_images"):
         images = spec["generator_images"]
         if not isinstance(images, dict):
             raise SpecError(f"'generator_images' must be an object, got {images!r}")
@@ -143,25 +147,22 @@ def build_tau(G: groups.GroupTable, spec) -> morphisms.GroupMap:
 
 
 def build_sigma(G: groups.GroupTable, spec) -> morphisms.GroupMap:
-    """Automorphism specification: "identity" | {"inner": element} |
-    {"generator_images": {...}}."""
+    """Automorphism specification: "identity" | {"inner": element}."""
     if spec == "identity":
         return morphisms.validate(G, np.arange(G.order), "automorphism")
-    if isinstance(spec, dict) and "inner" in spec:
+    if _form(spec, "inner"):
         g0 = G.element_id(spec["inner"])
         return morphisms.validate(G, G.conj_map(g0), "automorphism")
-    if isinstance(spec, dict) and "generator_images" in spec:
-        raise SpecError("generator_images sigma specs are not supported; use inner")
     raise SpecError(f"bad sigma spec: {spec!r}")
 
 
 def build_subgroup(G: groups.GroupTable, spec) -> np.ndarray:
     """Subgroup specification: {"generators": [...]} |
     {"centralizer_of_sigma": sigma-spec}."""
-    if isinstance(spec, dict) and "generators" in spec:
+    if _form(spec, "generators"):
         ids = [G.element_id(s) for s in _generator_list(spec)]
         return groups.subgroup_closure(G, ids)
-    if isinstance(spec, dict) and "centralizer_of_sigma" in spec:
+    if _form(spec, "centralizer_of_sigma"):
         sigma = build_sigma(G, spec["centralizer_of_sigma"])
         return np.flatnonzero(sigma.images == np.arange(G.order)).astype(np.int64)
     raise SpecError(f"bad subgroup spec: {spec!r}")
@@ -283,8 +284,6 @@ def _cmd_power_sums(job, seed, budgets):
 def _cmd_gelfand(job, seed, budgets):
     G = build_group(job["group"], budgets.order)
     tau = build_tau(G, job.get("tau"))
-    if "subgroup" not in job:
-        raise SpecError("gelfand needs a 'subgroup' spec")
     K = build_subgroup(G, job["subgroup"])
     gelfand.check_pair_budget(G.order // len(K), budgets.pairs)
     table = characters.compute_character_table(G, seed, budgets.classes)
@@ -352,10 +351,8 @@ def _cmd_gelfand(job, seed, budgets):
 
 def _cmd_condition_star(job, seed, budgets):
     G = build_group(job["group"], budgets.order)
-    if "sigma" not in job:
-        raise SpecError("condition-star needs a 'sigma' spec")
     sigma = build_sigma(G, job["sigma"])
-    star = gelfand.condition_star(G, sigma, seed)
+    star = gelfand.condition_star(G, sigma, seed, budgets.classes)
     payload = {
         "holds": star.holds,
         "fixed_subgroup_order": star.fixed_subgroup_order,
@@ -373,6 +370,8 @@ def _cmd_condition_star(job, seed, budgets):
 
 def _cmd_clifford_battery(job, seed, budgets):
     n_max = _integer(job.get("n", 5), "'n'")
+    if n_max < 1:
+        raise SpecError(f"clifford-battery 'n' must be at least 1, got {n_max}")
     entries = []
     worst = 0
     for n in range(1, n_max + 1):
@@ -393,15 +392,20 @@ def _cmd_clifford_battery(job, seed, budgets):
     return {"entries": entries}, worst
 
 
-_HANDLERS = {
-    "char-table": _cmd_char_table,
-    "fs": _cmd_fs,
-    "simply-reducible": _cmd_simply_reducible,
-    "power-sums": _cmd_power_sums,
-    "gelfand": _cmd_gelfand,
-    "condition-star": _cmd_condition_star,
-    "clifford-battery": _cmd_clifford_battery,
+# command -> (handler, the job keys it reads).  The parser gives each
+# command one flag per key, and run_job refuses a job that lacks a key or
+# carries one its command does not read; "tau" and "n" have defaults, and
+# any job may carry "seed".
+COMMANDS = {
+    "char-table": (_cmd_char_table, ("group",)),
+    "fs": (_cmd_fs, ("group", "tau")),
+    "simply-reducible": (_cmd_simply_reducible, ("group", "tau")),
+    "power-sums": (_cmd_power_sums, ("group", "tau", "n")),
+    "gelfand": (_cmd_gelfand, ("group", "tau", "subgroup")),
+    "condition-star": (_cmd_condition_star, ("group", "sigma")),
+    "clifford-battery": (_cmd_clifford_battery, ("n",)),
 }
+_DEFAULTED = {"tau", "n"}
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +416,15 @@ def run_job(job: dict, seed: int, budgets: Budgets | None = None) -> tuple[dict,
     """Run one job spec into a (report, exit_code) pair."""
     budgets = budgets or Budgets()
     command = job.get("command")
-    if command not in _HANDLERS:
-        raise SpecError(f"unknown command {command!r}; expected one of {COMMANDS}")
+    if command not in COMMANDS:
+        raise SpecError(f"unknown command {command!r}; expected one of {tuple(COMMANDS)}")
+    handler, keys = COMMANDS[command]
+    for key in keys:
+        if key not in job and key not in _DEFAULTED:
+            raise SpecError(f"{command} job needs {key!r}")
+    unread = sorted(set(job) - set(keys) - {"command", "seed"})
+    if unread:
+        raise SpecError(f"{command} job does not read {', '.join(map(repr, unread))}")
     report = {
         "tool": "taumackey",
         "version": __version__,
@@ -423,7 +434,7 @@ def run_job(job: dict, seed: int, budgets: Budgets | None = None) -> tuple[dict,
         "budget_pairs": budgets.pairs,
     }
     try:
-        payload, code = _HANDLERS[command](job, seed, budgets)
+        payload, code = handler(job, seed, budgets)
     except MathCheckError as exc:
         report["payload"] = {"cross_check_failure": str(exc)}
         return report, 2
@@ -592,8 +603,15 @@ def _add_common(p):
     p.add_argument("--out", type=str, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are specification errors: one line and exit 1."""
+
+    def error(self, message):
+        raise SpecError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="taumackey",
         description=(
             "Exact twisted Frobenius-Schur, simple-reducibility, and "
@@ -601,14 +619,11 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, keys) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--group", type=str, default=None,
-                       help="group spec as JSON or @file")
-        p.add_argument("--tau", type=str, default=None)
-        p.add_argument("--subgroup", type=str, default=None)
-        p.add_argument("--sigma", type=str, default=None)
-        p.add_argument("--n", type=int, default=None)
+        for key in keys:
+            p.add_argument(f"--{key}", type=int if key == "n" else str,
+                           help=None if key == "n" else f"{key} spec as JSON or @file")
         _add_common(p)
     b = sub.add_parser("batch")
     b.add_argument("manifest", type=str)
@@ -638,9 +653,9 @@ def _emit(text: str, out: str | None):
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        args = _parser().parse_args(argv)
         seed = _effective_seed(args.seed)
         budgets = Budgets(
             _non_negative(args.budget_pairs, "--budget-pairs"),
@@ -650,42 +665,24 @@ def main(argv=None) -> int:
         if args.command == "batch":
             manifest = json.loads(Path(args.manifest).read_text())
             cache_dir = Path(args.cache_dir) if args.cache_dir else None
-            aggregate, code, stats = run_batch(manifest, seed, budgets, cache_dir)
-            text = (
-                render_report(aggregate)
-                if args.format == "json"
-                else render_text(aggregate)
-            )
-            _emit(text, args.out)
-            print(
-                f"batch: {stats['jobs']} jobs, {stats['cache_hits']} cache hits, "
-                f"{time.perf_counter() - started:.2f}s",
-                file=sys.stderr,
-            )
-            return code
-        job = {"command": args.command}
-        for key in ("group", "tau", "subgroup", "sigma"):
-            raw = getattr(args, key)
-            if raw is not None:
-                job[key] = _load_json_arg(raw)
-        if args.n is not None:
-            job["n"] = args.n
-        if args.command != "clifford-battery" and "group" not in job:
-            raise SpecError(f"{args.command} needs --group")
-        report, code = run_job(job, seed, budgets)
+            report, code, stats = run_batch(manifest, seed, budgets, cache_dir)
+            summary = f"batch: {stats['jobs']} jobs, {stats['cache_hits']} cache hits, "
+        else:
+            job = {"command": args.command}
+            for key in COMMANDS[args.command][1]:
+                raw = getattr(args, key)
+                if raw is not None:
+                    job[key] = raw if key == "n" else _load_json_arg(raw)
+            report, code = run_job(job, seed, budgets)
+            summary = f"{args.command}: "
         text = render_report(report) if args.format == "json" else render_text(report)
         _emit(text, args.out)
-        print(
-            f"{args.command}: {time.perf_counter() - started:.2f}s", file=sys.stderr
-        )
+        print(f"{summary}{time.perf_counter() - started:.2f}s", file=sys.stderr)
         return code
     except MathCheckError as exc:
         print(f"cross-check failure: {exc}", file=sys.stderr)
         return 2
-    except TauMackeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (TauMackeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

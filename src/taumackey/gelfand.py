@@ -10,6 +10,7 @@ import numpy as np
 
 from ._kernels import orbit_labels, orbit_representatives
 from .characters import (
+    CLASS_CAP,
     INT_TOL,
     CharacterTable,
     ClassFunction,
@@ -437,7 +438,7 @@ class TwistedSquareConjugacy:
 
 
 def condition_star(
-    G: GroupTable, sigma: GroupMap, seed: int | None = None
+    G: GroupTable, sigma: GroupMap, seed: int | None = None, class_cap: int = CLASS_CAP
 ) -> TwistedSquareConjugacy:
     """Whether group-level conjugacy of the twisted squares x sigma(x^-1)
     already implies conjugacy inside the fixed subgroup of sigma.  For an
@@ -464,7 +465,7 @@ def condition_star(
     rank = None
     skipped = {}
     if sigma.involutory:
-        table = compute_character_table(G, seed)
+        table = compute_character_table(G, seed, class_cap)
         space = build_coset_space(G, K)
         mults = table.decompose(space.permutation_character, "permutation character")
         gelfand = bool((mults <= 1).all())

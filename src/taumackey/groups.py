@@ -594,6 +594,8 @@ def construct_family(family: str, n: int | None = None, cap: int = ORDER_CAP) ->
         "clifford": clifford,
     }
     if family == "quaternion8":
+        if n is not None:
+            raise UnknownFamily("family 'quaternion8' takes no parameter n")
         return quaternion8(cap)
     if family in builders:
         if n is None:

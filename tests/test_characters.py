@@ -623,6 +623,33 @@ def test_tau_row_permutation_matches_broadcast(name):
         assert np.array_equal(characters.tau_row_permutation(t, tau), perm)
 
 
+def _tau_row_permutation_loop(t, tau):
+    """Row by row, without the k x k x k broadcast: each twisted row against
+    every row by max-abs difference."""
+    twisted = t.values[:, t.conj.tau_class_image(tau)]
+    perm = np.empty(len(twisted), dtype=np.int64)
+    worst = 0.0
+    for i, row in enumerate(twisted):
+        diffs = np.abs(t.values - row).max(axis=1)
+        perm[i] = diffs.argmin()
+        worst = max(worst, float(diffs[perm[i]]))
+    return perm, worst
+
+
+@pytest.mark.parametrize("name,tau_name", [
+    *((name, "inverse") for name in _LARGE_BUILDERS), ("CL7", "clifford")])
+def test_tau_row_permutation_matches_the_row_loop(name, tau_name):
+    """The one k x k product picks the rows the max-abs loop picks, so the
+    residual checked at INT_TOL is the same float."""
+    t = characters.compute_character_table(_LARGE_BUILDERS[name]())
+    tau = getattr(morphisms, f"tau_{tau_name}")(t.group)
+    perm, worst = _tau_row_permutation_loop(t, tau)
+    got = characters.tau_row_permutation(t, tau)
+    assert np.array_equal(got, perm)
+    twisted = t.values[:, t.conj.tau_class_image(tau)]
+    assert float(np.abs(t.values[got] - twisted).max()) == worst <= characters.INT_TOL
+
+
 def test_tau_row_permutation_reports_the_worst_residual():
     G = groups.cyclic(7)
     t = characters.compute_character_table(G)

@@ -385,7 +385,10 @@ def test_s7_runs_without_a_table(command, s7, monkeypatch):
     build = cli.build_group
     monkeypatch.setattr(cli, "build_group",
                         lambda g, cap=groups.ORDER_CAP: s7 if g == spec else build(g, cap))
-    report, code = cli.run_job({"command": command, "group": spec, "tau": "inverse"}, 1)
+    job = {"command": command, "group": spec}
+    if command != "char-table":     # char-table reads no tau
+        job["tau"] = "inverse"
+    report, code = cli.run_job(job, 1)
     assert code == 0
     p = report["payload"]
     if command == "char-table":
@@ -502,3 +505,140 @@ def test_gelfand_job_computes_the_twisted_indicators_once(monkeypatch):
     assert p["conditions"]["constituents_indicator_one"] is True
     assert p["twisted_pair"]["indicators"] == [1, 1]
     assert len(calls) == 1
+
+
+COMMON_FLAGS = {"-h", "--help", "--seed", "--budget-pairs", "--budget-order",
+                "--budget-classes", "--format", "--out"}
+
+
+def _subparsers():
+    action = next(a for a in cli._parser()._actions
+                  if isinstance(a, cli.argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_each_command_has_only_the_flags_of_its_keys(command):
+    flags = {s for a in _subparsers()[command]._actions for s in a.option_strings}
+    assert flags == COMMON_FLAGS | {f"--{key}" for key in cli.COMMANDS[command][1]}
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["fs", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["char-table", "--group", '{"family":"cyclic","n":3}', "--tau", "inverse"],
+     "unrecognized arguments: --tau inverse"),
+    (["power-sums", "--group", json.dumps(S3), "--n", "x"],
+     "argument --n: invalid int value: 'x'"),
+    ([], "the following arguments are required: command"),
+], ids=["unknown-flag", "undeclared-flag", "bad-int", "no-command"])
+def test_usage_errors_exit_1_on_one_line(argv, error, capsys):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("job,error", [
+    ({"command": "fs"}, "fs job needs 'group'"),
+    ({"command": "gelfand", "group": S3}, "gelfand job needs 'subgroup'"),
+    ({"command": "condition-star", "group": S3}, "condition-star job needs 'sigma'"),
+    ({"command": "char-table", "group": S3, "tau": {"inner": "nonsense"}, "sigma": 7},
+     "char-table job does not read 'sigma', 'tau'"),
+    ({"command": "clifford-battery", "group": S3}, "clifford-battery job does not read 'group'"),
+    ({"command": "fs", "group": S3, "subgroup": {"generators": []}},
+     "fs job does not read 'subgroup'"),
+], ids=["fs-group", "gelfand-subgroup", "condition-star-sigma", "char-table-unread",
+        "clifford-group", "fs-subgroup"])
+def test_jobs_carry_exactly_their_command_keys(job, error):
+    out = cli._run_isolated(job, 1, cli.Budgets())
+    assert out["exit_code"] == 1
+    assert out["report"]["payload"] == {"error": error}
+
+
+def test_a_job_may_carry_its_seed_and_leave_tau_and_n_to_defaults():
+    report, code = cli.run_job({"command": "power-sums", "group": S3, "seed": 4}, 4)
+    assert code == 0 and report["payload"]["n"] == 2
+
+
+def test_batch_runs_past_a_job_without_its_group(tmp_path, capsys):
+    good = {"command": "fs", "group": S3, "tau": "inverse"}
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"jobs": [{"command": "fs"}, good]}))
+    out = tmp_path / "r.json"
+    assert cli.main(["batch", str(manifest), "--cache-dir", "", "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    reports = json.loads(out.read_text())["jobs"]
+    assert reports[0]["payload"] == {"error": "fs job needs 'group'"}
+    assert reports[1] == cli.run_job(good, cli.DEFAULT_SEED)[0]
+
+
+GROUP_FORMS = [
+    {"family": "cyclic", "n": 3},
+    {"generators": ["(1 2)", "(1 2 3)"], "degree": 3},
+    {"product": [{"family": "cyclic", "n": 2}, {"family": "cyclic", "n": 3}]},
+    {"semidirect": {"base": {"family": "cyclic", "n": 3}, "tau": "identity"}},
+]
+
+
+@pytest.mark.parametrize("spec", [
+    *({**form, "extra": 1} for form in GROUP_FORMS),
+    {"family": "cyclic", "n": 3, "generators": ["(1 2)"], "degree": 2},
+    {"family": "cyclic", "degree": 3},
+], ids=["family", "generators", "product", "semidirect", "two-forms", "other-forms-key"])
+def test_group_spec_with_a_key_outside_its_form_is_refused(spec):
+    with pytest.raises(SpecError, match="^group spec needs one of"):
+        cli.build_group(spec)
+
+
+def test_group_forms_build_and_semidirect_takes_only_base_and_tau():
+    assert [cli.build_group(spec).order for spec in GROUP_FORMS] == [3, 6, 6, 6]
+    bad = {"semidirect": {**GROUP_FORMS[3]["semidirect"], "extra": 1}}
+    with pytest.raises(SpecError, match="^'semidirect' takes an object of 'base' and 'tau'"):
+        cli.build_group(bad)
+
+
+@pytest.mark.parametrize("build,spec", [
+    (cli.build_tau, {"inner": "(1 2)", "extra": 1}),
+    (cli.build_tau, {"generator_images": {"(1 2)": "(1 2)", "(1 2 3)": "(1 3 2)"},
+                     "extra": 1}),
+    (cli.build_tau, {"tau": "inverse", "extra": 1}),
+    (cli.build_sigma, {"inner": "(1 2)", "extra": 1}),
+    (cli.build_sigma, {"generator_images": {"(1 2)": "(1 2)"}}),
+    (cli.build_subgroup, {"generators": ["(1 2)"], "extra": 1}),
+    (cli.build_subgroup, {"centralizer_of_sigma": "identity", "extra": 1}),
+], ids=["tau-inner", "tau-generator-images", "tau-wrapper", "sigma-inner",
+        "sigma-generator-images", "subgroup-generators", "subgroup-centralizer"])
+def test_map_and_subgroup_specs_take_one_key(build, spec):
+    s3 = cli.build_group(S3)
+    what = build.__name__.removeprefix("build_")
+    with pytest.raises(SpecError, match=f"^bad {what} spec: "):
+        build(s3, spec)
+    one_key = {k: v for k, v in spec.items() if k != "extra"}
+    if "extra" in spec:
+        build(s3, one_key)      # the same spec without the extra key is fine
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["clifford-battery", "--n", "-1"], "clifford-battery 'n' must be at least 1, got -1"),
+    (["clifford-battery", "--n", "0"], "clifford-battery 'n' must be at least 1, got 0"),
+    (["char-table", "--group", '{"family":"quaternion8","n":5}'],
+     "family 'quaternion8' takes no parameter n"),
+], ids=["battery-negative", "battery-zero", "quaternion8-n"])
+def test_lax_inputs_are_refused(argv, error, capsys):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_condition_star_reads_the_class_budget(tmp_path, capsys):
+    """The character table of an involutory sigma obeys --budget-classes in
+    both directions."""
+    z250 = ["condition-star", "--group", '{"family":"cyclic","n":250}',
+            "--sigma", '"identity"', "--out", str(tmp_path / "r.json")]
+    assert cli.main(z250) == 1
+    assert capsys.readouterr().err == "error: class count 250 exceeds the cap 200\n"
+    assert cli.main([*z250, "--budget-classes", "300"]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["payload"]["gelfand"] is True
+    s4 = ["condition-star", "--group", '{"family":"symmetric","n":4}',
+          "--sigma", '{"inner":"(1 2)(3 4)"}', "--out", str(tmp_path / "s.json")]
+    assert cli.main([*s4, "--budget-classes", "5"]) == 0
+    capsys.readouterr()
+    assert cli.main([*s4, "--budget-classes", "4"]) == 1
+    assert capsys.readouterr().err == "error: class count 5 exceeds the cap 4\n"

@@ -85,6 +85,11 @@ def test_unknown_family():
         groups.construct_family("cyclic")
 
 
+def test_quaternion8_takes_no_n():
+    with pytest.raises(UnknownFamily, match="^family 'quaternion8' takes no parameter n$"):
+        groups.construct_family("quaternion8", 5)
+
+
 def test_quaternion8_single_involution():
     q8 = get_group("Q8")
     assert q8.order == 8
