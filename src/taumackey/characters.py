@@ -302,13 +302,14 @@ def fs_indicators(table: CharacterTable) -> np.ndarray:
 @dataclass
 class TwistedIndicators:
     values: np.ndarray        # int per row
-    trace_route: np.ndarray   # raw complex, (1/|G|) sum chi(tau(g)^-1 g)
-    count_route: np.ndarray   # raw complex, (1/|G|) sum counts(g) conj(chi(g))
     max_residual: float
+    expansion_residual: float  # max |counts(g) - sum over rows of indicator * chi(g)|
 
 
 def twisted_fs_indicators(table: CharacterTable, tau: GroupMap) -> TwistedIndicators:
-    """Twisted indicators computed two independent ways and asserted equal."""
+    """Twisted indicators computed two independent ways and asserted equal,
+    and the error of expanding the twisted square-root counts in the rows
+    with the rounded indicators as coefficients (reported, not asserted)."""
     G = table.group
     if tau.group is not G:
         raise GroupMismatch("map lives on a different group")
@@ -324,7 +325,8 @@ def twisted_fs_indicators(table: CharacterTable, tau: GroupMap) -> TwistedIndica
         )
     values = _round_indicators(trace_route, "twisted Frobenius-Schur indicator")
     residual = float(np.abs(trace_route - values).max())
-    return TwistedIndicators(values, trace_route, count_route, max(residual, agreement))
+    expansion = float(np.abs(values.astype(complex) @ table.values - counts).max())
+    return TwistedIndicators(values, max(residual, agreement), expansion)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +355,7 @@ def tau_row_permutation(table: CharacterTable, tau: GroupMap) -> np.ndarray:
 
 @dataclass
 class SelfConjugateCensus:
-    count: int
-    per_row: np.ndarray           # bool per row
+    count: int                    # self-tau-conjugate rows
     squared_count_route: int      # (1/|G|) sum counts(g)^2, exact
     invariant_class_route: int
 
@@ -363,8 +364,7 @@ def self_conjugate_census(table: CharacterTable, tau: GroupMap) -> SelfConjugate
     """Three equal quantities: self-tau-conjugate rows, tau-invariant classes,
     and the exact averaged square of the twisted square-root counts."""
     perm = tau_row_permutation(table, tau)
-    per_row = perm == np.arange(len(perm))
-    count = int(per_row.sum())
+    count = int((perm == np.arange(len(perm))).sum())
     _, total = power_sums(table.group, tau, 1)
     if total % table.group.order:
         raise CrossCheckFailed("averaged squared counts are not integral")
@@ -375,16 +375,7 @@ def self_conjugate_census(table: CharacterTable, tau: GroupMap) -> SelfConjugate
             f"census disagreement: rows {count}, counts {squared_route}, "
             f"classes {class_route}"
         )
-    return SelfConjugateCensus(count, per_row, squared_route, class_route)
-
-
-def twisted_count_expansion_residual(table: CharacterTable, tau: GroupMap) -> float:
-    """Max error of counts(g) = sum over rows of indicator * chi(g) on class
-    representatives."""
-    indicators = twisted_fs_indicators(table, tau).values
-    reconstructed = indicators.astype(complex) @ table.values
-    exact = count_twisted_squares(table.group, tau).on_class_reps(table.conj)
-    return float(np.abs(reconstructed - exact).max())
+    return SelfConjugateCensus(count, squared_route, class_route)
 
 
 # ---------------------------------------------------------------------------

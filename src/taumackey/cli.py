@@ -233,7 +233,6 @@ def _cmd_fs(job, seed, budgets):
     table = characters.compute_character_table(G, seed, budgets.classes)
     tw = characters.twisted_fs_indicators(table, tau)
     census = characters.self_conjugate_census(table, tau)
-    expansion = characters.twisted_count_expansion_residual(table, tau)
     payload = {
         "order": G.order,
         "degrees": [int(d) for d in table.degrees],
@@ -245,7 +244,7 @@ def _cmd_fs(job, seed, budgets):
             "averaged_squared_counts": census.squared_count_route,
             "equal": _identity(True),
         },
-        "count_expansion": _identity(expansion < 1e-6, expansion),
+        "count_expansion": _identity(tw.expansion_residual < 1e-6, tw.expansion_residual),
     }
     if np.array_equal(tau.images, G.inverse):
         payload["classical_indicators"] = [
@@ -258,7 +257,7 @@ def _cmd_simply_reducible(job, seed, budgets):
     G = build_group(job["group"], budgets.order)
     tau = build_tau(G, job.get("tau"))
     table = characters.compute_character_table(G, seed, budgets.classes)
-    v = criteria.simply_reducible_verdict(G, tau, table, budgets.pairs)
+    v = criteria.simply_reducible_verdict(table, tau, budgets.pairs)
     return _verdict_payload(v), 0 if v.agree else 2
 
 
@@ -288,7 +287,7 @@ def _cmd_gelfand(job, seed, budgets):
     gelfand.check_pair_budget(G.order // len(K), budgets.pairs)
     table = characters.compute_character_table(G, seed, budgets.classes)
     space = gelfand.build_coset_space(G, K)
-    rep = gelfand.gelfand_criteria_report(space, tau, table, pair_budget=budgets.pairs)
+    rep = gelfand.gelfand_criteria_report(space, tau, table, budgets.pairs)
     payload = {
         "order": G.order,
         "subgroup_order": len(K),
@@ -318,7 +317,7 @@ def _cmd_gelfand(job, seed, budgets):
         ),
     }
     if rep.gelfand:
-        tw = gelfand.twisted_fs_gelfand(space, tau, table, indicators=rep.indicators)
+        tw = gelfand.twisted_fs_gelfand(space, tau, table, rep)
         sph = tw.spherical
         payload["spherical"] = {
             "constituent_rows": [int(i) for i in sph.constituent_rows],
@@ -378,7 +377,7 @@ def _cmd_clifford_battery(job, seed, budgets):
         G = groups.construct_family("clifford", n, budgets.order)
         tau = morphisms.tau_clifford(G)
         table = characters.compute_character_table(G, seed, budgets.classes)
-        v = criteria.simply_reducible_verdict(G, tau, table, budgets.pairs)
+        v = criteria.simply_reducible_verdict(table, tau, budgets.pairs)
         closed_form = 2 ** (3 * n + 1)
         entries.append({
             "n": n,
@@ -412,9 +411,27 @@ _DEFAULTED = {"tau", "n"}
 # job running, reports, cache
 # ---------------------------------------------------------------------------
 
+def _report_header(job, seed: int, budgets: Budgets) -> dict:
+    """The fields every job report starts with; a job that is not an object
+    is echoed whole as its input."""
+    is_object = isinstance(job, dict)
+    return {
+        "tool": "taumackey",
+        "version": __version__,
+        "command": job.get("command") if is_object else None,
+        "input": {k: v for k, v in job.items() if k != "command"} if is_object else job,
+        "seed": seed,
+        "budget_pairs": budgets.pairs,
+    }
+
+
 def run_job(job: dict, seed: int, budgets: Budgets | None = None) -> tuple[dict, int]:
-    """Run one job spec into a (report, exit_code) pair."""
+    """Run one job spec into a (report, exit_code) pair; the job's own
+    'seed' replaces ``seed``."""
     budgets = budgets or Budgets()
+    if not isinstance(job, dict):
+        raise SpecError(f"a job must be an object, got {job!r}")
+    seed = _non_negative(_integer(job.get("seed", seed), "'seed'"), "'seed'")
     command = job.get("command")
     if command not in COMMANDS:
         raise SpecError(f"unknown command {command!r}; expected one of {tuple(COMMANDS)}")
@@ -425,14 +442,7 @@ def run_job(job: dict, seed: int, budgets: Budgets | None = None) -> tuple[dict,
     unread = sorted(set(job) - set(keys) - {"command", "seed"})
     if unread:
         raise SpecError(f"{command} job does not read {', '.join(map(repr, unread))}")
-    report = {
-        "tool": "taumackey",
-        "version": __version__,
-        "command": command,
-        "input": {k: v for k, v in job.items() if k != "command"},
-        "seed": seed,
-        "budget_pairs": budgets.pairs,
-    }
+    report = _report_header(job, seed, budgets)
     try:
         payload, code = handler(job, seed, budgets)
     except MathCheckError as exc:
@@ -498,28 +508,13 @@ def _cache_key(job: dict, seed: int, budgets: Budgets) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _spec_error_outcome(job, job_seed: int, budgets: Budgets, exc: SpecError) -> dict:
-    """A job's one-line error report; a job that is not an object is echoed
-    whole as its input."""
-    is_object = isinstance(job, dict)
-    report = {
-        "tool": "taumackey",
-        "version": __version__,
-        "command": job.get("command") if is_object else None,
-        "input": {k: v for k, v in job.items() if k != "command"} if is_object else job,
-        "seed": job_seed,
-        "budget_pairs": budgets.pairs,
-        "payload": {"error": str(exc)},
-    }
-    return {"report": report, "exit_code": 1}
-
-
-def _run_isolated(job: dict, job_seed: int, budgets: Budgets) -> dict:
+def _run_isolated(job, seed: int, budgets: Budgets) -> dict:
     """One job, with specification errors contained in its own report."""
     try:
-        report, code = run_job(job, job_seed, budgets)
+        report, code = run_job(job, seed, budgets)
     except SpecError as exc:
-        return _spec_error_outcome(job, job_seed, budgets, exc)
+        report, code = _report_header(job, seed, budgets), 1
+        report["payload"] = {"error": str(exc)}
     return {"report": report, "exit_code": code}
 
 
@@ -557,20 +552,13 @@ def run_batch(
     stats = {"jobs": len(jobs), "cache_hits": 0, "cache_misses": 0}
     results = []
     for job in jobs:
-        try:
-            if not isinstance(job, dict):
-                raise SpecError(f"a job must be an object, got {job!r}")
-            job_seed = _non_negative(_integer(job.get("seed", seed), "'seed'"), "'seed'")
-        except SpecError as exc:
-            results.append(_spec_error_outcome(job, seed, budgets, exc))
-            continue
         if cache_dir is None:
-            results.append(_run_isolated(job, job_seed, budgets))
+            results.append(_run_isolated(job, seed, budgets))
             continue
-        path = cache_dir / f"{_cache_key(job, job_seed, budgets)}.json"
+        path = cache_dir / f"{_cache_key(job, seed, budgets)}.json"
         outcome = _read_cached(path)
         if outcome is None:
-            outcome = _run_isolated(job, job_seed, budgets)
+            outcome = _run_isolated(job, seed, budgets)
             _write_cached(path, outcome)
             stats["cache_misses"] += 1
         else:

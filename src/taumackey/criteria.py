@@ -6,15 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import (
-    CharacterTable,
-    compute_character_table,
-    tau_row_permutation,
-    tensor_blocks,
-)
+from .characters import CharacterTable, tau_row_permutation, tensor_blocks
 from .conjugacy import (
     PAIR_BUDGET,
-    conjugacy_classes,
     power_sum_report,
     power_sums,
     simultaneous_conjugation_scan,
@@ -66,13 +60,10 @@ class SRVerdict:
         return self.mackey_cosets is None
 
 
-def check_definition(
-    G: GroupTable, tau: GroupMap, table: CharacterTable | None = None
-) -> tuple[bool, bool, dict]:
+def check_definition(table: CharacterTable, tau: GroupMap) -> tuple[bool, bool, dict]:
     """(i) all pairwise products of irreducibles multiplicity-free, and
     (ii) every irreducible fixed by tau-conjugation; witnesses name the
     first violation of each."""
-    table = table if table is not None else compute_character_table(G)
     witnesses: dict = {}
     # One block m[i, i:] per row: the whole k^3 array is never held, and
     # since m[i, j] = m[j, i] the first violation in (i, j, l) order has
@@ -113,12 +104,11 @@ def check_mackey_wigner(G: GroupTable, tau: GroupMap) -> tuple[bool, tuple[int, 
 
 
 def simply_reducible_verdict(
-    G: GroupTable,
-    tau: GroupMap,
-    table: CharacterTable | None = None,
-    pair_budget: int = PAIR_BUDGET,
+    table: CharacterTable, tau: GroupMap, pair_budget: int = PAIR_BUDGET
 ) -> SRVerdict:
-    mf, selfconj, witnesses = check_definition(G, tau, table)
+    """The three routes on the group of ``table``."""
+    G = table.group
+    mf, selfconj, witnesses = check_definition(table, tau)
     wigner, sums = check_mackey_wigner(G, tau)
     skipped = {}
     try:
@@ -127,34 +117,6 @@ def simply_reducible_verdict(
         cosets = None
         skipped["mackey_cosets"] = str(exc)
     return SRVerdict(mf, selfconj, cosets, wigner, sums, witnesses, skipped)
-
-
-@dataclass
-class ClassInvarianceReport:
-    """The three equivalent order-1 conditions, asserted to agree."""
-
-    sum_equality: bool            # averaged squared counts = class count
-    classes_invariant: bool
-    rows_self_conjugate: bool
-    all_equal: bool
-
-
-def theorem_square_sum_check(G: GroupTable, tau: GroupMap,
-                             table: CharacterTable | None = None) -> ClassInvarianceReport:
-    conj = conjugacy_classes(G)
-    sum_v, total = power_sums(G, tau, 1)
-    sum_eq = total == sum_v
-    invariant = bool(conj.tau_invariant_classes(tau).all())
-    table = table if table is not None else compute_character_table(G)
-    perm = tau_row_permutation(table, tau)
-    selfconj = bool((perm == np.arange(len(perm))).all())
-    all_equal = sum_eq == invariant == selfconj
-    if not all_equal:
-        raise CrossCheckFailed(
-            f"order-1 equivalences disagree: sums {sum_eq}, classes {invariant}, "
-            f"rows {selfconj}"
-        )
-    return ClassInvarianceReport(sum_eq, invariant, selfconj, all_equal)
 
 
 @dataclass

@@ -92,7 +92,6 @@ class OrbitAnalysis:
     hom_sym_dim: int
     hom_skew_dim: int
     coset_reps: np.ndarray        # minimal group element per orbit
-    rep_symmetric: np.ndarray     # flip flag aligned with coset_reps
 
 
 def check_pair_budget(points: int, pair_budget: int) -> None:
@@ -134,7 +133,6 @@ def orbit_analysis(
         hom_sym_dim=m1 + m2 // 2,
         hom_skew_dim=m2 // 2,
         coset_reps=first_s.astype(np.int64),
-        rep_symmetric=symmetric,
     )
 
 
@@ -189,17 +187,12 @@ class GelfandCriteria:
 
 
 def gelfand_criteria_report(
-    space: CosetSpace,
-    tau: GroupMap,
-    table: CharacterTable | None = None,
-    seed: int | None = None,
-    pair_budget: int = PAIR_BUDGET,
+    space: CosetSpace, tau: GroupMap, table: CharacterTable, pair_budget: int = PAIR_BUDGET
 ) -> GelfandCriteria:
     """Evaluate the four symmetry conditions independently; when the twisted
     permutation representation is equivalent to the plain one, their
-    equivalence is asserted.  Facts are still reported when it is not."""
-    G = space.group
-    table = table if table is not None else compute_character_table(G, seed)
+    equivalence is asserted.  Facts are still reported when it is not.
+    ``table`` is the character table of the space's group."""
     perm = space.permutation_character
     mults = table.decompose(perm, "permutation character")
     gelfand = bool((mults <= 1).all())
@@ -260,9 +253,7 @@ def gelfand_criteria_report(
 class SphericalData:
     constituent_rows: np.ndarray
     values: np.ndarray            # (len(constituents), |X|)
-    k_orbit_reps: np.ndarray      # point per K-orbit
     normalization_residual: float
-    invariance_residual: float    # constancy on K-orbits
     inversion_residual: float     # character recovered from the average
     orthogonality_residual: float
 
@@ -289,9 +280,7 @@ def spherical_functions(space: CosetSpace, table: CharacterTable) -> SphericalDa
     norm_res = float(np.abs(phi[:, 0] - 1).max())
     if norm_res > INT_TOL:
         raise CrossCheckFailed(f"spherical normalization residual {norm_res:.3g}")
-    labels = space.k_orbit_labels
-    k_reps = orbit_representatives(labels)
-    inv_res = float(np.abs(phi - phi[:, labels]).max())
+    inv_res = float(np.abs(phi - phi[:, space.k_orbit_labels]).max())
     if inv_res > INT_TOL:
         raise CrossCheckFailed(f"spherical functions not K-orbit constant: {inv_res:.3g}")
     # recover each character from its spherical function
@@ -309,9 +298,7 @@ def spherical_functions(space: CosetSpace, table: CharacterTable) -> SphericalDa
     return SphericalData(
         constituent_rows=constituents,
         values=phi,
-        k_orbit_reps=k_reps,
         normalization_residual=norm_res,
-        invariance_residual=inv_res,
         inversion_residual=recon_res,
         orthogonality_residual=orth_res,
     )
@@ -326,7 +313,6 @@ class TwistedPairReport:
     spherical: SphericalData              # the spherical functions it checked
     indicator_values: np.ndarray          # per constituent
     averaged_indicator_residual: float    # identity (1)
-    point_count_sum: int                  # sum of squared twisted point counts
     degree_sum_lhs: Fraction              # exact (1/|G|) sum counts^2
     degree_sum_rhs: Fraction              # exact |K| * sum 1/d over self-conj
     count_inversion_residual: float
@@ -337,19 +323,16 @@ class TwistedPairReport:
 
 
 def twisted_fs_gelfand(
-    space: CosetSpace, tau: GroupMap, table: CharacterTable | None = None,
-    seed: int | None = None, indicators: np.ndarray | None = None,
+    space: CosetSpace, tau: GroupMap, table: CharacterTable, criteria: GelfandCriteria
 ) -> TwistedPairReport:
     """The two averaged identities for a multiplicity-free pair, plus the
-    K-orbit count comparison when K is tau-invariant.  ``indicators`` are
-    the table's twisted indicators, as GelfandCriteria.indicators holds
-    them; they are computed when not given."""
+    K-orbit count comparison when K is tau-invariant.  The twisted
+    indicators and K's tau-invariance are read from ``criteria``, the
+    report of gelfand_criteria_report on the same space, tau and table."""
     G = space.group
-    table = table if table is not None else compute_character_table(G, seed)
     sph = spherical_functions(space, table)
     constituents = sph.constituent_rows
-    if indicators is None:
-        indicators = twisted_fs_indicators(table, tau).values
+    indicators = criteria.indicators
     twisted = G.mul(G.inverse[tau.images], np.arange(G.order))  # tau(g)^-1 g per g
     counts_x = np.bincount(space.point_of[twisted], minlength=space.size)
 
@@ -361,8 +344,7 @@ def twisted_fs_gelfand(
         raise CrossCheckFailed(f"averaged spherical indicator residual {res1:.3g}")
 
     # identity (2): exact rational comparison
-    square_sum = int((counts_x.astype(object) ** 2).sum())
-    lhs = Fraction(square_sum, G.order)
+    lhs = Fraction(int((counts_x.astype(object) ** 2).sum()), G.order)
     perm = tau_row_permutation(table, tau)
     self_conj = perm[constituents] == constituents
     rhs = Fraction(len(space.subgroup), 1) * sum(
@@ -383,12 +365,11 @@ def twisted_fs_gelfand(
     if res3 > INT_TOL:
         raise CrossCheckFailed(f"point-count inversion residual {res3:.3g}")
 
-    tau_k = bool(np.array_equal(np.unique(tau.images[space.subgroup]), space.subgroup))
     n_self = int(self_conj.sum())
     skipped = {}
     invariant_orbits = None
     match = None
-    if tau_k:
+    if criteria.subgroup_tau_invariant:
         labels = space.k_orbit_labels
         reps = orbit_representatives(labels)
         tau_point = space.point_of[tau.images[space.reps]]
@@ -410,7 +391,6 @@ def twisted_fs_gelfand(
         spherical=sph,
         indicator_values=indicators[constituents],
         averaged_indicator_residual=res1,
-        point_count_sum=square_sum,
         degree_sum_lhs=lhs,
         degree_sum_rhs=rhs,
         count_inversion_residual=res3,

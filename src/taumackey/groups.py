@@ -263,13 +263,17 @@ def perm_label(p: tuple) -> str:
 
 
 def parse_cycles(text: str, degree: int) -> tuple:
-    """Parse one-line cycle notation on points 1..degree into a 0-based tuple."""
+    """Parse one-line notation of disjoint cycles on points 1..degree into a
+    0-based tuple."""
+    if not isinstance(text, str):
+        raise InvalidMap(f"a permutation must be a cycle string, got {text!r}")
     text = text.strip()
     perm = list(range(degree))
     if text in ("", "e", "()", "id"):
         return tuple(perm)
     if text.count("(") == 0 or text.count("(") != text.count(")"):
         raise InvalidMap(f"bad cycle notation: {text!r}")
+    moved: set[int] = set()
     for chunk in text.replace(")", ")|").split("|"):
         chunk = chunk.strip()
         if not chunk:
@@ -283,6 +287,9 @@ def parse_cycles(text: str, degree: int) -> tuple:
             raise InvalidMap(f"bad cycle {chunk!r}: points must be integers") from None
         if any(not 1 <= t <= degree for t in pts) or len(set(pts)) != len(pts):
             raise InvalidMap(f"bad cycle {chunk!r} for degree {degree}")
+        if moved.intersection(pts):
+            raise InvalidMap(f"cycles of {text!r} are not disjoint")
+        moved.update(pts)
         for a, b in zip(pts, pts[1:] + pts[:1]):
             perm[a - 1] = b - 1
     return tuple(perm)

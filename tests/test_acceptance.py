@@ -29,7 +29,8 @@ def test_criterion_01_known_simply_reducible(family, n):
     start = time.perf_counter()
     g = groups.construct_family(family, n)
     tau = morphisms.tau_inverse(g)
-    v = criteria.simply_reducible_verdict(g, tau)
+    table = characters.compute_character_table(g)
+    v = criteria.simply_reducible_verdict(table, tau)
     elapsed = time.perf_counter() - start
     assert v.agree
     assert v.definition and v.mackey_cosets and v.mackey_wigner
@@ -45,7 +46,7 @@ def test_criterion_02_real_characters_but_not_simply_reducible():
     tau = morphisms.tau_inverse(g)
     table = characters.compute_character_table(g)
     assert (characters.fs_indicators(table) == 1).all()
-    v = criteria.simply_reducible_verdict(g, tau, table)
+    v = criteria.simply_reducible_verdict(table, tau)
     assert v.agree and not v.simply_reducible
     assert "tensor" in v.witnesses and v.witnesses["tensor"]["multiplicity"] >= 2
     assert v.sums[0] < v.sums[1]
@@ -60,7 +61,7 @@ def test_criterion_03_clifford_battery():
     for n in range(1, 6):
         g = groups.clifford(n)
         tau = morphisms.tau_clifford(g)
-        v = criteria.simply_reducible_verdict(g, tau)
+        v = criteria.simply_reducible_verdict(characters.compute_character_table(g), tau)
         assert v.agree and v.simply_reducible
         assert v.sums[0] == v.sums[1] == expected_sums[n]
         # the naive closed form undercounts the central contributions; the
@@ -102,7 +103,7 @@ def test_criterion_05_twisted_indicators_and_expansion(name):
         tw = characters.twisted_fs_indicators(table, tau)
         assert set(int(x) for x in tw.values) <= {-1, 0, 1}
         assert tw.max_residual < 1e-6
-        assert characters.twisted_count_expansion_residual(table, tau) < 1e-6
+        assert tw.expansion_residual < 1e-6
 
 
 # -- 6: the three equal census quantities -------------------------------------
@@ -128,12 +129,14 @@ def _space(big, gens):
 def test_criterion_07_gelfand_suite():
     for big, gens in [("S4", ["(1 2)", "(1 2 3)"]), ("S5", ["(1 2)", "(1 2 3 4)"])]:
         sp = _space(big, gens)
-        rep = gelfand.gelfand_criteria_report(sp, morphisms.tau_inverse(sp.group))
+        table = characters.compute_character_table(sp.group)
+        rep = gelfand.gelfand_criteria_report(sp, morphisms.tau_inverse(sp.group), table)
         assert rep.gelfand and all(rep.conditions) and rep.weak_symmetry
     for n in (3, 4, 5):
         g = groups.cyclic(n)
         sp = gelfand.build_coset_space(g, [0])
-        rep = gelfand.gelfand_criteria_report(sp, morphisms.tau_inverse(g))
+        table = characters.compute_character_table(g)
+        rep = gelfand.gelfand_criteria_report(sp, morphisms.tau_inverse(g), table)
         assert rep.gelfand and not any(rep.conditions)
     # centralizers of fixed-point-free involutions; rank counts partitions
     for m, t_label, expected_rank in [(4, "(1 2)(3 4)", 2), (6, "(1 2)(3 4)(5 6)", 3)]:
@@ -155,7 +158,9 @@ def test_criterion_07_gelfand_suite():
 def test_criterion_08_twisted_identities_on_pairs(big, gens):
     sp = _space(big, gens)
     tau = morphisms.tau_inverse(sp.group)
-    rep = gelfand.twisted_fs_gelfand(sp, tau)
+    table = characters.compute_character_table(sp.group)
+    criteria_report = gelfand.gelfand_criteria_report(sp, tau, table)
+    rep = gelfand.twisted_fs_gelfand(sp, tau, table, criteria_report)
     assert rep.averaged_indicator_residual < 1e-6
     assert rep.degree_sum_lhs == rep.degree_sum_rhs
     assert rep.count_inversion_residual < 1e-6

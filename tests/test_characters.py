@@ -167,9 +167,9 @@ def test_census():
 def test_count_expansion_examples():
     t3 = table("S3")
     tau3 = morphisms.tau_inverse(t3.group)
-    assert characters.twisted_count_expansion_residual(t3, tau3) < 1e-6
-    # counts at the identity = signed degree sum: 4 = 1 + 1 + 2
     tw = characters.twisted_fs_indicators(t3, tau3)
+    assert tw.expansion_residual < 1e-6
+    # counts at the identity = signed degree sum: 4 = 1 + 1 + 2
     assert int(tw.values @ t3.degrees) == 4
     tq = table("Q8")
     twq = characters.twisted_fs_indicators(tq, morphisms.tau_inverse(tq.group))

@@ -99,7 +99,7 @@ def test_report_determinism():
 
 
 def test_exit_code_two_on_forced_disagreement(monkeypatch):
-    def fake(G, tau, table=None, pair_budget=0):
+    def fake(table, tau, pair_budget=0):
         return criteria.SRVerdict(True, True, False, True, (1, 2))
 
     monkeypatch.setattr(criteria, "simply_reducible_verdict", fake)
@@ -556,6 +556,46 @@ def test_jobs_carry_exactly_their_command_keys(job, error):
 def test_a_job_may_carry_its_seed_and_leave_tau_and_n_to_defaults():
     report, code = cli.run_job({"command": "power-sums", "group": S3, "seed": 4}, 4)
     assert code == 0 and report["payload"]["n"] == 2
+
+
+def test_run_job_computes_with_the_jobs_own_seed(monkeypatch):
+    seeds = []
+    table = characters.compute_character_table
+    monkeypatch.setattr(characters, "compute_character_table",
+                        lambda G, seed, cap: seeds.append(seed) or table(G, seed, cap))
+    job = {"command": "char-table", "group": {"family": "cyclic", "n": 3}}
+    report, code = cli.run_job({**job, "seed": 4}, 1)
+    assert code == 0 and report["seed"] == 4 and seeds == [4]
+    assert report["payload"] == cli.run_job(job, 4)[0]["payload"]
+    for bad, error in [(-4, "'seed' must be a non-negative integer, got -4"),
+                       ("4", "'seed' must be an integer, got '4'"),
+                       (True, "'seed' must be an integer, got True")]:
+        with pytest.raises(SpecError) as exc:
+            cli.run_job({**job, "seed": bad}, 1)
+        assert str(exc.value) == error
+
+
+def test_batch_refuses_bad_cycles_and_runs_the_good_jobs(tmp_path, capsys):
+    def job(gens):
+        return {"command": "power-sums", "group": {"generators": gens, "degree": 3}}
+    good = job(["(1 2)", "(1 2 3)"])
+    bad = [(["(1 2)(1 3)"], "cycles of '(1 2)(1 3)' are not disjoint"),
+           ([5], "a permutation must be a cycle string, got 5"),
+           ([[1, 0]], "a permutation must be a cycle string, got [1, 0]")]
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"jobs": [good] + [job(g) for g, _ in bad] + [good]}))
+    out = tmp_path / "r.json"
+    assert cli.main(["batch", str(manifest), "--cache-dir", "", "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    reports = json.loads(out.read_text())["jobs"]
+    assert [r["payload"] for r in reports[1:4]] == [{"error": e} for _, e in bad]
+    expected = cli.run_job(good, cli.DEFAULT_SEED)[0]
+    assert reports[0] == reports[4] == expected
+    assert expected["payload"]["equal"] is True     # S3 is simply reducible
+    for gens, error in bad:
+        group = json.dumps({"generators": gens, "degree": 3})
+        assert cli.main(["power-sums", "--group", group]) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_batch_runs_past_a_job_without_its_group(tmp_path, capsys):

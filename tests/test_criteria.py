@@ -9,10 +9,14 @@ from taumackey.errors import CrossCheckFailed, NonIntegralMultiplicity
 from battery import available_taus, battery_names, get_group
 
 
+def table_of(g):
+    return characters.compute_character_table(g)
+
+
 def verdict(name, tau_name="inverse"):
     g = get_group(name)
     taus = dict(available_taus(g))
-    return criteria.simply_reducible_verdict(g, taus[tau_name])
+    return criteria.simply_reducible_verdict(table_of(g), taus[tau_name])
 
 
 @pytest.mark.parametrize("name", ["S3", "S4", "Q8"])
@@ -46,13 +50,13 @@ def test_a5_strict_inequality():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_clifford_battery_verdicts(n):
     g = groups.clifford(n)
-    v = criteria.simply_reducible_verdict(g, morphisms.tau_clifford(g))
+    v = criteria.simply_reducible_verdict(table_of(g), morphisms.tau_clifford(g))
     assert v.agree and v.simply_reducible
 
 
 def test_clifford3_needs_the_twisted_map():
     g = groups.clifford(3)
-    v = criteria.simply_reducible_verdict(g, morphisms.tau_inverse(g))
+    v = criteria.simply_reducible_verdict(table_of(g), morphisms.tau_inverse(g))
     assert v.agree and not v.simply_reducible
 
 
@@ -66,7 +70,7 @@ def test_mackey_cosets_examples():
 def test_budget_skip_leaves_partial_verdict():
     s4 = get_group("S4")
     v = criteria.simply_reducible_verdict(
-        s4, morphisms.tau_inverse(s4), pair_budget=10
+        table_of(s4), morphisms.tau_inverse(s4), pair_budget=10
     )
     assert v.mackey_cosets is None
     assert v.partially_verified
@@ -84,14 +88,13 @@ def test_disagreement_is_loud():
 def test_three_way_agreement_battery(name):
     g = get_group(name)
     for _, tau in available_taus(g):
-        assert criteria.simply_reducible_verdict(g, tau).agree
+        assert criteria.simply_reducible_verdict(table_of(g), tau).agree
 
 
 @pytest.mark.parametrize("name", battery_names())
 def test_every_power_sum_caller_reads_one_function(name, monkeypatch):
-    """power_sum_report, the Mackey-Wigner route, the square-sum check and
-    the census all report conjugacy.power_sums; the Mackey-Wigner route
-    runs no orbit scan."""
+    """power_sum_report, the Mackey-Wigner route and the census all report
+    conjugacy.power_sums; the Mackey-Wigner route runs no orbit scan."""
     g = get_group(name)
     table = characters.compute_character_table(g)
     for _, tau in available_taus(g):
@@ -100,31 +103,42 @@ def test_every_power_sum_caller_reads_one_function(name, monkeypatch):
         rep = conjugacy.power_sum_report(g, tau, 2)
         assert (rep.sum_centralizer_pow, rep.sum_twisted_square_pow) == (v2, z2)
         assert v1 == g.order * conjugacy.conjugacy_classes(g).class_count
-        assert criteria.theorem_square_sum_check(g, tau, table).sum_equality == (z1 == v1)
         census = characters.self_conjugate_census(table, tau)
         assert census.squared_count_route * g.order == z1
+        assert (census.squared_count_route == table.class_count) == (z1 == v1)
         with monkeypatch.context() as m:
             m.setattr(conjugacy, "simultaneous_conjugation_scan", None)
             assert criteria.check_mackey_wigner(g, tau) == (z2 == v2, (z2, v2))
 
 
+def order_one_conditions(g, tau):
+    """The three order-1 conditions as the census reads them: the averaged
+    squared counts equal the class count, every class is tau-invariant, and
+    every row is self-tau-conjugate.  The census asserts the three counts
+    equal, so the three conditions hold together or fail together."""
+    table = table_of(g)
+    census = characters.self_conjugate_census(table, tau)
+    k = table.class_count
+    conditions = (census.squared_count_route == k, census.invariant_class_route == k,
+                  census.count == k)
+    assert len(set(conditions)) == 1
+    return conditions[0]
+
+
 def test_square_sum_check_examples():
     q8 = get_group("Q8")
-    r = criteria.theorem_square_sum_check(q8, morphisms.tau_inverse(q8))
-    assert r.all_equal and r.sum_equality
+    assert order_one_conditions(q8, morphisms.tau_inverse(q8))
     z3 = get_group("Z3")
-    r = criteria.theorem_square_sum_check(z3, morphisms.tau_inverse(z3))
-    assert r.all_equal and not r.sum_equality
+    assert not order_one_conditions(z3, morphisms.tau_inverse(z3))
     z4 = get_group("Z4")
-    r = criteria.theorem_square_sum_check(z4, morphisms.tau_identity(z4))
-    assert r.all_equal and r.sum_equality
+    assert order_one_conditions(z4, morphisms.tau_identity(z4))
 
 
 @pytest.mark.parametrize("name", battery_names())
 def test_square_sum_check_battery(name):
     g = get_group(name)
     for _, tau in available_taus(g):
-        assert criteria.theorem_square_sum_check(g, tau).all_equal
+        order_one_conditions(g, tau)
 
 
 def test_abelian_characterization_examples():
@@ -179,7 +193,7 @@ def _tensor_witness_oracle(table):
 def test_tensor_witness_matches_the_cube(name):
     g = groups.alternating(5) if name == "A5" else get_group(name)
     table = characters.compute_character_table(g)
-    _, _, witnesses = criteria.check_definition(g, morphisms.tau_inverse(g), table)
+    _, _, witnesses = criteria.check_definition(table, morphisms.tau_inverse(g))
     assert witnesses.get("tensor") == _tensor_witness_oracle(table)
     cube = characters.tensor_multiplicities(table)
     assert cube.dtype == np.int64
@@ -193,7 +207,7 @@ def test_tensor_witness_matches_the_cube(name):
 
 def test_a5_tensor_witness_is_a_multiplicity_two():
     g = groups.alternating(5)
-    _, _, witnesses = criteria.check_definition(g, morphisms.tau_inverse(g))
+    _, _, witnesses = criteria.check_definition(table_of(g), morphisms.tau_inverse(g))
     assert witnesses["tensor"]["multiplicity"] == 2
     assert witnesses["tensor"]["degrees"] == (4, 5, 5)
 
@@ -211,5 +225,5 @@ def test_non_integral_block_raises_the_worst_residual_before_any_witness(row, co
     with pytest.raises(NonIntegralMultiplicity) as want:
         _tensor_witness_oracle(bent)
     with pytest.raises(NonIntegralMultiplicity) as got:
-        criteria.check_definition(g, morphisms.tau_inverse(g), bent)
+        criteria.check_definition(bent, morphisms.tau_inverse(g))
     assert str(got.value) == str(want.value)

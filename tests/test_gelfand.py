@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from taumackey import characters, cli, gelfand, groups, morphisms
+from taumackey import characters, cli, conjugacy, gelfand, groups, morphisms
 from taumackey._kernels import orbit_labels
 from taumackey.conjugacy import conjugacy_classes
 from taumackey.errors import BudgetExceeded, CrossCheckFailed, NotAutomorphism, NotGelfand
@@ -41,6 +41,19 @@ def space_in(big, gen_labels):
     g = get_group(big)
     ids = groups.subgroup_closure(g, [g.element_id(s) for s in gen_labels])
     return gelfand.build_coset_space(g, ids)
+
+
+def criteria_report(sp, tau, seed=None):
+    table = characters.compute_character_table(sp.group, seed)
+    return gelfand.gelfand_criteria_report(sp, tau, table)
+
+
+def twisted_pair(sp, tau):
+    """The twisted-pair report from the criteria report, as a gelfand job
+    builds it."""
+    table = characters.compute_character_table(sp.group)
+    return gelfand.twisted_fs_gelfand(
+        sp, tau, table, gelfand.gelfand_criteria_report(sp, tau, table))
 
 
 def test_coset_space_shapes():
@@ -201,7 +214,7 @@ def test_symmetry_oracle_cases_cover_both_outcomes():
 
 def test_symmetric_pair_s4_s3():
     sp = space_in("S4", ["(1 2)", "(1 2 3)"])
-    rep = gelfand.gelfand_criteria_report(sp, morphisms.tau_inverse(sp.group))
+    rep = criteria_report(sp, morphisms.tau_inverse(sp.group))
     assert rep.gelfand and rep.hypothesis_holds and rep.weak_symmetry
     assert all(rep.conditions)
     assert rep.subgroup_tau_invariant
@@ -216,7 +229,7 @@ def test_weakly_symmetric_pair_s4_wr_z2():
         G, {"generators": ["(1 2)", "(1 2 3 4)", "(5 6)", "(5 6 7 8)"]}
     )
     sp = gelfand.build_coset_space(G, K)
-    rep = gelfand.gelfand_criteria_report(sp, morphisms.tau_inverse(G), seed=1)
+    rep = criteria_report(sp, morphisms.tau_inverse(G), seed=1)
     assert (G.order, sp.size) == (1152, 2)
     assert rep.weak_symmetry and rep.rank == 2
     assert all(rep.conditions)
@@ -224,7 +237,7 @@ def test_weakly_symmetric_pair_s4_wr_z2():
 
 def test_symmetric_pair_s5_s4():
     sp = space_in("S5", ["(1 2)", "(1 2 3 4)"])
-    rep = gelfand.gelfand_criteria_report(sp, morphisms.tau_inverse(sp.group))
+    rep = criteria_report(sp, morphisms.tau_inverse(sp.group))
     assert rep.gelfand and all(rep.conditions) and rep.weak_symmetry
 
 
@@ -232,7 +245,7 @@ def test_symmetric_pair_s5_s4():
 def test_abelian_regular_gelfand_but_not_symmetric(n):
     g = groups.cyclic(n)
     sp = gelfand.build_coset_space(g, [0])
-    rep = gelfand.gelfand_criteria_report(sp, morphisms.tau_inverse(g))
+    rep = criteria_report(sp, morphisms.tau_inverse(g))
     assert rep.gelfand
     assert rep.hypothesis_holds
     assert not any(rep.conditions)
@@ -244,7 +257,7 @@ def test_diagonal_pair_is_gelfand():
     gg = groups.direct_product(s3, s3)
     diag = np.array([g * 6 + g for g in range(6)], dtype=np.int64)
     sp = gelfand.build_coset_space(gg, diag)
-    rep = gelfand.gelfand_criteria_report(sp, morphisms.tau_inverse(gg))
+    rep = criteria_report(sp, morphisms.tau_inverse(gg))
     assert rep.gelfand
     assert rep.rank == 3  # one orbit per conjugacy class
 
@@ -270,7 +283,7 @@ def test_spherical_rejects_non_gelfand():
 
 def test_twisted_pair_s4_s3():
     sp = space_in("S4", ["(1 2)", "(1 2 3)"])
-    rep = gelfand.twisted_fs_gelfand(sp, morphisms.tau_inverse(sp.group))
+    rep = twisted_pair(sp, morphisms.tau_inverse(sp.group))
     assert all(v == 1 for v in rep.indicator_values)
     assert rep.averaged_indicator_residual < 1e-6
     assert rep.degree_sum_lhs == rep.degree_sum_rhs
@@ -280,13 +293,13 @@ def test_twisted_pair_s4_s3():
 def test_twisted_pair_point_space():
     s3 = get_group("S3")
     sp = gelfand.build_coset_space(s3, np.arange(6))
-    rep = gelfand.twisted_fs_gelfand(sp, morphisms.tau_inverse(s3))
+    rep = twisted_pair(sp, morphisms.tau_inverse(s3))
     assert rep.degree_sum_lhs == rep.degree_sum_rhs == 6
 
 
 def test_twisted_pair_s3_transposition_subgroup():
     sp = space_in("S3", ["(1 2)"])
-    rep = gelfand.twisted_fs_gelfand(sp, morphisms.tau_inverse(sp.group))
+    rep = twisted_pair(sp, morphisms.tau_inverse(sp.group))
     assert rep.self_conjugate_constituents == 2
     assert rep.tau_invariant_k_orbits == 2
     assert rep.k_orbit_count_match
@@ -295,7 +308,7 @@ def test_twisted_pair_s3_transposition_subgroup():
 def test_twisted_pair_regular_z4():
     z4 = get_group("Z4")
     sp = gelfand.build_coset_space(z4, [0])
-    rep = gelfand.twisted_fs_gelfand(sp, morphisms.tau_inverse(z4))
+    rep = twisted_pair(sp, morphisms.tau_inverse(z4))
     assert rep.self_conjugate_constituents == 2
     assert rep.tau_invariant_k_orbits == 2
     assert rep.degree_sum_lhs == rep.degree_sum_rhs
@@ -354,7 +367,7 @@ def test_coset_space_data_is_computed_once_per_space(monkeypatch):
     rep = gelfand.gelfand_criteria_report(sp, tau, table)
     assert rep.gelfand
     gelfand.spherical_functions(sp, table)
-    gelfand.twisted_fs_gelfand(sp, tau, table)
+    gelfand.twisted_fs_gelfand(sp, tau, table, rep)
     # the cosets, the K-orbits, the pair orbits of X x X, the tau(K)-orbits:
     # one call each, with K's generators as moves
     gens = len(sp.generators)
@@ -368,6 +381,18 @@ def test_coset_space_data_is_computed_once_per_space(monkeypatch):
     assert np.array_equal(perm.values, oracle_fixed_points(G, action))
 
 
+def counting(monkeypatch, calls, name, *modules):
+    """Count the calls of function ``name`` through each module's binding."""
+    original = getattr(modules[0], name)
+
+    def counted(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+
+
 def test_gelfand_report_computes_spherical_functions_once(monkeypatch):
     calls = []
     spherical_functions = gelfand.spherical_functions
@@ -377,15 +402,34 @@ def test_gelfand_report_computes_spherical_functions_once(monkeypatch):
         return spherical_functions(space, table)
 
     monkeypatch.setattr(gelfand, "spherical_functions", counting_spherical_functions)
+    counted = {}
+    counting(monkeypatch, counted, "twisted_fs_indicators", gelfand, characters)
+    counting(monkeypatch, counted, "count_twisted_squares", characters, conjugacy)
     job = {"command": "gelfand", "group": {"family": "symmetric", "n": 4},
            "subgroup": {"generators": ["(1 2)", "(1 2 3)"]}, "tau": "inverse"}
     report, code = cli.run_job(job, 1)
     assert code == 0 and report["payload"]["gelfand"]
     assert calls == [4]
-    tw = gelfand.twisted_fs_gelfand(space_in("S4", ["(1 2)", "(1 2 3)"]),
-                                    morphisms.tau_inverse(get_group("S4")))
+    # the twisted pair reads the indicators of the criteria report
+    assert counted == {"twisted_fs_indicators": 1, "count_twisted_squares": 1}
+    tw = twisted_pair(space_in("S4", ["(1 2)", "(1 2 3)"]),
+                      morphisms.tau_inverse(get_group("S4")))
     assert report["payload"]["spherical"]["constituent_rows"] == \
         tw.spherical.constituent_rows.tolist()
+
+
+def test_fs_job_computes_the_indicators_once_and_the_counts_twice(monkeypatch):
+    calls = {}
+    counting(monkeypatch, calls, "twisted_fs_indicators", characters)
+    counting(monkeypatch, calls, "count_twisted_squares", characters, conjugacy)
+    job = {"command": "fs", "group": {"family": "dihedral", "n": 397}, "tau": "inverse"}
+    report, code = cli.run_job(job, 1)
+    assert code == 0
+    p = report["payload"]
+    assert p["twisted_indicators"] == [1] * 200
+    assert p["count_expansion"]["holds"] and p["census"]["self_conjugate_rows"] == 200
+    # the indicators and the census's power sums: one count each
+    assert calls == {"twisted_fs_indicators": 1, "count_twisted_squares": 2}
 
 
 # ---------------------------------------------------------------------------

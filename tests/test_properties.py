@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from taumackey import conjugacy, groups, morphisms
+from taumackey.errors import InvalidMap
 
 from battery import available_taus, battery_names, get_group
 
@@ -92,3 +93,21 @@ def test_closure_of_random_permutations_is_a_group(degree, seed):
     )
     groups.verify_group_axioms(g)
     assert g.order <= 5040
+
+
+cycle_strings = st.lists(
+    st.lists(st.integers(1, 6), min_size=1, max_size=4).map(
+        lambda pts: "(" + " ".join(map(str, pts)) + ")"),
+    max_size=3,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet="0123456789(), ", max_size=24), cycle_strings),
+       st.integers(1, 6))
+def test_parse_cycles_gives_a_bijection_or_refuses(text, degree):
+    try:
+        perm = groups.parse_cycles(text, degree)
+    except InvalidMap:
+        return
+    assert sorted(perm) == list(range(degree))
