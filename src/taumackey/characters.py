@@ -174,9 +174,6 @@ def compute_character_table(
     k = conj.class_count
     if k > class_cap:
         raise BudgetExceeded(f"class count {k} exceeds the cap {class_cap}")
-    cache_key = ("char_table", seed)
-    if cache_key in G._caches:
-        return G._caches[cache_key]
     cells, counts = _class_matrices(G, conj)
     sizes = conj.class_sizes.astype(float)
     rng = np.random.default_rng(seed)
@@ -218,7 +215,7 @@ def compute_character_table(
         # lexsort's last key is the primary one
         keys = -np.round(np.stack([X.real, X.imag], axis=2), 6).reshape(k, 2 * k)
         order = np.lexsort((*keys.T[::-1], degrees))
-        table = CharacterTable(
+        return CharacterTable(
             group=G,
             conj=conj,
             values=np.ascontiguousarray(X[order]),
@@ -227,8 +224,6 @@ def compute_character_table(
             integrality_residual=deg_res,
             seed=seed,
         )
-        G._caches[cache_key] = table
-        return table
     raise DegenerateEigenspaces(
         f"no usable eigenbasis after {MAX_EIG_RETRIES} random combinations: "
         + last_problem
@@ -315,7 +310,7 @@ def twisted_fs_indicators(table: CharacterTable, tau: GroupMap) -> TwistedIndica
         raise GroupMismatch("map lives on a different group")
     targets = G.mul(G.inverse[tau.images], np.arange(G.order))  # tau(g)^-1 * g
     trace_route = _indicator_from_targets(table, targets)
-    counts = count_twisted_squares(G, tau).on_class_reps(table.conj)
+    counts = count_twisted_squares(G, tau)[table.conj.representatives]
     weights = counts * table.conj.class_sizes
     count_route = (table.values.conj() @ weights) / G.order
     agreement = float(np.abs(trace_route - count_route).max())

@@ -102,7 +102,7 @@ def build_group(spec, cap: int = groups.ORDER_CAP) -> groups.GroupTable:
             raise SpecError("generator specs need a positive integer 'degree'")
         perms = [groups.parse_cycles(s, degree) for s in gens]
         return groups.enumerate_from_generators(
-            perms, groups.perm_compose, groups.perm_label,
+            perms, groups.perm_compose, tuple(range(degree)), groups.perm_label,
             "generators", cap, meta={"degree": degree},
         )
     if form == "product":
@@ -339,7 +339,7 @@ def _cmd_gelfand(job, seed, budgets):
             "tau_invariant_k_orbits": (
                 tw.tau_invariant_k_orbits
                 if tw.tau_invariant_k_orbits is not None
-                else {"skipped": tw.skipped.get("k_orbit_comparison", "")}
+                else {"skipped": "K is not tau-invariant"}
             ),
         }
     else:
@@ -360,7 +360,7 @@ def _cmd_condition_star(job, seed, budgets):
         "omega_classes_in_fixed_subgroup": star.omega_classes_in_fixed_subgroup,
         "gelfand": (
             star.gelfand if star.gelfand is not None
-            else {"skipped": star.skipped.get("gelfand_assertion", "")}
+            else {"skipped": "sigma is not an involution"}
         ),
         "rank": star.rank,
     }
@@ -448,6 +448,8 @@ def run_job(job: dict, seed: int, budgets: Budgets | None = None) -> tuple[dict,
     except MathCheckError as exc:
         report["payload"] = {"cross_check_failure": str(exc)}
         return report, 2
+    except RecursionError:  # only group specs recurse: building and labelling
+        raise SpecError("group spec is nested too deeply") from None
     report["payload"] = payload
     return report, code
 
@@ -670,7 +672,8 @@ def main(argv=None) -> int:
     except MathCheckError as exc:
         print(f"cross-check failure: {exc}", file=sys.stderr)
         return 2
-    except (TauMackeyError, OSError, json.JSONDecodeError) as exc:
+    except (TauMackeyError, OSError, json.JSONDecodeError, RecursionError) as exc:
+        # a RecursionError: input nested too deeply to decode or to echo
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

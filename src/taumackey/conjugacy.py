@@ -63,20 +63,9 @@ def conjugacy_classes(G: GroupTable) -> ConjugacyData:
     return data
 
 
-@dataclass
-class TwistedSquareCounts:
-    """counts[g] = number of h with tau(h^-1)*h = g; for tau = inversion this
-    is the square-root count of g."""
-
-    group: GroupTable
-    tau: GroupMap
-    counts: np.ndarray  # int64 per element
-
-    def on_class_reps(self, conj: ConjugacyData) -> np.ndarray:
-        return self.counts[conj.representatives]
-
-
-def count_twisted_squares(G: GroupTable, tau: GroupMap) -> TwistedSquareCounts:
+def count_twisted_squares(G: GroupTable, tau: GroupMap) -> np.ndarray:
+    """counts[g] = number of h with tau(h^-1)*h = g, int64 per element; for
+    tau = inversion this is the square-root count of g."""
     if tau.group is not G or tau.kind != "anti-automorphism" or not tau.involutory:
         raise InvalidMap("need a validated involutory anti-automorphism of this group")
     n = G.order
@@ -87,7 +76,7 @@ def count_twisted_squares(G: GroupTable, tau: GroupMap) -> TwistedSquareCounts:
     conj = conjugacy_classes(G)
     if not np.array_equal(counts, counts[conj.representatives][conj.class_of]):
         raise CrossCheckFailed("twisted square counts are not constant on classes")
-    return TwistedSquareCounts(G, tau, counts)
+    return counts
 
 
 @dataclass
@@ -210,7 +199,7 @@ def power_sums(G: GroupTable, tau: GroupMap, n: int) -> tuple[int, int]:
     conj = conjugacy_classes(G)
     counts = count_twisted_squares(G, tau)
     v_rep = [int(G.order // s) for s in conj.class_sizes]
-    z_rep = [int(z) for z in counts.on_class_reps(conj)]
+    z_rep = [int(z) for z in counts[conj.representatives]]
     sizes = [int(s) for s in conj.class_sizes]
     sum_v = sum(s * v**n for s, v in zip(sizes, v_rep))
     sum_z = sum(s * z ** (n + 1) for s, z in zip(sizes, z_rep))

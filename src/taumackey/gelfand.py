@@ -3,7 +3,7 @@ twisted indicator identities on Gelfand pairs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -258,15 +258,18 @@ class SphericalData:
     orthogonality_residual: float
 
 
-def spherical_functions(space: CosetSpace, table: CharacterTable) -> SphericalData:
+def spherical_functions(
+    space: CosetSpace, table: CharacterTable, mults: np.ndarray
+) -> SphericalData:
     """Averaged bi-K-invariant matrix coefficients of each constituent, with
     the normalization, inversion, and orthogonality identities checked.
+    ``mults`` is the permutation character's decomposition in ``table``, as
+    gelfand_criteria_report computes it.
 
     Both directions read meets[c, x] = #{g in C_c : gK = x}: phi(x) is the
     mean of conj(chi) over the coset x, and as g runs over G, g^-1 r g
     covers the class of r |C_G(r)| times, so the inversion average of
     conj(phi) is d / |C| times its sum over the class's points."""
-    mults = table.decompose(space.permutation_character, "permutation character")
     if (mults > 1).any():
         raise NotGelfand("permutation character is not multiplicity-free")
     constituents = np.flatnonzero(mults)
@@ -318,8 +321,6 @@ class TwistedPairReport:
     count_inversion_residual: float
     self_conjugate_constituents: int
     tau_invariant_k_orbits: int | None    # None when tau(K) != K
-    k_orbit_count_match: bool | None
-    skipped: dict = field(default_factory=dict)
 
 
 def twisted_fs_gelfand(
@@ -330,7 +331,7 @@ def twisted_fs_gelfand(
     indicators and K's tau-invariance are read from ``criteria``, the
     report of gelfand_criteria_report on the same space, tau and table."""
     G = space.group
-    sph = spherical_functions(space, table)
+    sph = spherical_functions(space, table, criteria.multiplicities)
     constituents = sph.constituent_rows
     indicators = criteria.indicators
     twisted = G.mul(G.inverse[tau.images], np.arange(G.order))  # tau(g)^-1 g per g
@@ -366,16 +367,13 @@ def twisted_fs_gelfand(
         raise CrossCheckFailed(f"point-count inversion residual {res3:.3g}")
 
     n_self = int(self_conj.sum())
-    skipped = {}
     invariant_orbits = None
-    match = None
     if criteria.subgroup_tau_invariant:
         labels = space.k_orbit_labels
         reps = orbit_representatives(labels)
         tau_point = space.point_of[tau.images[space.reps]]
         invariant_orbits = int((labels[tau_point[reps]] == reps).sum())
-        match = invariant_orbits == n_self
-        if not match:
+        if invariant_orbits != n_self:
             raise CrossCheckFailed(
                 f"tau-invariant K-orbits {invariant_orbits} != "
                 f"self-conjugate constituents {n_self}"
@@ -385,8 +383,6 @@ def twisted_fs_gelfand(
             raise CrossCheckFailed(
                 f"self-conjugate constituents with indicator != 1: rows {bad}"
             )
-    else:
-        skipped["k_orbit_comparison"] = "K is not tau-invariant"
     return TwistedPairReport(
         spherical=sph,
         indicator_values=indicators[constituents],
@@ -396,8 +392,6 @@ def twisted_fs_gelfand(
         count_inversion_residual=res3,
         self_conjugate_constituents=n_self,
         tau_invariant_k_orbits=invariant_orbits,
-        k_orbit_count_match=match,
-        skipped=skipped,
     )
 
 
@@ -414,7 +408,6 @@ class TwistedSquareConjugacy:
     omega_classes_in_fixed_subgroup: int
     gelfand: bool | None          # asserted when the automorphism is an involution
     rank: int | None
-    skipped: dict = field(default_factory=dict)
 
 
 def condition_star(
@@ -443,7 +436,6 @@ def condition_star(
     holds = in_k == in_g
     gelfand = None
     rank = None
-    skipped = {}
     if sigma.involutory:
         table = compute_character_table(G, seed, class_cap)
         space = build_coset_space(G, K)
@@ -455,8 +447,6 @@ def condition_star(
                 "twisted-square condition holds for an involution but the "
                 "pair is not Gelfand"
             )
-    else:
-        skipped["gelfand_assertion"] = "sigma is not an involution"
     return TwistedSquareConjugacy(
         holds=holds,
         fixed_subgroup_order=len(K),
@@ -465,5 +455,4 @@ def condition_star(
         omega_classes_in_fixed_subgroup=in_k,
         gelfand=gelfand,
         rank=rank,
-        skipped=skipped,
     )

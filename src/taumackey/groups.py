@@ -302,6 +302,7 @@ def parse_cycles(text: str, degree: int) -> tuple:
 def enumerate_from_generators(
     generators: Sequence,
     compose: Callable,
+    identity,
     label: Callable = str,
     family_tag: str = "generators",
     cap: int = ORDER_CAP,
@@ -309,68 +310,42 @@ def enumerate_from_generators(
 ) -> GroupTable:
     """Close a set of concrete elements under composition into a GroupTable.
 
-    Elements must be hashable and compose associatively.  The identity is
-    discovered (one probe, then verified against all generators) and gets
-    id 0; a missing identity raises NonGroup.
+    Elements must be hashable and compose associatively.  The closure runs
+    breadth-first from ``identity``, so the identity is id 0; an identity
+    that does not fix every generator on both sides raises NonGroup.
     """
-    seeds: list = []
-    for g in generators:
-        if g not in seeds:
-            seeds.append(g)
+    seeds = list(dict.fromkeys(generators))  # repeats dropped, order kept
     if not seeds:
         raise NonGroup("generator list is empty")
+    if not all(compose(identity, g) == g == compose(g, identity) for g in seeds):
+        raise NonGroup("the identity does not fix every generator")
 
-    index: dict = {g: i for i, g in enumerate(seeds)}
-    order: list = list(seeds)
-
+    index: dict = {identity: 0}
+    elements: list = [identity]
     # breadth-first: element i is expanded by every generator exactly once,
-    # in discovery order, so right_by[s][i] = index of order[i] * seeds[s]
+    # in discovery order, so right_by[s][i] = id of elements[i] * seeds[s]
     right_by: list[list[int]] = [[] for _ in seeds]
-    i = 0
-    while i < len(order):
-        x = order[i]
+    for x in elements:  # the list grows as elements are found
         for s, gen in enumerate(seeds):
             c = compose(x, gen)
             j = index.get(c)
             if j is None:
-                j = len(order)
+                j = len(elements)
                 if j >= cap:
                     raise ClosureCapExceeded(
                         f"closure exceeded cap {cap} (tag {family_tag})"
                     )
                 index[c] = j
-                order.append(c)
+                elements.append(c)
             right_by[s].append(j)
-        i += 1
-    n = len(order)
-
-    # identity: probe with the first generator, then verify on all of them
-    probe = 0
-    e_old = None
-    for i in range(n):
-        if right_by[probe][i] == probe:
-            if all(right_by[s][i] == s for s in range(len(seeds))):
-                e_old = i
-                break
-    if e_old is None:
-        raise NonGroup("no identity element in the closure")
-
-    # reorder: identity first, rest in discovery order
-    old_of_new = [e_old] + [i for i in range(n) if i != e_old]
-    remap = np.empty(n, dtype=np.int64)
-    remap[old_of_new] = np.arange(n)
-    elements = [order[i] for i in old_of_new]
-    element_index = {el: i for i, el in enumerate(elements)}
-    gen_ids = [int(remap[index[g]]) for g in seeds]
-    columns = remap[np.array(right_by, dtype=np.int64)][:, old_of_new]
     return GroupTable(
-        n,
+        len(elements),
         lambda a: label(elements[a]),
-        gen_ids,
+        [index[g] for g in seeds],
         family_tag,
-        columns,
+        np.array(right_by, dtype=np.int64),
         elements=elements,
-        element_index=element_index,
+        element_index=index,
         meta=meta,
     )
 
@@ -398,7 +373,8 @@ def symmetric(n: int, cap: int = ORDER_CAP) -> GroupTable:
     cycle = tuple(range(1, n)) + (0,)
     gens = [swap] if n == 2 else [swap, cycle]
     return enumerate_from_generators(
-        gens, perm_compose, perm_label, f"symmetric({n})", cap, meta={"degree": n}
+        gens, perm_compose, tuple(range(n)), perm_label, f"symmetric({n})", cap,
+        meta={"degree": n},
     )
 
 
@@ -417,7 +393,8 @@ def alternating(n: int, cap: int = ORDER_CAP) -> GroupTable:
         p[0], p[1], p[k] = p[1], p[k], p[0]
         gens.append(tuple(p))
     return enumerate_from_generators(
-        gens, perm_compose, perm_label, f"alternating({n})", cap, meta={"degree": n}
+        gens, perm_compose, tuple(range(n)), perm_label, f"alternating({n})", cap,
+        meta={"degree": n},
     )
 
 
@@ -436,7 +413,8 @@ def dihedral(n: int, cap: int = ORDER_CAP) -> GroupTable:
         a = (1, 0, 2, 3)
         b = (0, 1, 3, 2)
         return enumerate_from_generators(
-            [a, b], perm_compose, perm_label, "dihedral(2)", cap, meta={"degree": 4}
+            [a, b], perm_compose, (0, 1, 2, 3), perm_label, "dihedral(2)", cap,
+            meta={"degree": 4},
         )
     return _affine_group([(1, 0), (0, 1)], n, f"dihedral({n})", cap)
 
@@ -489,6 +467,7 @@ def _affine_group(gens: list, n: int, tag: str, cap: int) -> GroupTable:
     g = enumerate_from_generators(
         gens,
         lambda p, q: _affine_compose(p, q, n),
+        (0, 0),
         lambda x: perm_label(_affine_perm(x, n)),
         tag,
         cap,
@@ -518,7 +497,7 @@ def _quat_label(a):
 
 def quaternion8(cap: int = ORDER_CAP) -> GroupTable:
     return enumerate_from_generators(
-        [(1, 1), (1, 2)], _quat_mul, _quat_label, "quaternion8", cap
+        [(1, 1), (1, 2)], _quat_mul, (1, 0), _quat_label, "quaternion8", cap
     )
 
 
@@ -566,6 +545,7 @@ def clifford(n: int, cap: int = ORDER_CAP) -> GroupTable:
     return enumerate_from_generators(
         gens,
         clifford_mul,
+        (1, 0),
         lambda x: _clifford_label(x, n),
         f"clifford({n})",
         cap,

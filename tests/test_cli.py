@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -682,3 +683,60 @@ def test_condition_star_reads_the_class_budget(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main([*s4, "--budget-classes", "4"]) == 1
     assert capsys.readouterr().err == "error: class count 5 exceeds the cap 4\n"
+
+
+# ---------------------------------------------------------------------------
+# specs nested past the recursion limit
+# ---------------------------------------------------------------------------
+
+def _nested_product_text(depth: int) -> str:
+    """A product spec nested ``depth`` deep, as JSON text built without
+    recursion."""
+    leaf = '{"family": "cyclic", "n": 1}'
+    return '{"product": [' * depth + leaf + (", " + leaf + "]}") * depth
+
+
+def _nested_product(depth: int) -> dict:
+    spec = {"family": "cyclic", "n": 1}
+    for _ in range(depth):
+        spec = {"product": [spec, {"family": "cyclic", "n": 1}]}
+    return spec
+
+
+@pytest.fixture
+def shallow_stack():
+    """A recursion limit 200 frames above the test's own frame, restored
+    afterwards: a spec nested 300 deep overflows it whatever the exact
+    frame counts of decoding, building or labelling are."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 200)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def test_over_deep_specs_end_in_one_error_line(tmp_path, capsys, shallow_stack):
+    deep = _nested_product_text(300)
+    spec_file = tmp_path / "g.json"
+    spec_file.write_text(deep)
+    manifest = tmp_path / "m.json"
+    manifest.write_text('{"jobs": [{"command": "char-table", "group": ' + deep + "}]}")
+    for argv in (["char-table", "--group", deep], ["power-sums", "--group", f"@{spec_file}"],
+                 ["batch", str(manifest), "--cache-dir", ""]):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    with pytest.raises(SpecError, match="^group spec is nested too deeply$"):
+        cli.run_job({"command": "char-table", "group": _nested_product(300)}, 1)
+
+
+def test_batch_reports_an_over_deep_job_and_runs_the_others(shallow_stack):
+    good = {"command": "char-table", "group": S3}
+    deep = {"command": "char-table", "group": _nested_product(300)}
+    aggregate, code, _ = cli.run_batch({"jobs": [good, deep, good]}, 1)
+    assert code == 1
+    reports = aggregate["jobs"]
+    assert reports[1]["payload"] == {"error": "group spec is nested too deeply"}
+    assert reports[0] == reports[2] == cli.run_job(good, 1)[0]

@@ -265,7 +265,7 @@ def test_diagonal_pair_is_gelfand():
 def test_spherical_functions_s4_s3():
     sp = space_in("S4", ["(1 2)", "(1 2 3)"])
     t = characters.compute_character_table(sp.group)
-    sph = gelfand.spherical_functions(sp, t)
+    sph = gelfand.spherical_functions(sp, t, t.decompose(sp.permutation_character))
     assert 0 in sph.constituent_rows            # trivial constituent
     triv = list(sph.constituent_rows).index(0)
     assert np.abs(sph.values[triv] - 1).max() < 1e-9
@@ -278,7 +278,7 @@ def test_spherical_rejects_non_gelfand():
     sp = space_in("S4", ["(1 2)"])  # rank 7 over 5 rows forces multiplicity
     t = characters.compute_character_table(sp.group)
     with pytest.raises(NotGelfand):
-        gelfand.spherical_functions(sp, t)
+        gelfand.spherical_functions(sp, t, t.decompose(sp.permutation_character))
 
 
 def test_twisted_pair_s4_s3():
@@ -287,7 +287,7 @@ def test_twisted_pair_s4_s3():
     assert all(v == 1 for v in rep.indicator_values)
     assert rep.averaged_indicator_residual < 1e-6
     assert rep.degree_sum_lhs == rep.degree_sum_rhs
-    assert rep.k_orbit_count_match
+    assert rep.tau_invariant_k_orbits == rep.self_conjugate_constituents
 
 
 def test_twisted_pair_point_space():
@@ -302,7 +302,7 @@ def test_twisted_pair_s3_transposition_subgroup():
     rep = twisted_pair(sp, morphisms.tau_inverse(sp.group))
     assert rep.self_conjugate_constituents == 2
     assert rep.tau_invariant_k_orbits == 2
-    assert rep.k_orbit_count_match
+    assert rep.tau_invariant_k_orbits == rep.self_conjugate_constituents
 
 
 def test_twisted_pair_regular_z4():
@@ -340,7 +340,7 @@ def test_condition_star_identity_sigma():
     ident = morphisms.validate(s4, np.arange(24), "automorphism")
     star = gelfand.condition_star(s4, ident)
     assert star.holds and star.omega_size == 1
-    assert star.skipped == {} if ident.involutory else True
+    assert star.gelfand is not None if ident.involutory else True
 
 
 def test_condition_star_requires_automorphism():
@@ -366,7 +366,7 @@ def test_coset_space_data_is_computed_once_per_space(monkeypatch):
     perm = sp.permutation_character
     rep = gelfand.gelfand_criteria_report(sp, tau, table)
     assert rep.gelfand
-    gelfand.spherical_functions(sp, table)
+    gelfand.spherical_functions(sp, table, rep.multiplicities)
     gelfand.twisted_fs_gelfand(sp, tau, table, rep)
     # the cosets, the K-orbits, the pair orbits of X x X, the tau(K)-orbits:
     # one call each, with K's generators as moves
@@ -397,21 +397,30 @@ def test_gelfand_report_computes_spherical_functions_once(monkeypatch):
     calls = []
     spherical_functions = gelfand.spherical_functions
 
-    def counting_spherical_functions(space, table):
+    def counting_spherical_functions(space, table, mults):
         calls.append(space.size)
-        return spherical_functions(space, table)
+        return spherical_functions(space, table, mults)
 
     monkeypatch.setattr(gelfand, "spherical_functions", counting_spherical_functions)
     counted = {}
     counting(monkeypatch, counted, "twisted_fs_indicators", gelfand, characters)
     counting(monkeypatch, counted, "count_twisted_squares", characters, conjugacy)
+    decompose = characters.CharacterTable.decompose
+
+    def counting_decompose(self, *args):
+        counted["decompose"] = counted.get("decompose", 0) + 1
+        return decompose(self, *args)
+
+    monkeypatch.setattr(characters.CharacterTable, "decompose", counting_decompose)
     job = {"command": "gelfand", "group": {"family": "symmetric", "n": 4},
            "subgroup": {"generators": ["(1 2)", "(1 2 3)"]}, "tau": "inverse"}
     report, code = cli.run_job(job, 1)
     assert code == 0 and report["payload"]["gelfand"]
     assert calls == [4]
-    # the twisted pair reads the indicators of the criteria report
-    assert counted == {"twisted_fs_indicators": 1, "count_twisted_squares": 1}
+    # the twisted pair and the spherical functions read the indicators and
+    # the multiplicities of the criteria report
+    assert counted == {"twisted_fs_indicators": 1, "count_twisted_squares": 1,
+                       "decompose": 1}
     tw = twisted_pair(space_in("S4", ["(1 2)", "(1 2 3)"]),
                       morphisms.tau_inverse(get_group("S4")))
     assert report["payload"]["spherical"]["constituent_rows"] == \
@@ -528,12 +537,13 @@ def test_spherical_and_induction_match_the_product_sweeps(name, dense_cap, monke
         trivial = characters.induced_character(
             table, sub, emb, characters.trivial_character(sub))
         assert np.abs(trivial.values - space.permutation_character.values).max() < 1e-9
-        if (table.decompose(space.permutation_character) > 1).any():
+        mults = table.decompose(space.permutation_character)
+        if (mults > 1).any():
             with pytest.raises(NotGelfand):
-                gelfand.spherical_functions(space, table)
+                gelfand.spherical_functions(space, table, mults)
             continue
         gelfand_pairs += 1
-        sph = gelfand.spherical_functions(space, table)
+        sph = gelfand.spherical_functions(space, table, mults)
         constituents, phi, recovered = spherical_oracle(space, table)
         assert np.array_equal(sph.constituent_rows, constituents)
         assert np.abs(sph.values - phi).max() < 1e-12
@@ -552,9 +562,10 @@ def test_spherical_functions_and_induction_form_no_products(name, monkeypatch):
     pairs = []
     for K in oracle_subgroups(G):
         space = gelfand.build_coset_space(G, K)
-        if space.size > 1 and (table.decompose(space.permutation_character) <= 1).all():
+        mults = table.decompose(space.permutation_character)
+        if space.size > 1 and (mults <= 1).all():
             sub, emb = groups.subgroup_table(G, K)
-            pairs.append((space, sub, emb, characters.trivial_character(sub)))
+            pairs.append((space, mults, sub, emb, characters.trivial_character(sub)))
     assert pairs
     counted = []
     mul = groups.GroupTable.mul
@@ -564,8 +575,8 @@ def test_spherical_functions_and_induction_form_no_products(name, monkeypatch):
         return mul(self, a, b)
 
     monkeypatch.setattr(groups.GroupTable, "mul", counting_mul)
-    for space, sub, emb, trivial in pairs:
-        gelfand.spherical_functions(space, table)
+    for space, mults, sub, emb, trivial in pairs:
+        gelfand.spherical_functions(space, table, mults)
         characters.induced_character(table, sub, emb, trivial)
     assert counted == []
 

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taumackey import groups, morphisms
 from taumackey.conjugacy import ConjugacyData
@@ -19,21 +20,23 @@ from battery import BATTERY_BUILDERS, battery_names, get_group
 
 def test_closure_s3_from_transposition_and_cycle():
     g = groups.enumerate_from_generators(
-        [(1, 0, 2), (1, 2, 0)], groups.perm_compose, groups.perm_label
+        [(1, 0, 2), (1, 2, 0)], groups.perm_compose, (0, 1, 2), groups.perm_label
     )
     assert g.order == 6
     assert g.labels[0] == "e"
 
 
 def test_closure_trivial_group():
-    g = groups.enumerate_from_generators([(0, 1)], groups.perm_compose, groups.perm_label)
+    g = groups.enumerate_from_generators(
+        [(0, 1)], groups.perm_compose, (0, 1), groups.perm_label
+    )
     assert g.order == 1
 
 
 def test_closure_signed_subsets_order_eight():
     # gamma_1, gamma_2 and the central sign generate all 8 signed subsets
     gens = [(1, 0b01), (1, 0b10), (-1, 0)]
-    g = groups.enumerate_from_generators(gens, groups.clifford_mul, str)
+    g = groups.enumerate_from_generators(gens, groups.clifford_mul, (1, 0), str)
     assert g.order == 8
 
 
@@ -48,10 +51,23 @@ def test_non_group_detected():
         return tuple(a[x] for x in b)
 
     with pytest.raises(NonGroup):
-        groups.enumerate_from_generators([(1, 2, 2)], compose, str)
+        groups.enumerate_from_generators([(1, 2, 2)], compose, (0, 1, 2), str)
     # a constant map and the identity: a monoid with no inverses
     with pytest.raises(NonGroup, match="not a bijection"):
-        groups.enumerate_from_generators([(0, 0), (0, 1)], compose, str)
+        groups.enumerate_from_generators([(0, 0), (0, 1)], compose, (0, 1), str)
+
+
+def test_wrong_identity_is_refused():
+    with pytest.raises(NonGroup, match="identity does not fix every generator"):
+        groups.enumerate_from_generators(
+            [(1, 0, 2), (1, 2, 0)], groups.perm_compose, (1, 2, 0), groups.perm_label
+        )
+    # a left identity of the generators that is not a right one
+    def left_zero(a, b):
+        return b
+
+    with pytest.raises(NonGroup, match="identity does not fix every generator"):
+        groups.enumerate_from_generators([1, 2], left_zero, 0)
 
 
 @pytest.mark.parametrize("name", battery_names())
@@ -328,6 +344,7 @@ def test_lazy_path_agrees_with_dense(monkeypatch):
     lazy = groups.enumerate_from_generators(
         [(1, 0, 2, 3), (1, 2, 3, 0)],
         groups.perm_compose,
+        (0, 1, 2, 3),
         groups.perm_label,
     )
     assert lazy.table is None
@@ -466,6 +483,13 @@ CLOSURE_BUILDERS = {
     **{name: _family_builder(name) for name in AFFINE_CASES if name not in BATTERY_BUILDERS},
     "CL11": lambda: groups.clifford(11),
     "S7": lambda: groups.symmetric(7),
+    # the other families the benchmark and acceptance jobs build (their
+    # D300 and D500 take the affine path of D397 and D1000)
+    "S6": lambda: groups.symmetric(6),
+    "A5": lambda: groups.alternating(5),
+    "A6": lambda: groups.alternating(6),
+    "CL7": lambda: groups.clifford(7),
+    "CL10": lambda: groups.clifford(10),
 }
 
 
@@ -511,6 +535,34 @@ def test_closure_matches_two_pass_build(name, closure_case):
     assert np.array_equal(G.inverse, inverse)
 
 
+@st.composite
+def permutation_generators(draw):
+    """Up to five generators of degree <= 6 drawn from the identity and up
+    to three random permutations, so duplicates and the identity occur."""
+    degree = draw(st.integers(1, 6))
+    pool = [tuple(range(degree))] + draw(st.lists(
+        st.permutations(range(degree)).map(tuple), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5))
+    return degree, [pool[i] for i in picks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(permutation_generators())
+def test_closure_from_the_identity_matches_the_identity_search(case):
+    """Closing from the identity gives the ids that closing from the
+    generators, then searching for the identity and renumbering, gives."""
+    degree, gens = case
+    G = groups.enumerate_from_generators(
+        gens, groups.perm_compose, tuple(range(degree)), groups.perm_label)
+    seeds = list(dict.fromkeys(gens))
+    elements, _, gen_ids, table, inverse = _two_pass_closure(
+        seeds, groups.perm_compose, groups.perm_label)
+    assert G.elements == elements
+    assert G.generators == gen_ids
+    assert np.array_equal(G.table, table)  # its columns x -> x*s included
+    assert np.array_equal(G.inverse, inverse)
+
+
 @pytest.mark.parametrize("name", list(CLOSURE_BUILDERS))
 def test_lazy_labels_match_eager(name, closure_case):
     G, (_, labels, _, _, _) = closure_case(name)
@@ -546,7 +598,8 @@ def test_derived_groups_label_lazily():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groups, "DENSE_CAP", 1)  # only lazy_s4 goes without a table
         lazy_s4 = groups.enumerate_from_generators(
-            [(1, 0, 2, 3), (1, 2, 3, 0)], groups.perm_compose, groups.perm_label,
+            [(1, 0, 2, 3), (1, 2, 3, 0)], groups.perm_compose, (0, 1, 2, 3),
+            groups.perm_label,
         )
     assert lazy_s4.table is None
     for a, b in [(s3, z4), (lazy_s4, groups.cyclic(3))]:

@@ -167,7 +167,7 @@ def test_generator_images_identity_generator_needs_identity_image():
     # an identity generator is no move of the search tree, so its given
     # image is checked against what its word gives
     s3 = groups.enumerate_from_generators(
-        [(0, 1, 2), (1, 0, 2), (1, 2, 0)], groups.perm_compose, groups.perm_label,
+        [(0, 1, 2), (1, 0, 2), (1, 2, 0)], groups.perm_compose, (0, 1, 2), groups.perm_label,
         meta={"degree": 3},
     )
     assert s3.generators[0] == 0
@@ -191,7 +191,8 @@ def test_generator_images_conflicting_are_refused():
     # a generator and its inverse, both given: the tree moves by each one's
     # own image, and validation refuses images that are not each other's inverse
     z5 = groups.enumerate_from_generators(
-        [(1, 2, 3, 4, 0), (4, 0, 1, 2, 3)], groups.perm_compose, groups.perm_label
+        [(1, 2, 3, 4, 0), (4, 0, 1, 2, 3)], groups.perm_compose, tuple(range(5)),
+        groups.perm_label,
     )
     c, c_inv = z5.generators
     assert z5.inverse[c] == c_inv
@@ -317,14 +318,14 @@ def _s4_wr_z2():
     gens = ["(1 2)", "(1 2 3 4)", "(1 5)(2 6)(3 7)(4 8)"]
     return groups.enumerate_from_generators(
         [groups.parse_cycles(c, 8) for c in gens], groups.perm_compose,
-        groups.perm_label, meta={"degree": 8},
+        tuple(range(8)), groups.perm_label, meta={"degree": 8},
     )
 
 
 def _lazy_s4(monkeypatch):
     monkeypatch.setattr(groups, "DENSE_CAP", 1)  # read when a group is built
     return groups.enumerate_from_generators(
-        [(1, 0, 2, 3), (1, 2, 3, 0)], groups.perm_compose, groups.perm_label,
+        [(1, 0, 2, 3), (1, 2, 3, 0)], groups.perm_compose, (0, 1, 2, 3), groups.perm_label,
     )
 
 
