@@ -234,35 +234,35 @@ def compute_character_table(
 # tensor products
 # ---------------------------------------------------------------------------
 
-def tensor_blocks(table: CharacterTable):
-    """Yield the tensor multiplicities one row at a time, upper half only:
-    the i-th block is the (k - i, k) int64 array m[i, i:], where m[i, j, l]
-    is the multiplicity of row l in the product of rows i and j.  The rows
-    j < i are not formed, since m[i, j] = m[j, i].  After the last block,
-    raise NonIntegralMultiplicity with the worst residual of all blocks if
-    any of them was not integral."""
-    X = table.values
-    w = table.conj.class_sizes / table.group.order
-    dual = (X.conj() * w).T                     # (classes, k)
-    worst = 0.0
-    for i in range(table.class_count):
-        block = (X[i] * X[i:]) @ dual           # (k - i, k)
-        rounded = np.round(block.real).astype(np.int64)
-        worst = max(worst, float(np.abs(block - rounded).max()))
-        yield rounded
+def _integral(raw: np.ndarray) -> np.ndarray:
+    rounded = np.round(raw.real).astype(np.int64)
+    worst = float(np.abs(raw - rounded).max())
     if worst > INT_TOL:
         raise NonIntegralMultiplicity(
             f"tensor multiplicities are not integral (residual {worst:.3g})"
         )
+    return rounded
 
 
-def tensor_multiplicities(table: CharacterTable) -> np.ndarray:
-    """m[i, j, l] = multiplicity of row l in the product of rows i and j."""
-    k = table.class_count
-    m = np.empty((k, k, k), dtype=np.int64)
-    for i, block in enumerate(tensor_blocks(table)):
-        m[i, i:] = m[i:, i] = block
-    return m
+def multiplicity_free_pairs(table: CharacterTable) -> np.ndarray:
+    """mf[i, j]: no row occurs twice in the product of rows i and j.  With
+    m[i, j, l] the multiplicity of row l in it, w_c = |C_c|/|G| and s the
+    sum of the rows, N = sum_c w_c |chi_i chi_j|^2 = sum_l m^2 and
+    S = sum_c w_c chi_i chi_j conj(s) = sum_l m (Isaacs, ch. 2), which for
+    integers m >= 0 are equal iff every m is 0 or 1: two k x k products,
+    asserted integral, in place of the k^3 multiplicities."""
+    X = table.values
+    w = table.conj.class_sizes / table.group.order
+    a = np.abs(X) ** 2
+    N = _integral((a * w) @ a.T)
+    return N == _integral((X * (w * X.sum(axis=0).conj())) @ X.T)
+
+
+def tensor_row(table: CharacterTable, i: int) -> np.ndarray:
+    """The int64 block m[i, i:] of the tensor multiplicities (rows j >= i)."""
+    X = table.values
+    w = table.conj.class_sizes / table.group.order
+    return _integral((X[i] * X[i:]) @ (X.conj() * w).T)
 
 
 # ---------------------------------------------------------------------------

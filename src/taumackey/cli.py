@@ -425,6 +425,9 @@ def _report_header(job, seed: int, budgets: Budgets) -> dict:
     }
 
 
+_TOO_DEEP = "group spec is nested too deeply"
+
+
 def run_job(job: dict, seed: int, budgets: Budgets | None = None) -> tuple[dict, int]:
     """Run one job spec into a (report, exit_code) pair; the job's own
     'seed' replaces ``seed``."""
@@ -449,9 +452,13 @@ def run_job(job: dict, seed: int, budgets: Budgets | None = None) -> tuple[dict,
         report["payload"] = {"cross_check_failure": str(exc)}
         return report, 2
     except RecursionError:  # only group specs recurse: building and labelling
-        raise SpecError("group spec is nested too deeply") from None
+        raise SpecError(_TOO_DEEP) from None
     report["payload"] = payload
     return report, code
+
+
+def _one_line(exc: Exception) -> str:
+    return " ".join(f"{type(exc).__name__}: {exc}".split())
 
 
 def render_report(report: dict) -> str:
@@ -496,28 +503,48 @@ def _source_hash(package: Path = Path(__file__).parent) -> str:
     return digest.hexdigest()
 
 
-def _cache_key(job: dict, seed: int, budgets: Budgets) -> str:
-    blob = json.dumps(
-        {
-            "job": job,
-            "seed": seed,
-            "budget": [budgets.pairs, budgets.order, budgets.classes],
-            "version": __version__,
-            "source": _source_hash(),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _cache_key(job: dict, seed: int, budgets: Budgets) -> str | None:
+    """The job's cache key, or None for a job nested too deeply to encode."""
+    blob = {"job": job, "seed": seed, "budget": [budgets.pairs, budgets.order, budgets.classes],
+            "version": __version__, "source": _source_hash()}
+    try:
+        return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
+    except RecursionError:
+        return None
 
 
-def _run_isolated(job, seed: int, budgets: Budgets) -> dict:
-    """One job, with specification errors contained in its own report."""
+def _error_report(job, seed: int, budgets: Budgets, key: str, message: str) -> dict:
+    report = _report_header(job, seed, budgets)
+    report["payload"] = {key: message}
+    return report
+
+
+def _run_isolated(job, seed: int, budgets: Budgets, cache_path: Path | None = None) -> dict:
+    """One job, with every error but an interrupt contained in its own
+    report.  A spec error exits 1; any other exception (a bug, or a resource
+    running out) is an internal error that exits 2 and, as it may be
+    transient, is not written to ``cache_path``.  A job nested too deeply to
+    describe or to encode is a spec error whose report leaves its input out."""
     try:
         report, code = run_job(job, seed, budgets)
     except SpecError as exc:
-        report, code = _report_header(job, seed, budgets), 1
-        report["payload"] = {"error": str(exc)}
-    return {"report": report, "exit_code": code}
+        report, code = _error_report(job, seed, budgets, "error", str(exc)), 1
+    except RecursionError:
+        report, code = _error_report(None, seed, budgets, "error", _TOO_DEEP), 1
+    except Exception as exc:
+        report, code = _error_report(job, seed, budgets, "internal_error", _one_line(exc)), 2
+    outcome = {"report": report, "exit_code": code}
+    # here the encoder runs a frame deeper than on the batch report that
+    # holds this one, so an outcome that encodes here encodes there too
+    try:
+        text = render_report(outcome)
+    except RecursionError:
+        outcome = {"report": _error_report(None, seed, budgets, "error", _TOO_DEEP),
+                   "exit_code": 1}
+        text = render_report(outcome)
+    if cache_path is not None and "internal_error" not in outcome["report"]["payload"]:
+        _write_cached(cache_path, text)
+    return outcome
 
 
 def _read_cached(path: Path) -> dict | None:
@@ -528,12 +555,12 @@ def _read_cached(path: Path) -> dict | None:
         return None
 
 
-def _write_cached(path: Path, outcome: dict) -> None:
+def _write_cached(path: Path, text: str) -> None:
     """Write to a temp file beside the entry, then rename it into place, so
     a killed run never leaves a partial entry under the key."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(f".{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(outcome, sort_keys=True, indent=2) + "\n")
+    tmp.write_text(text)
     os.replace(tmp, path)
 
 
@@ -554,15 +581,13 @@ def run_batch(
     stats = {"jobs": len(jobs), "cache_hits": 0, "cache_misses": 0}
     results = []
     for job in jobs:
-        if cache_dir is None:
-            results.append(_run_isolated(job, seed, budgets))
-            continue
-        path = cache_dir / f"{_cache_key(job, seed, budgets)}.json"
-        outcome = _read_cached(path)
+        key = None if cache_dir is None else _cache_key(job, seed, budgets)
+        path = None if key is None else cache_dir / f"{key}.json"
+        outcome = None if path is None else _read_cached(path)
         if outcome is None:
-            outcome = _run_isolated(job, seed, budgets)
-            _write_cached(path, outcome)
-            stats["cache_misses"] += 1
+            outcome = _run_isolated(job, seed, budgets, path)
+            if cache_dir is not None:
+                stats["cache_misses"] += 1
         else:
             stats["cache_hits"] += 1
         results.append(outcome)
@@ -676,6 +701,9 @@ def main(argv=None) -> int:
         # a RecursionError: input nested too deeply to decode or to echo
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug, or a resource running out
+        print(f"internal error: {_one_line(exc)}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,7 +6,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import CharacterTable, tau_row_permutation, tensor_blocks
+from .characters import (
+    CharacterTable,
+    multiplicity_free_pairs,
+    tau_row_permutation,
+    tensor_row,
+)
 from .conjugacy import (
     PAIR_BUDGET,
     power_sum_report,
@@ -65,18 +70,21 @@ def check_definition(table: CharacterTable, tau: GroupMap) -> tuple[bool, bool, 
     (ii) every irreducible fixed by tau-conjugation; witnesses name the
     first violation of each."""
     witnesses: dict = {}
-    # One block m[i, i:] per row: the whole k^3 array is never held, and
-    # since m[i, j] = m[j, i] the first violation in (i, j, l) order has
-    # i <= j.  Every block is read before a witness is reported, so a
-    # non-integral block anywhere raises first.
-    for i, block in enumerate(tensor_blocks(table)):
-        if "tensor" not in witnesses and (block > 1).any():
-            j, l = (int(x) for x in np.argwhere(block > 1)[0])
-            witnesses["tensor"] = {
-                "rows": (i, i + j, l),
-                "degrees": tuple(int(table.degrees[x]) for x in (i, i + j, l)),
-                "multiplicity": int(block[j, l]),
-            }
+    # Every pair is decided, and N and S asserted integral, before any
+    # witness.  Since m[i, j] = m[j, i], the first violation in (i, j, l)
+    # order lies in the block m[i, i:] of the first row i with a failing pair.
+    failing = ~multiplicity_free_pairs(table)
+    if failing.any():
+        i = int(np.flatnonzero(failing.any(axis=1))[0])
+        block = tensor_row(table, i)
+        if not np.array_equal((block > 1).any(axis=1), failing[i, i:]):
+            raise CrossCheckFailed(f"tensor row {i} disagrees with its sums N and S")
+        j, l = (int(x) for x in np.argwhere(block > 1)[0])
+        witnesses["tensor"] = {
+            "rows": (i, i + j, l),
+            "degrees": tuple(int(table.degrees[x]) for x in (i, i + j, l)),
+            "multiplicity": int(block[j, l]),
+        }
     mf = "tensor" not in witnesses
     perm = tau_row_permutation(table, tau)
     fixed = perm == np.arange(len(perm))

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from taumackey import characters, cli, conjugacy, criteria, gelfand, groups
+from taumackey import characters, cli, conjugacy, criteria, errors, gelfand, groups
 from taumackey.errors import SpecError
 
 
@@ -740,3 +740,93 @@ def test_batch_reports_an_over_deep_job_and_runs_the_others(shallow_stack):
     reports = aggregate["jobs"]
     assert reports[1]["payload"] == {"error": "group spec is nested too deeply"}
     assert reports[0] == reports[2] == cli.run_job(good, 1)[0]
+
+
+def test_batch_reports_a_job_too_deep_to_echo_and_runs_the_others(tmp_path, capsys,
+                                                                  shallow_stack):
+    """Near the recursion limit a manifest can decode while a job's echoed
+    input cannot be encoded (nor, one level deeper, keyed for the cache).
+    At every depth the manifest decodes, with or without a cache, both good
+    jobs are reported; a job too deep to echo becomes a spec error without
+    its input."""
+    good = {"command": "char-table", "group": S3}
+    want = cli.run_job(good, 1)[0]
+    unechoed = 0
+    for depth in range(90, 100):   # the limit is 200 frames above this test's
+        manifest = tmp_path / "m.json"
+        manifest.write_text('{"jobs": [' + json.dumps(good) + ', {"command": "char-table", '
+                            '"group": ' + _nested_product_text(depth) + "}, "
+                            + json.dumps(good) + "]}")
+        for cache in ("", str(tmp_path / f"cache{depth}")):
+            code = cli.main(["batch", str(manifest), "--cache-dir", cache, "--seed", "1"])
+            out, err = capsys.readouterr()
+            if not out:          # the manifest itself is too deep to decode
+                assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+                continue
+            reports = json.loads(out)["jobs"]
+            assert reports[0] == reports[2] == want
+            if reports[1]["input"] is None:
+                assert reports[1]["payload"] == {"error": "group spec is nested too deeply"}
+                assert code == 1
+                unechoed += 1
+    assert unechoed
+
+
+def _raise(error):
+    def handler(job, seed, budgets):
+        raise error
+    return handler
+
+
+@pytest.mark.parametrize("error", [IndexError("index 7 is out of bounds"), MemoryError()])
+def test_batch_reports_an_internal_error_as_its_own_job_and_never_caches_it(
+    error, tmp_path, monkeypatch
+):
+    monkeypatch.setitem(cli.COMMANDS, "char-table", (_raise(error), ("group",)))
+    good = [{"command": "power-sums", "group": S3, "n": n} for n in (1, 2)]
+    bad = {"command": "char-table", "group": S3}
+    manifest = {"jobs": [good[0], bad, good[1]]}
+    cache = tmp_path / "cache"
+    for hits in (0, 2):
+        aggregate, code, stats = cli.run_batch(manifest, 1, cache_dir=cache)
+        assert code == 2
+        assert (stats["cache_hits"], stats["cache_misses"]) == (hits, 3 - hits)
+        reports = aggregate["jobs"]
+        assert [reports[0], reports[2]] == [cli.run_job(job, 1)[0] for job in good]
+        assert reports[1]["payload"] == {
+            "internal_error": f"{type(error).__name__}: {error}".strip()}
+        assert reports[1]["input"] == {"group": S3}
+    assert len(list(cache.iterdir())) == 2     # the good jobs' entries only
+
+
+def test_main_reports_an_internal_error_on_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli.COMMANDS, "char-table",
+                        (_raise(IndexError("index 7 is out of bounds\nfor axis 0")), ("group",)))
+    assert cli.main(["char-table", "--group", json.dumps(S3)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: IndexError: index 7 is out of bounds for axis 0\n"
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"jobs": [{"command": "char-table", "group": S3}]}))
+    assert cli.main(["batch", str(manifest), "--cache-dir", ""]) == 2
+    out, _ = capsys.readouterr()
+    assert json.loads(out)["jobs"][0]["payload"]["internal_error"].startswith("IndexError")
+
+
+def test_interrupts_and_cross_check_failures_keep_their_handling(tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.setitem(cli.COMMANDS, "char-table", (_raise(KeyboardInterrupt()), ("group",)))
+    job = {"command": "char-table", "group": S3}
+    with pytest.raises(KeyboardInterrupt):
+        cli.run_batch({"jobs": [job]}, 1)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["char-table", "--group", json.dumps(S3)])
+    failed = errors.CrossCheckFailed("routes disagree")
+    monkeypatch.setitem(cli.COMMANDS, "char-table", (_raise(failed), ("group",)))
+    aggregate, code, _ = cli.run_batch({"jobs": [job]}, 1, cache_dir=tmp_path)
+    assert code == 2
+    assert aggregate["jobs"][0]["payload"] == {"cross_check_failure": "routes disagree"}
+    assert len(list(tmp_path.iterdir())) == 1   # a cross-check failure is cached
+    assert cli.main(["char-table", "--group", json.dumps(S3)]) == 2
+    out, _ = capsys.readouterr()
+    assert json.loads(out)["payload"] == {"cross_check_failure": "routes disagree"}

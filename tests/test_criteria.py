@@ -2,8 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from taumackey import characters, conjugacy, criteria, groups, morphisms
+from taumackey import characters, cli, conjugacy, criteria, groups, morphisms
 from taumackey.errors import CrossCheckFailed, NonIntegralMultiplicity
 
 from battery import available_taus, battery_names, get_group
@@ -176,33 +177,97 @@ def _tensor_cube_oracle(table):
     return mults
 
 
+def _tensor_rows_oracle(table):
+    """The cube one full (k, k) row m[i] at a time, unrounded, so that the
+    200-class tables never hold k^3 numbers."""
+    X = table.values
+    w = table.conj.class_sizes / table.group.order
+    for i in range(table.class_count):
+        yield (X[i] * X * w) @ X.conj().T
+
+
 def _tensor_witness_oracle(table):
-    """The first violation of the whole cube in argwhere order."""
-    mults = _tensor_cube_oracle(table)
-    if (mults <= 1).all():
-        return None
-    i, j, l = (int(x) for x in np.argwhere(mults > 1)[0])
-    return {
-        "rows": (i, j, l),
-        "degrees": tuple(int(table.degrees[x]) for x in (i, j, l)),
-        "multiplicity": int(mults[i, j, l]),
-    }
+    """The first violation of the whole cube in argwhere order, after every
+    row has been checked integral."""
+    worst, witness = 0.0, None
+    for i, raw in enumerate(_tensor_rows_oracle(table)):
+        row = np.round(raw.real).astype(np.int64)
+        worst = max(worst, float(np.abs(raw - row).max()))
+        if witness is None and (row > 1).any():
+            j, l = (int(x) for x in np.argwhere(row > 1)[0])
+            witness = {
+                "rows": (i, j, l),
+                "degrees": tuple(int(table.degrees[x]) for x in (i, j, l)),
+                "multiplicity": int(row[j, l]),
+            }
+    if worst > characters.INT_TOL:
+        raise NonIntegralMultiplicity(
+            f"tensor multiplicities are not integral (residual {worst:.3g})"
+        )
+    return witness
 
 
-@pytest.mark.parametrize("name", battery_names() + ["A5"])
+_WITNESS_BUILDERS = {
+    "A5": lambda: groups.alternating(5),
+    "D397": lambda: groups.dihedral(397),       # 200 classes, multiplicity-free
+    "CL7": lambda: groups.clifford(7),          # 130 classes
+    "A5xA5": lambda: groups.direct_product(groups.alternating(5), groups.alternating(5)),
+    "S6": lambda: groups.symmetric(6),
+    "A6xZ2": lambda: groups.direct_product(groups.alternating(6), groups.cyclic(2)),
+}
+
+
+@pytest.mark.parametrize("name", battery_names() + list(_WITNESS_BUILDERS))
 def test_tensor_witness_matches_the_cube(name):
-    g = groups.alternating(5) if name == "A5" else get_group(name)
+    g = _WITNESS_BUILDERS[name]() if name in _WITNESS_BUILDERS else get_group(name)
     table = characters.compute_character_table(g)
     _, _, witnesses = criteria.check_definition(table, morphisms.tau_inverse(g))
     assert witnesses.get("tensor") == _tensor_witness_oracle(table)
-    cube = characters.tensor_multiplicities(table)
-    assert cube.dtype == np.int64
-    assert np.array_equal(cube, _tensor_cube_oracle(table))
-    blocks = list(characters.tensor_blocks(table))
-    assert len(blocks) == table.class_count
-    for i, block in enumerate(blocks):                # the upper half only
+    pairs = characters.multiplicity_free_pairs(table)
+    assert pairs.shape == (table.class_count,) * 2
+    for i, raw in enumerate(_tensor_rows_oracle(table)):
+        row = np.round(raw.real).astype(np.int64)
+        assert np.array_equal(pairs[i], (row <= 1).all(axis=1))
+        block = characters.tensor_row(table, i)       # the upper half only
         assert block.dtype == np.int64
-        assert np.array_equal(block, cube[i, i:])
+        assert np.array_equal(block, row[i:])
+
+
+@st.composite
+def permutation_groups(draw):
+    """Groups generated by up to three random permutations of degree <= 6."""
+    degree = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(degree)).map(tuple), min_size=1, max_size=3))
+    return groups.enumerate_from_generators(
+        gens, groups.perm_compose, tuple(range(degree)), groups.perm_label)
+
+
+@settings(max_examples=100, deadline=None)
+@given(permutation_groups())
+def test_equal_sums_decide_multiplicity_freeness_like_the_cube(g):
+    table = characters.compute_character_table(g)
+    cube = _tensor_cube_oracle(table)
+    pairs = characters.multiplicity_free_pairs(table)
+    assert np.array_equal(pairs, (cube <= 1).all(axis=2))
+    _, _, witnesses = criteria.check_definition(table, morphisms.tau_inverse(g))
+    assert witnesses.get("tensor") == _tensor_witness_oracle(table)
+
+
+@pytest.mark.parametrize("group,blocks", [
+    ({"family": "dihedral", "n": 397}, 0), ({"family": "symmetric", "n": 6}, 1)],
+    ids=["D397", "S6"])
+def test_a_job_forms_a_tensor_block_only_for_its_witness(group, blocks, monkeypatch):
+    formed = []
+
+    def counted(table, i):
+        formed.append(i)
+        return characters.tensor_row(table, i)
+
+    monkeypatch.setattr(criteria, "tensor_row", counted)
+    report, code = cli.run_job({"command": "simply-reducible", "group": group}, 1)
+    assert code == 0
+    assert len(formed) == blocks
+    assert report["payload"]["definition"]["multiplicity_free"] == (blocks == 0)
 
 
 def test_a5_tensor_witness_is_a_multiplicity_two():
@@ -212,18 +277,35 @@ def test_a5_tensor_witness_is_a_multiplicity_two():
     assert witnesses["tensor"]["degrees"] == (4, 5, 5)
 
 
+def _sums_residual_oracle(table):
+    """The integrality residual of N[i, j] = sum_c w_c |chi_i|^2 |chi_j|^2 and
+    S[i, j] = sum_c w_c chi_i chi_j conj(sum of the rows), term by term."""
+    X = table.values
+    w = table.conj.class_sizes / table.group.order
+    a = np.abs(X) ** 2
+    N = np.einsum("ic,jc,c->ij", a, a, w)
+    S = np.einsum("ic,jc,c->ij", X, X, w * X.sum(axis=0).conj())
+    return max(float(np.abs(M - np.round(M.real)).max()) for M in (N, S))
+
+
 # A5's rows have degrees 1, 3, 3, 4, 5, and its first tensor witness is in
-# block 3.  Bending X[4, 0] puts the worst residual in block 4, after the
-# witness; bending X[1, 3] puts it in block 1 and leaves the last block
-# integral.
+# row 3.  Bending X[4, 0] puts the cube's worst residual in row 4, after the
+# witness; bending X[1, 3] puts it in row 1 and leaves the last row
+# integral.  Either way the sums N and S are not integral (residuals about
+# 8e-3 and 3e-3), and that is raised before the witness row is formed.
 @pytest.mark.parametrize("row,col", [(4, 0), (1, 3)])
-def test_non_integral_block_raises_the_worst_residual_before_any_witness(row, col):
+def test_non_integral_block_raises_the_worst_residual_before_any_witness(
+    row, col, monkeypatch
+):
     g = groups.alternating(5)
     table = characters.compute_character_table(g)
     bent = dataclasses.replace(table, values=table.values.copy())
     bent.values[row, col] += 1e-3
-    with pytest.raises(NonIntegralMultiplicity) as want:
+    with pytest.raises(NonIntegralMultiplicity):
         _tensor_witness_oracle(bent)
+    monkeypatch.setattr(criteria, "tensor_row", None)     # no witness is formed
     with pytest.raises(NonIntegralMultiplicity) as got:
         criteria.check_definition(bent, morphisms.tau_inverse(g))
-    assert str(got.value) == str(want.value)
+    worst = _sums_residual_oracle(bent)
+    assert worst > characters.INT_TOL
+    assert str(got.value) == f"tensor multiplicities are not integral (residual {worst:.3g})"
