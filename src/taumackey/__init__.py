@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .characters import (
     CharacterTable,
-    ClassFunction,
     compute_character_table,
     fs_indicators,
     twisted_fs_indicators,
@@ -22,7 +21,6 @@ from .groups import (
     direct_product,
     enumerate_from_generators,
     subgroup_closure,
-    subgroup_table,
 )
 from .morphisms import (
     GroupMap,
@@ -36,7 +34,6 @@ from .morphisms import (
 
 __all__ = [
     "CharacterTable",
-    "ClassFunction",
     "GroupMap",
     "GroupTable",
     "SRVerdict",
@@ -54,7 +51,6 @@ __all__ = [
     "power_sum_report",
     "simply_reducible_verdict",
     "subgroup_closure",
-    "subgroup_table",
     "tau_clifford",
     "tau_from_generator_images",
     "tau_identity",

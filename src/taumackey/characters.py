@@ -13,13 +13,12 @@ multiplicities, indicators) is rounded with its residual asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     BudgetExceeded,
-    CaseClassificationFailed,
     CrossCheckFailed,
     DegenerateEigenspaces,
     GroupMismatch,
@@ -29,7 +28,7 @@ from .errors import (
     ValueOutOfRange,
 )
 from .conjugacy import ConjugacyData, conjugacy_classes, count_twisted_squares, power_sums
-from .groups import GroupTable, construct_semidirect_with_involution
+from .groups import GroupTable
 from .morphisms import GroupMap
 
 DEFAULT_SEED = 1729
@@ -37,56 +36,6 @@ CLASS_CAP = 200
 INT_TOL = 1e-6
 EIG_GAP = 1e-8
 MAX_EIG_RETRIES = 20
-
-
-@dataclass
-class ClassFunction:
-    """A complex function on conjugacy classes (values indexed like
-    conjugacy_classes(group).representatives)."""
-
-    group: GroupTable
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        k = conjugacy_classes(self.group).class_count
-        if self.values.shape != (k,):
-            raise GroupMismatch(f"expected {k} class values, got {self.values.shape}")
-
-    def conjugate(self) -> "ClassFunction":
-        return ClassFunction(self.group, self.values.conj())
-
-    def pointwise(self, other: "ClassFunction") -> "ClassFunction":
-        """Product of class functions = character of the tensor product."""
-        if other.group is not self.group:
-            raise GroupMismatch("class functions live on different groups")
-        return ClassFunction(self.group, self.values * other.values)
-
-    def compose_tau(self, tau: GroupMap) -> "ClassFunction":
-        """g -> value at tau(g)."""
-        conj = conjugacy_classes(self.group)
-        return ClassFunction(self.group, self.values[conj.tau_class_image(tau)])
-
-
-def inner_product(f1: ClassFunction, f2: ClassFunction) -> complex:
-    """(1/|G|) sum over classes of |C| f1(C) conj(f2(C))."""
-    if f1.group is not f2.group:
-        raise GroupMismatch("class functions live on different groups")
-    conj = conjugacy_classes(f1.group)
-    return complex(
-        np.sum(conj.class_sizes * f1.values * f2.values.conj()) / f1.group.order
-    )
-
-
-def regular_character(G: GroupTable) -> ClassFunction:
-    conj = conjugacy_classes(G)
-    values = np.zeros(conj.class_count, dtype=complex)
-    values[0] = G.order
-    return ClassFunction(G, values)
-
-
-def trivial_character(G: GroupTable) -> ClassFunction:
-    return ClassFunction(G, np.ones(conjugacy_classes(G).class_count, dtype=complex))
 
 
 @dataclass
@@ -103,15 +52,11 @@ class CharacterTable:
     def class_count(self) -> int:
         return self.conj.class_count
 
-    def row(self, i: int) -> ClassFunction:
-        return ClassFunction(self.group, self.values[i])
-
-    def decompose(self, f: ClassFunction, what: str = "class function") -> np.ndarray:
-        """Multiplicities of each irreducible row in f, asserted integral."""
-        if f.group is not self.group:
-            raise GroupMismatch("class function lives on a different group")
+    def decompose(self, f: np.ndarray, what: str = "class function") -> np.ndarray:
+        """Multiplicities of each irreducible row in the class values f (one
+        per class, indexed like the table's columns), asserted integral."""
         w = self.conj.class_sizes / self.group.order
-        mults = (self.values.conj() * w) @ f.values
+        mults = (self.values.conj() * w) @ f
         rounded = np.round(mults.real).astype(np.int64)
         residual = float(np.abs(mults - rounded).max())
         if residual > INT_TOL:
@@ -119,14 +64,6 @@ class CharacterTable:
                 f"{what} has non-integral multiplicities (residual {residual:.3g})"
             )
         return rounded
-
-    def find_row(self, f: ClassFunction, tol: float = INT_TOL) -> int:
-        """Index of the unique row equal to f within tol."""
-        diffs = np.abs(self.values - f.values[None, :]).max(axis=1)
-        j = int(diffs.argmin())
-        if diffs[j] > tol:
-            raise NoMatchingRow(f"no table row within {tol} (best {diffs[j]:.3g})")
-        return j
 
 
 def _class_matrices(G: GroupTable, conj: ConjugacyData) -> tuple[np.ndarray, np.ndarray]:
@@ -371,150 +308,6 @@ def self_conjugate_census(table: CharacterTable, tau: GroupMap) -> SelfConjugate
             f"classes {class_route}"
         )
     return SelfConjugateCensus(count, squared_route, class_route)
-
-
-# ---------------------------------------------------------------------------
-# induction / restriction
-# ---------------------------------------------------------------------------
-
-def restricted_character(
-    f: ClassFunction, sub: GroupTable, embedding: np.ndarray
-) -> ClassFunction:
-    """Restriction along an embedding produced by subgroup_table."""
-    conj_g = conjugacy_classes(f.group)
-    conj_k = conjugacy_classes(sub)
-    reps_in_g = embedding[conj_k.representatives]
-    return ClassFunction(sub, f.values[conj_g.class_of[reps_in_g]])
-
-
-def induced_character(
-    table: CharacterTable, sub: GroupTable, embedding: np.ndarray, f: ClassFunction
-) -> ClassFunction:
-    """Induce a class function of a subgroup up to G.
-
-    Ind f(r) = |C_G(r)| / |K| * sum of f over r^G n K (Isaacs 5.1-5.2), read
-    off one count of K's elements by (G-class, K-class); Frobenius
-    reciprocity against every table row is asserted before returning.
-    """
-    G = table.group
-    if f.group is not sub:
-        raise GroupMismatch("class function does not live on the subgroup")
-    conj_g = table.conj
-    conj_k = conjugacy_classes(sub)
-    k_g, k_k = conj_g.class_count, conj_k.class_count
-    fuse = np.bincount(
-        conj_g.class_of[embedding] * k_k + conj_k.class_of, minlength=k_g * k_k
-    ).reshape(k_g, k_k)
-    centralizers = conj_g.centralizer_order[conj_g.representatives]
-    values = centralizers * (fuse @ f.values) / len(embedding)
-    # <Ind f, chi> = <f, Res chi> for every row chi
-    lhs = table.values.conj() @ (conj_g.class_sizes * values) / G.order
-    restricted = table.values[:, conj_g.class_of[embedding[conj_k.representatives]]]
-    rhs = restricted.conj() @ (conj_k.class_sizes * f.values) / sub.order
-    bad = np.flatnonzero(np.abs(lhs - rhs) > 1e-8)
-    if bad.size:
-        i = bad[0]
-        raise CrossCheckFailed(
-            f"Frobenius reciprocity fails on row {i}: {lhs[i]} vs {rhs[i]}"
-        )
-    return ClassFunction(G, values)
-
-
-# ---------------------------------------------------------------------------
-# index-two extension bookkeeping
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ExtensionCase:
-    sigma_row: int
-    case: int                     # 1: induces irreducibly, 2: splits in two
-    extension_rows: tuple[int, ...]
-    conjugate_partner_row: int | None = None    # case 1: the row of sigma^h
-
-
-@dataclass
-class ExtensionReport:
-    base: GroupTable
-    extension: GroupTable
-    cases: list[ExtensionCase] = field(default_factory=list)
-
-
-def clifford_theory_check(
-    N: GroupTable, tau: GroupMap, seed: int | None = None
-) -> ExtensionReport:
-    """Induce every irreducible of N to the order-2 extension built from tau
-    and verify that exactly one of the two index-two branching patterns holds.
-
-    Case 1: the induced character is irreducible, restricts to sigma plus its
-    h-conjugate, and those are inequivalent.  Case 2: induction splits as
-    theta plus theta tensor the order-two sign character, both restricting
-    back to sigma.
-    """
-    G = construct_semidirect_with_involution(N, tau)
-    table_n = compute_character_table(N, seed)
-    table_g = compute_character_table(G, seed)
-    n = N.order
-    h = G.meta["h"]
-    conj_g = table_g.conj
-    conj_n = table_n.conj
-    embedding = np.arange(n, dtype=np.int64)
-    sign_values = np.where(conj_g.representatives < n, 1.0, -1.0).astype(complex)
-    sign = ClassFunction(G, sign_values)
-    report = ExtensionReport(N, G)
-    for i in range(table_n.class_count):
-        sigma = table_n.row(i)
-        induced = induced_character(table_g, N, embedding, sigma)
-        norm = inner_product(induced, induced)
-        if abs(norm - round(norm.real)) > INT_TOL:
-            raise CaseClassificationFailed(f"norm of induced row {i} not integral")
-        norm = int(round(norm.real))
-        # sigma^h(x) = sigma(h^-1 x h), computed inside the extension
-        hx = G.mul(G.mul(h, conj_n.representatives), h)
-        sigma_h = ClassFunction(N, sigma.values[conj_n.class_of[hx]])
-        res_ind = restricted_character(induced, N, embedding)
-        if norm == 1:
-            j = table_g.find_row(induced)
-            twisted = table_g.row(j).pointwise(sign)
-            if table_g.find_row(twisted) != j:
-                raise CaseClassificationFailed(
-                    f"irreducible induction of row {i} is moved by the sign twist"
-                )
-            expected = ClassFunction(N, sigma.values + sigma_h.values)
-            if np.abs(res_ind.values - expected.values).max() > INT_TOL:
-                raise CaseClassificationFailed(
-                    f"restriction of induced row {i} is not sigma + sigma^h"
-                )
-            if np.abs(sigma.values - sigma_h.values).max() < INT_TOL:
-                raise CaseClassificationFailed(
-                    f"row {i}: induced irreducibly but sigma^h = sigma"
-                )
-            partner = table_n.find_row(sigma_h)
-            report.cases.append(ExtensionCase(i, 1, (j,), partner))
-        elif norm == 2:
-            mults = table_g.decompose(induced, f"induced row {i}")
-            rows = np.flatnonzero(mults)
-            if len(rows) != 2 or set(mults[rows]) != {1}:
-                raise CaseClassificationFailed(
-                    f"induced row {i} does not split into two distinct rows"
-                )
-            t1, t2 = (int(r) for r in rows)
-            twisted = table_g.row(t1).pointwise(sign)
-            if table_g.find_row(twisted) != t2:
-                raise CaseClassificationFailed(
-                    f"rows {t1}, {t2} are not a sign-twist pair"
-                )
-            for r in (t1, t2):
-                res = restricted_character(table_g.row(r), N, embedding)
-                if np.abs(res.values - sigma.values).max() > INT_TOL:
-                    raise CaseClassificationFailed(
-                        f"row {r} of the extension does not restrict to row {i}"
-                    )
-            report.cases.append(ExtensionCase(i, 2, (t1, t2)))
-        else:
-            raise CaseClassificationFailed(
-                f"induced row {i} has norm {norm}, expected 1 or 2"
-            )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, characters, conjugacy, criteria, gelfand, groups, morphisms
-from .errors import MathCheckError, SpecError, TauMackeyError
+from .errors import InconsistentImages, MathCheckError, SpecError, TauMackeyError
 
 ENV_SEED = "TAUMACKEY_SEED"
 DEFAULT_SEED = characters.DEFAULT_SEED
@@ -100,6 +100,8 @@ def build_group(spec, cap: int = groups.ORDER_CAP) -> groups.GroupTable:
         degree = spec.get("degree")
         if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
             raise SpecError("generator specs need a positive integer 'degree'")
+        if degree > groups.DEGREE_CAP:
+            raise SpecError(f"'degree' {degree} exceeds the cap {groups.DEGREE_CAP}")
         perms = [groups.parse_cycles(s, degree) for s in gens]
         return groups.enumerate_from_generators(
             perms, groups.perm_compose, tuple(range(degree)), groups.perm_label,
@@ -141,7 +143,10 @@ def build_tau(G: groups.GroupTable, spec) -> morphisms.GroupMap:
         images = spec["generator_images"]
         if not isinstance(images, dict):
             raise SpecError(f"'generator_images' must be an object, got {images!r}")
-        pairs = {G.element_id(k): G.element_id(v) for k, v in images.items()}
+        resolved = [(G.element_id(k), G.element_id(v)) for k, v in images.items()]
+        pairs = dict(resolved)
+        if len(pairs) != len(resolved):
+            raise InconsistentImages("two keys of 'generator_images' name one element")
         return morphisms.tau_from_generator_images(G, pairs)
     raise SpecError(f"bad tau spec: {spec!r}")
 
@@ -191,18 +196,14 @@ def _fraction(f: Fraction) -> str:
 
 
 def _verdict_payload(v: criteria.SRVerdict) -> dict:
-    cosets: dict | bool
-    if v.mackey_cosets is None:
-        cosets = {"skipped": v.skipped.get("mackey_cosets", "pair budget exceeded")}
-    else:
-        cosets = v.mackey_cosets
     payload = {
         "definition": {
             "multiplicity_free": v.definition_mf,
             "all_rows_self_conjugate": v.definition_selfconj,
             "holds": v.definition,
         },
-        "mackey_cosets": cosets,
+        "mackey_cosets": (v.mackey_cosets if v.mackey_cosets is not None
+                          else {"skipped": v.cosets_skipped}),
         "mackey_wigner": {
             "holds": v.mackey_wigner,
             "sum_twisted_cubes": _exact(v.sums[0]),
@@ -266,17 +267,14 @@ def _cmd_power_sums(job, seed, budgets):
     tau = build_tau(G, job.get("tau"))
     n = _integer(job.get("n", 2), "'n'")
     rep = conjugacy.power_sum_report(G, tau, n, budgets.pairs)
-    verified: dict | bool
-    if rep.verified_against_orbits is None:
-        verified = {"skipped": rep.skipped_reason or "orbit scan skipped"}
-    else:
-        verified = rep.verified_against_orbits
     return {
         "n": n,
         "sum_centralizer_pow": _exact(rep.sum_centralizer_pow),
         "sum_twisted_pow": _exact(rep.sum_twisted_square_pow),
         "equal": rep.equal,
-        "verified_against_orbits": verified,
+        "verified_against_orbits": (rep.verified_against_orbits
+                                    if rep.verified_against_orbits is not None
+                                    else {"skipped": rep.skipped_reason}),
     }, 0
 
 

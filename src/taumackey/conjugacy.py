@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import orbit_labels, orbit_representatives
-from .errors import BudgetExceeded, CrossCheckFailed, InvalidMap, NotCommuting, NotInteger
+from .errors import BudgetExceeded, CrossCheckFailed, InvalidMap
 from .groups import GroupTable
 from .morphisms import GroupMap
 
@@ -77,71 +77,6 @@ def count_twisted_squares(G: GroupTable, tau: GroupMap) -> np.ndarray:
     if not np.array_equal(counts, counts[conj.representatives][conj.class_of]):
         raise CrossCheckFailed("twisted square counts are not constant on classes")
     return counts
-
-
-@dataclass
-class TwistedOrbitCount:
-    fixed_orbit_count: int
-    averaged_count: int
-    orbit_count: int
-    per_element_matches_sum: int
-
-
-def twisted_orbit_count(
-    G: GroupTable, n_points: int, gen_images: dict[int, np.ndarray], alpha
-) -> TwistedOrbitCount:
-    """Count orbits globally fixed by alpha, two independent ways.
-
-    The action is given by generator images on 0..n_points-1; alpha must
-    commute with it.  Route one averages |{x: g.x = alpha(x)}| over the
-    group; route two enumerates orbits directly; they are asserted equal.
-    Images that are not permutations, or that satisfy no action of G,
-    raise InvalidMap.
-    """
-    points = np.arange(n_points)
-
-    def permutation(what, m):
-        m = np.asarray(m, dtype=np.int64)
-        if m.shape != (n_points,) or not np.array_equal(np.sort(m), points):
-            raise InvalidMap(f"{what} is not a permutation of 0..{n_points - 1}")
-        return m
-
-    alpha = permutation("alpha", alpha)
-    gens = list(G.generators)
-    for s in gens:
-        if s not in gen_images:
-            raise InvalidMap(f"no action image for generator {G.label(s)}")
-    moves = np.stack([permutation(f"the image of {G.label(s)}", gen_images[s])
-                      for s in gens])
-    for s, m in zip(gens, moves):
-        if not np.array_equal(alpha[m], m[alpha]):
-            raise NotCommuting(f"alpha does not commute with the image of {G.label(s)}")
-
-    # route one: the permutation of every group element along its Cayley
-    # word, then the average of the match counts.  The words follow one
-    # search tree, so perm(g*s) = perm(g) after the image of s is checked
-    # for every g and s: that proves the images define an action.
-    perms = G.along_words(points, moves, lambda perm, m: perm[m])
-    ids = np.arange(G.order)
-    for s, m in zip(gens, moves):
-        if not np.array_equal(perms[G.mul(ids, s)], perms[:, m]):
-            raise InvalidMap(f"the images do not define an action: {G.label(s)} fails")
-    match_sum = int((perms == alpha[None, :]).sum())
-    if match_sum % G.order != 0:
-        raise NotInteger(
-            f"match average {match_sum}/{G.order} is not an integer"
-        )
-    averaged = match_sum // G.order
-
-    # route two: direct orbit enumeration plus the alpha-invariance test
-    labels = orbit_labels(moves)
-    reps = orbit_representatives(labels)
-    fixed = int(np.sum(labels[alpha[reps]] == reps))
-    if fixed != averaged:
-        raise CrossCheckFailed(
-            f"averaged fixed-orbit count {averaged} != enumerated count {fixed}"
-        )
-    return TwistedOrbitCount(fixed, averaged, len(reps), match_sum)
 
 
 @dataclass

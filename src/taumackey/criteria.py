@@ -12,12 +12,7 @@ from .characters import (
     tau_row_permutation,
     tensor_row,
 )
-from .conjugacy import (
-    PAIR_BUDGET,
-    power_sum_report,
-    power_sums,
-    simultaneous_conjugation_scan,
-)
+from .conjugacy import PAIR_BUDGET, power_sums, simultaneous_conjugation_scan
 from .errors import BudgetExceeded, CrossCheckFailed
 from .groups import GroupTable
 from .morphisms import GroupMap
@@ -37,7 +32,7 @@ class SRVerdict:
     mackey_wigner: bool
     sums: tuple[int, int]                 # exact (twisted^3 sum, centralizer^2 sum)
     witnesses: dict = field(default_factory=dict)
-    skipped: dict = field(default_factory=dict)
+    cosets_skipped: str | None = None     # why the pair scan was skipped
 
     @property
     def definition(self) -> bool:
@@ -53,12 +48,6 @@ class SRVerdict:
     @property
     def agree(self) -> bool:
         return len(set(self.verdicts)) == 1
-
-    @property
-    def simply_reducible(self) -> bool:
-        if not self.agree:
-            raise CrossCheckFailed(f"criteria disagree: {self}")
-        return self.verdicts[0]
 
     @property
     def partially_verified(self) -> bool:
@@ -118,46 +107,8 @@ def simply_reducible_verdict(
     G = table.group
     mf, selfconj, witnesses = check_definition(table, tau)
     wigner, sums = check_mackey_wigner(G, tau)
-    skipped = {}
     try:
-        cosets = check_mackey_cosets(G, tau, pair_budget)
+        cosets, skipped = check_mackey_cosets(G, tau, pair_budget), None
     except BudgetExceeded as exc:
-        cosets = None
-        skipped["mackey_cosets"] = str(exc)
+        cosets, skipped = None, str(exc)
     return SRVerdict(mf, selfconj, cosets, wigner, sums, witnesses, skipped)
-
-
-@dataclass
-class AbelianCharacterization:
-    equality_at_3: bool
-    is_abelian_and_tau_identity: bool
-
-    @property
-    def biconditional_holds(self) -> bool:
-        return self.equality_at_3 == self.is_abelian_and_tau_identity
-
-
-def abelian_characterization(G: GroupTable, tau: GroupMap) -> AbelianCharacterization:
-    """Power-sum equality at exponent 3 holds iff the group is abelian and
-    tau is the identity; both sides are computed independently and the
-    biconditional is asserted."""
-    rep = power_sum_report(G, tau, 3)
-    rhs = G.is_abelian() and tau.is_identity()
-    out = AbelianCharacterization(rep.equal, rhs)
-    if not out.biconditional_holds:
-        raise CrossCheckFailed(
-            f"abelian characterization violated: equality {rep.equal}, "
-            f"abelian & identity {rhs}"
-        )
-    return out
-
-
-def downward_equality_chain(G: GroupTable, tau: GroupMap, n0: int) -> list[bool]:
-    """Equality flags for n = 1..n0; equality at some n forces it below."""
-    flags = [power_sum_report(G, tau, n).equal for n in range(1, n0 + 1)]
-    for lo in range(len(flags) - 1):
-        if flags[lo + 1] and not flags[lo]:
-            raise CrossCheckFailed(
-                f"equality at n={lo + 2} without equality at n={lo + 1}"
-            )
-    return flags

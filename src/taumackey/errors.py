@@ -90,17 +90,9 @@ class NotAutomorphism(InvalidMap):
     pass
 
 
-class NotCommuting(SpecError):
-    pass
-
-
 # --- cross-check failures (bug signals) -----------------------------------
 
 class CrossCheckFailed(MathCheckError):
-    pass
-
-
-class NotInteger(MathCheckError):
     pass
 
 
@@ -121,8 +113,4 @@ class ValueOutOfRange(MathCheckError):
 
 
 class NoMatchingRow(MathCheckError):
-    pass
-
-
-class CaseClassificationFailed(MathCheckError):
     pass

@@ -13,9 +13,7 @@ from .characters import (
     CLASS_CAP,
     INT_TOL,
     CharacterTable,
-    ClassFunction,
     compute_character_table,
-    inner_product,
     tau_row_permutation,
     twisted_fs_indicators,
 )
@@ -23,6 +21,7 @@ from .conjugacy import PAIR_BUDGET, conjugacy_classes
 from .errors import (
     BudgetExceeded,
     CrossCheckFailed,
+    GroupMismatch,
     NotAutomorphism,
     NotGelfand,
 )
@@ -43,7 +42,7 @@ class CosetSpace:
     reps: np.ndarray           # minimal element id per point
     point_of: np.ndarray       # element id -> its coset's point
     k_orbit_labels: np.ndarray  # minimal point per K-orbit
-    permutation_character: ClassFunction  # fixed points per class
+    permutation_character: np.ndarray  # fixed points per class, complex
 
     def rows(self, g) -> np.ndarray:
         """The points g.x of every point x, with one row per id of an id array."""
@@ -71,8 +70,8 @@ def build_coset_space(G: GroupTable, subgroup_ids) -> CosetSpace:
     fixed, remainder = np.divmod(conj.centralizer_order[conj.representatives] * meets, len(K))
     if remainder.any():
         raise CrossCheckFailed("fixed-point counts are not integers")
-    perm = ClassFunction(G, fixed.astype(complex))
-    k_orbits.flags.writeable = perm.values.flags.writeable = False
+    perm = fixed.astype(complex)
+    k_orbits.flags.writeable = perm.flags.writeable = False
     return CosetSpace(G, K, gens, len(reps), reps, point_of, k_orbits, perm)
 
 
@@ -176,15 +175,6 @@ class GelfandCriteria:
     cond_constituents_positive: bool   # (d)
     analysis: OrbitAnalysis
 
-    @property
-    def conditions(self) -> tuple[bool, bool, bool, bool]:
-        return (
-            self.cond_skew_dim_zero,
-            self.cond_orbits_symmetric,
-            self.cond_cosets_invariant,
-            self.cond_constituents_positive,
-        )
-
 
 def gelfand_criteria_report(
     space: CosetSpace, tau: GroupMap, table: CharacterTable, pair_budget: int = PAIR_BUDGET
@@ -193,21 +183,22 @@ def gelfand_criteria_report(
     permutation representation is equivalent to the plain one, their
     equivalence is asserted.  Facts are still reported when it is not.
     ``table`` is the character table of the space's group."""
+    G = space.group
+    if table.group is not G:
+        raise GroupMismatch("the table and the coset space belong to different groups")
     perm = space.permutation_character
     mults = table.decompose(perm, "permutation character")
     gelfand = bool((mults <= 1).all())
     constituents = np.flatnonzero(mults)
     rank = len(orbit_representatives(space.k_orbit_labels))
-    norm = inner_product(perm, perm)
+    norm = complex(np.sum(table.conj.class_sizes * perm * perm.conj()) / G.order)
     if abs(norm - round(norm.real)) > INT_TOL or round(norm.real) != int((mults**2).sum()):
         raise CrossCheckFailed("permutation character norm disagrees with multiplicities")
     if int(round(norm.real)) != rank:
         raise CrossCheckFailed(
             f"character norm {norm} disagrees with the orbit rank {rank}"
         )
-    hypothesis = bool(
-        np.abs(perm.compose_tau(tau).values - perm.values).max() < INT_TOL
-    )
+    hypothesis = bool(np.abs(perm[table.conj.tau_class_image(tau)] - perm).max() < INT_TOL)
     analysis = orbit_analysis(space, tau, pair_budget)
     cond_a = analysis.hom_skew_dim == 0
     cond_b = analysis.m_antisymmetric == 0

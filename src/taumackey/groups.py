@@ -28,9 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 ORDER_CAP = 20000
 DENSE_CAP = 4096
-# sampled associativity for groups without a dense table
-ASSOC_TRIPLES = 20_000
-ASSOC_SEED = 0
+# largest degree of a permutation group given by generators: closure memory
+# grows with the degree before the order cap can refuse
+DEGREE_CAP = 1000
 
 
 class GroupTable:
@@ -160,9 +160,6 @@ class GroupTable:
             return self.table[a, b].astype(np.int64)
         return self._walk(a, self.inverse[b])
 
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
-
     def right_mul_map(self, s: int) -> np.ndarray:
         """The permutation x -> x*s of all element ids."""
         return self.mul(np.arange(self.order), s)
@@ -229,9 +226,6 @@ class GroupTable:
                 np.array_equal(self.mul(gens, ids), self.mul(ids, gens))
             )
         return self._caches[key]
-
-    def __repr__(self):
-        return f"GroupTable({self.family_tag}, order={self.order})"
 
 
 # ---------------------------------------------------------------------------
@@ -681,64 +675,3 @@ def check_subgroup(G: GroupTable, ids: np.ndarray) -> tuple[np.ndarray, np.ndarr
             spanned[found] = True
             found = G.mul(found[:, None], gens).ravel()
     return ids, gens
-
-
-def subgroup_table(G: GroupTable, ids: np.ndarray) -> tuple[GroupTable, np.ndarray]:
-    """Reindex a subgroup as its own GroupTable; returns (table, embedding).
-    Its generators are those of check_subgroup, renumbered."""
-    ids, gens = check_subgroup(G, ids)
-    pos = -np.ones(G.order, dtype=np.int64)
-    pos[ids] = np.arange(len(ids))
-    sub = GroupTable(
-        len(ids),
-        lambda a: G.label(ids[a]),
-        pos[gens].tolist(),
-        f"subgroup({G.family_tag})",
-        pos[G.mul(ids[None, :], gens[:, None])],  # row i: x -> x*gens[i]
-    )
-    return sub, ids
-
-
-# ---------------------------------------------------------------------------
-# axiom verification
-# ---------------------------------------------------------------------------
-
-def verify_group_axioms(G: GroupTable) -> dict:
-    """Check associativity, identity, inverses, and generator closure.
-
-    With a dense table, associativity is exact by Light's test: (x*s)*y =
-    x*(s*y) for every generator s and all x, y (Clifford & Preston, The
-    Algebraic Theory of Semigroups, vol. 1).  The elements a with
-    (x*a)*y = x*(a*y) for all x, y are closed under products, so once the
-    generators reach every element the law holds for all triples.  Without
-    a table, the same test would walk |S|*n^2 Cayley words (about 50M for
-    S7), so ASSOC_TRIPLES seeded random triples are checked instead.
-    Raises NonGroup on any violation; returns a report of what was checked.
-    """
-    n = G.order
-    idx = np.arange(n, dtype=np.int64)
-    if G.table is not None:
-        t = G.table
-        if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
-            raise NonGroup("identity axiom failed")
-        if not (t[idx, G.inverse[idx]] == 0).all():
-            raise NonGroup("inverse axiom failed")
-        for s in G.generators:
-            if not np.array_equal(t[t[:, s]], t[:, t[s]]):
-                raise NonGroup(f"associativity failed at generator {G.label(s)}")
-        exhaustive = True
-        checked = len(G.generators) * n * n
-    else:
-        rng = np.random.default_rng(ASSOC_SEED)
-        exhaustive = False
-        checked = ASSOC_TRIPLES
-        a, b, c = rng.integers(0, n, size=(checked, 3)).T
-        if not np.array_equal(G.mul(G.mul(a, b), c), G.mul(a, G.mul(b, c))):
-            raise NonGroup("associativity failed on a sampled triple")
-        if not (np.array_equal(G.mul(idx, 0), idx) and np.array_equal(G.mul(0, idx), idx)
-                and (G.mul(idx, G.inverse) == 0).all()):
-            raise NonGroup("identity/inverse axiom failed")
-    reached = len(subgroup_closure(G, G.generators))
-    if reached != n:
-        raise NonGroup(f"generators reach {reached} of {n} elements")
-    return {"order": n, "associativity_exhaustive": exhaustive, "triples": checked}

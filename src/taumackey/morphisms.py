@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ClosureCapExceeded,
     HomomorphismViolation,
     InconsistentImages,
     InvalidMap,
@@ -16,7 +15,7 @@ from .errors import (
     NotInvolutory,
     WrongKind,
 )
-from .groups import ORDER_CAP, GroupTable, direct_product
+from .groups import GroupTable
 
 
 @dataclass(frozen=True)
@@ -27,12 +26,6 @@ class GroupMap:
     images: np.ndarray
     kind: str  # "automorphism" | "anti-automorphism"
     involutory: bool
-
-    def __call__(self, a: int) -> int:
-        return int(self.images[a])
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.images, np.arange(self.group.order)))
 
 
 def _check_hom(G: GroupTable, images: np.ndarray, kind: str) -> tuple[int, int] | None:
@@ -119,59 +112,27 @@ def tau_clifford(G: GroupTable) -> GroupMap:
     return validate(G, images, "anti-automorphism")
 
 
-def extend_to_power(tau: GroupMap, n: int) -> GroupMap:
-    """Componentwise extension of tau to the direct power G^n."""
-    if n < 1:
-        raise InvalidMap("power must be >= 1")
-    if tau.group.order ** n > ORDER_CAP:
-        raise ClosureCapExceeded(f"|G|^{n} exceeds the order cap {ORDER_CAP}")
-    if n == 1:
-        return tau
-    power = tau.group
-    images = tau.images
-    for _ in range(n - 1):
-        power = direct_product(power, tau.group)
-        m = tau.group.order
-        images = (images[:, None] * m + tau.images[None, :]).reshape(-1)
-    return GroupMap(power, images, tau.kind, tau.involutory)
-
-
 def tau_from_generator_images(
     G: GroupTable, pairs: dict[int, int], require_involutory: bool = False
 ) -> GroupMap:
     """Extend generator images along the Cayley search tree by the reversal
     rule tau(p*m) = tau(m)*tau(p), with tau(s^-1) = tau(s)^-1, then
-    validate globally."""
+    validate globally.  Every given pair, the generators' first, must agree
+    with the extension."""
     for s in G.generators:
         if s not in pairs:
             raise InconsistentImages(f"no image given for generator {G.label(s)}")
     rows = G.mul(np.array([pairs[s] for s in G.generators], dtype=np.int64)[:, None],
                  np.arange(G.order))  # y -> tau(s)*y
     images = G.along_words(np.int64(0), rows, lambda t, row: row[t])
-    for s in G.generators:
-        if images[s] != pairs[s]:
+    for a in dict.fromkeys([*G.generators, *pairs]):
+        if images[a] != pairs[a]:
+            what = "generator" if a in G.generators else "element"
             raise InconsistentImages(
-                f"generator {G.label(s)} is given image {G.label(pairs[s])}, "
-                f"but its Cayley word gives {G.label(int(images[s]))}"
+                f"{what} {G.label(a)} is given image {G.label(pairs[a])}, "
+                f"but its Cayley word gives {G.label(int(images[a]))}"
             )
     m = validate(G, images, "anti-automorphism")
     if require_involutory and not m.involutory:
         raise NotInvolutory("extended map is a valid but non-involutory map")
     return m
-
-
-def compose_maps(outer: GroupMap, inner: GroupMap) -> GroupMap:
-    """outer after inner, revalidated (two anti-automorphisms compose to an
-    automorphism and vice versa)."""
-    if outer.group is not inner.group:
-        raise InvalidMap("maps live on different groups")
-    kind = (
-        "automorphism"
-        if outer.kind == inner.kind
-        else "anti-automorphism"
-    )
-    return validate(outer.group, outer.images[inner.images], kind)
-
-
-def commute(m1: GroupMap, m2: GroupMap) -> bool:
-    return bool(np.array_equal(m1.images[m2.images], m2.images[m1.images]))

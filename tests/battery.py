@@ -72,3 +72,10 @@ def available_taus(G: groups.GroupTable, max_inner: int = 3):
             seen.add(key)
             out.append((f"inner:{G.label(g0)}", m))
     return out
+
+
+def symmetry_conditions(rep) -> tuple[bool, bool, bool, bool]:
+    """The four equivalent symmetry conditions (a)-(d) of a Gelfand criteria
+    report."""
+    return (rep.cond_skew_dim_zero, rep.cond_orbits_symmetric,
+            rep.cond_cosets_invariant, rep.cond_constituents_positive)

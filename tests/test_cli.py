@@ -259,29 +259,38 @@ def test_batch_runs_past_a_non_member_inner_twist(capsys):
     assert capsys.readouterr().err == "error: no element matching '(1 2)'\n"
 
 
-# generator images that no anti-automorphism has: conflicting images, and a
-# non-identity image for a generator that is the identity
+# generator images that no anti-automorphism has: conflicting images, a
+# non-identity image for a generator that is the identity, a wrong image for
+# an element that is not a generator, and two keys naming one element
 BAD_IMAGE_JOBS = [
     {"command": "fs", "group": S3,
      "tau": {"generator_images": {"(1 2)": "(1 2 3)", "(1 2 3)": "(1 2 3)"}}},
     {"command": "fs", "group": {"generators": ["e", "(1 2)", "(1 2 3)"], "degree": 3},
      "tau": {"generator_images": {"e": "(1 2)", "(1 2)": "(1 2)", "(1 2 3)": "(1 3 2)"}}},
+    {"command": "fs", "group": S3,
+     "tau": {"generator_images": {"(1 2)": "(1 2)", "(1 2 3)": "(1 3 2)", "(1 3)": "(1 2 3)"}}},
+    {"command": "fs", "group": S3,
+     "tau": {"generator_images": {"(1 2)": "(1 3)", "(2 1)": "(1 2)", "(1 2 3)": "(1 3 2)"}}},
 ]
 
 
 def test_batch_runs_past_bad_generator_images():
     good = {"command": "fs", "group": S3,
             "tau": {"generator_images": {"(1 2)": "(1 2)", "(1 2 3)": "(1 3 2)"}}}
-    aggregate, code, _ = cli.run_batch({"jobs": [BAD_IMAGE_JOBS[0], good, BAD_IMAGE_JOBS[1]]}, 3)
+    jobs = [BAD_IMAGE_JOBS[0], good, *BAD_IMAGE_JOBS[1:]]
+    aggregate, code, _ = cli.run_batch({"jobs": jobs}, 3)
     assert code == 1
     assert [r["payload"].get("error") for r in aggregate["jobs"]] == [
         "images are not a permutation of element ids", None,
-        "generator e is given image (1 2), but its Cayley word gives e"]
+        "generator e is given image (1 2), but its Cayley word gives e",
+        "element (1 3) is given image (1 2 3), but its Cayley word gives (1 3)",
+        "two keys of 'generator_images' name one element"]
     assert aggregate["jobs"][1] == cli.run_job(good, 3)[0]
     assert aggregate["jobs"][1]["payload"]["twisted_indicators"] == [1, 1, 1]
 
 
-@pytest.mark.parametrize("job", BAD_IMAGE_JOBS, ids=["conflicting", "identity-generator"])
+@pytest.mark.parametrize("job", BAD_IMAGE_JOBS,
+                         ids=["conflicting", "identity-generator", "non-generator", "repeated-key"])
 def test_bad_generator_images_exit_1_with_one_line(job, capsys):
     args = ["fs", "--group", json.dumps(job["group"]), "--tau", json.dumps(job["tau"])]
     assert cli.main(args) == 1
@@ -455,6 +464,23 @@ def test_booleans_are_not_degrees_or_element_ids(job, error):
     out = cli._run_isolated(job, 1, cli.Budgets())
     assert out["exit_code"] == 1
     assert out["report"]["payload"] == {"error": error}
+
+
+def test_generator_degree_over_the_cap_is_refused_before_any_tuple(monkeypatch, capsys):
+    job = {"command": "char-table", "group": {"generators": ["(1 2)"],
+                                              "degree": groups.DEGREE_CAP + 1}}
+    assert cli.build_group({**job["group"], "degree": groups.DEGREE_CAP}).order == 2
+
+    def no_tuple(*args):
+        raise AssertionError("a permutation was built")
+
+    monkeypatch.setattr(groups, "parse_cycles", no_tuple)
+    out = cli._run_isolated(job, 1, cli.Budgets())
+    assert out["exit_code"] == 1
+    assert out["report"]["payload"] == {"error": f"'degree' {groups.DEGREE_CAP + 1} "
+                                                 f"exceeds the cap {groups.DEGREE_CAP}"}
+    assert cli.main(["char-table", "--group", '{"generators": ["(1 2)"], "degree": 3000000}']) == 1
+    assert capsys.readouterr().err == "error: 'degree' 3000000 exceeds the cap 1000\n"
 
 
 def test_gelfand_refuses_on_the_class_cap_before_coset_work(monkeypatch, capsys):

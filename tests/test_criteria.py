@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taumackey import characters, cli, conjugacy, criteria, groups, morphisms
-from taumackey.errors import CrossCheckFailed, NonIntegralMultiplicity
+from taumackey.errors import NonIntegralMultiplicity
 
 from battery import available_taus, battery_names, get_group
 
@@ -23,7 +23,7 @@ def verdict(name, tau_name="inverse"):
 @pytest.mark.parametrize("name", ["S3", "S4", "Q8"])
 def test_known_simply_reducible(name):
     v = verdict(name)
-    assert v.agree and v.simply_reducible
+    assert v.agree and v.definition
     assert v.mackey_cosets is True
     assert v.sums[0] == v.sums[1]
 
@@ -31,13 +31,13 @@ def test_known_simply_reducible(name):
 def test_z3_fails_self_conjugacy_only():
     v = verdict("Z3")
     assert v.definition_mf and not v.definition_selfconj
-    assert not v.simply_reducible
+    assert v.agree and not v.definition
     assert v.witnesses["self_conjugate"]["row"] >= 1
 
 
 def test_icosahedral_style_negative():
     v = verdict("A5xZ2")
-    assert not v.simply_reducible
+    assert v.agree and not v.definition
     assert v.witnesses["tensor"]["multiplicity"] >= 2
     assert v.sums[0] < v.sums[1]
 
@@ -52,13 +52,13 @@ def test_a5_strict_inequality():
 def test_clifford_battery_verdicts(n):
     g = groups.clifford(n)
     v = criteria.simply_reducible_verdict(table_of(g), morphisms.tau_clifford(g))
-    assert v.agree and v.simply_reducible
+    assert v.agree and v.definition
 
 
 def test_clifford3_needs_the_twisted_map():
     g = groups.clifford(3)
     v = criteria.simply_reducible_verdict(table_of(g), morphisms.tau_inverse(g))
-    assert v.agree and not v.simply_reducible
+    assert v.agree and not v.definition
 
 
 def test_mackey_cosets_examples():
@@ -75,14 +75,15 @@ def test_budget_skip_leaves_partial_verdict():
     )
     assert v.mackey_cosets is None
     assert v.partially_verified
-    assert v.agree and v.simply_reducible  # the two remaining routes agree
+    assert v.cosets_skipped == "|G|^2 = 576 exceeds the pair budget 10"
+    assert v.agree and v.definition  # the two remaining routes agree
 
 
 def test_disagreement_is_loud():
     v = criteria.SRVerdict(True, True, False, True, (1, 1))
     assert not v.agree
-    with pytest.raises(CrossCheckFailed):
-        _ = v.simply_reducible
+    payload = cli._verdict_payload(v)
+    assert payload["agree"] is False and "simply_reducible" not in payload
 
 
 @pytest.mark.parametrize("name", battery_names())
@@ -144,22 +145,20 @@ def test_square_sum_check_battery(name):
 
 def test_abelian_characterization_examples():
     z5 = get_group("Z5")
-    r = criteria.abelian_characterization(z5, morphisms.tau_identity(z5))
-    assert r.equality_at_3 and r.is_abelian_and_tau_identity
-    r = criteria.abelian_characterization(z5, morphisms.tau_inverse(z5))
-    assert not r.equality_at_3 and not r.is_abelian_and_tau_identity
+    assert conjugacy.power_sum_report(z5, morphisms.tau_identity(z5), 3).equal
+    assert not conjugacy.power_sum_report(z5, morphisms.tau_inverse(z5), 3).equal
     s3 = get_group("S3")
     for _, tau in available_taus(s3):
-        r = criteria.abelian_characterization(s3, tau)
-        assert not r.equality_at_3 and not r.is_abelian_and_tau_identity
+        assert not conjugacy.power_sum_report(s3, tau, 3).equal
 
 
 @pytest.mark.parametrize("name", battery_names())
 def test_downward_equality_chain(name):
+    """Equality of the power sums at n forces equality below n."""
     g = get_group(name)
     for _, tau in available_taus(g):
-        flags = criteria.downward_equality_chain(g, tau, 3)
-        assert len(flags) == 3
+        flags = [conjugacy.power_sum_report(g, tau, n).equal for n in (1, 2, 3)]
+        assert flags == sorted(flags, reverse=True)
 
 
 def _tensor_cube_oracle(table):

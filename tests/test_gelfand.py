@@ -8,9 +8,16 @@ import pytest
 from taumackey import characters, cli, conjugacy, gelfand, groups, morphisms
 from taumackey._kernels import orbit_labels
 from taumackey.conjugacy import conjugacy_classes
-from taumackey.errors import BudgetExceeded, CrossCheckFailed, NotAutomorphism, NotGelfand
+from taumackey.errors import (
+    BudgetExceeded,
+    CrossCheckFailed,
+    GroupMismatch,
+    NotAutomorphism,
+    NotGelfand,
+)
 
-from battery import BATTERY_BUILDERS, battery_names, get_group
+from battery import BATTERY_BUILDERS, battery_names, get_group, symmetry_conditions
+from oracles import induced_character, subgroup_table
 
 
 def coset_oracle(G, K):
@@ -84,7 +91,7 @@ def test_permutation_character_values():
     perm = sp.permutation_character
     # fixed points by class: identity 4, transpositions 2, 3-cycles 1,
     # double transpositions 0, 4-cycles 0
-    assert sorted(int(v.real) for v in perm.values) == [0, 0, 1, 2, 4]
+    assert sorted(int(v.real) for v in perm) == [0, 0, 1, 2, 4]
 
 
 def test_orbit_analysis_s3_two_symmetric():
@@ -216,9 +223,16 @@ def test_symmetric_pair_s4_s3():
     sp = space_in("S4", ["(1 2)", "(1 2 3)"])
     rep = criteria_report(sp, morphisms.tau_inverse(sp.group))
     assert rep.gelfand and rep.hypothesis_holds and rep.weak_symmetry
-    assert all(rep.conditions)
+    assert all(symmetry_conditions(rep))
     assert rep.subgroup_tau_invariant
     assert rep.rank == 2
+
+
+def test_gelfand_report_refuses_a_table_of_another_group():
+    sp = space_in("S3", ["(1 2)"])
+    table = characters.compute_character_table(get_group("S4"))
+    with pytest.raises(GroupMismatch):
+        gelfand.gelfand_criteria_report(sp, morphisms.tau_inverse(sp.group), table)
 
 
 def test_weakly_symmetric_pair_s4_wr_z2():
@@ -232,13 +246,13 @@ def test_weakly_symmetric_pair_s4_wr_z2():
     rep = criteria_report(sp, morphisms.tau_inverse(G), seed=1)
     assert (G.order, sp.size) == (1152, 2)
     assert rep.weak_symmetry and rep.rank == 2
-    assert all(rep.conditions)
+    assert all(symmetry_conditions(rep))
 
 
 def test_symmetric_pair_s5_s4():
     sp = space_in("S5", ["(1 2)", "(1 2 3 4)"])
     rep = criteria_report(sp, morphisms.tau_inverse(sp.group))
-    assert rep.gelfand and all(rep.conditions) and rep.weak_symmetry
+    assert rep.gelfand and all(symmetry_conditions(rep)) and rep.weak_symmetry
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -248,7 +262,7 @@ def test_abelian_regular_gelfand_but_not_symmetric(n):
     rep = criteria_report(sp, morphisms.tau_inverse(g))
     assert rep.gelfand
     assert rep.hypothesis_holds
-    assert not any(rep.conditions)
+    assert not any(symmetry_conditions(rep))
     assert not rep.weak_symmetry
 
 
@@ -375,10 +389,10 @@ def test_coset_space_data_is_computed_once_per_space(monkeypatch):
                             (gens, sp.size)]
     assert sp.k_orbit_labels is labels
     assert sp.permutation_character is perm
-    assert not labels.flags.writeable and not perm.values.flags.writeable
+    assert not labels.flags.writeable and not perm.flags.writeable
     _, _, action = coset_oracle(G, K)
     assert np.array_equal(labels, orbit_labels(action[K]))
-    assert np.array_equal(perm.values, oracle_fixed_points(G, action))
+    assert np.array_equal(perm, oracle_fixed_points(G, action))
 
 
 def counting(monkeypatch, calls, name, *modules):
@@ -476,8 +490,7 @@ def test_coset_space_matches_the_loop_over_g(name, dense_cap, monkeypatch):
         assert np.array_equal(space.point_of, point_of)
         assert np.array_equal(space.rows(np.arange(G.order)), action)
         assert np.array_equal(space.k_orbit_labels, orbit_labels(action[K]))
-        assert np.array_equal(space.permutation_character.values,
-                              oracle_fixed_points(G, action))
+        assert np.array_equal(space.permutation_character, oracle_fixed_points(G, action))
         assert np.array_equal(groups.subgroup_closure(G, space.generators), K)
 
 
@@ -509,7 +522,7 @@ def induced_oracle(table, sub, embedding, f):
     conjugates x^-1 * r * x of every x, by a loop over the classes."""
     G = table.group
     f_elem = np.zeros(G.order, dtype=complex)
-    f_elem[embedding] = f.values[conjugacy_classes(sub).class_of]
+    f_elem[embedding] = f[conjugacy_classes(sub).class_of]
     ids = np.arange(G.order)
     return np.array([f_elem[G.mul(G.mul(G.inverse, rep), ids)].sum() / len(embedding)
                      for rep in table.conj.representatives])
@@ -528,15 +541,14 @@ def test_spherical_and_induction_match_the_product_sweeps(name, dense_cap, monke
     gelfand_pairs = 0
     for K in oracle_subgroups(G):
         space = gelfand.build_coset_space(G, K)
-        sub, emb = groups.subgroup_table(G, K)
+        sub, emb = subgroup_table(G, K)
         rows = characters.compute_character_table(sub)
-        for f in map(rows.row, range(rows.class_count)):
-            induced = characters.induced_character(table, sub, emb, f)
-            assert np.abs(induced.values - induced_oracle(table, sub, emb, f)).max() < 1e-9
+        for f in rows.values:
+            induced = induced_character(table, sub, emb, f)
+            assert np.abs(induced - induced_oracle(table, sub, emb, f)).max() < 1e-9
         # the permutation character is the induced trivial character
-        trivial = characters.induced_character(
-            table, sub, emb, characters.trivial_character(sub))
-        assert np.abs(trivial.values - space.permutation_character.values).max() < 1e-9
+        trivial = induced_character(table, sub, emb, np.ones(rows.class_count))
+        assert np.abs(trivial - space.permutation_character).max() < 1e-9
         mults = table.decompose(space.permutation_character)
         if (mults > 1).any():
             with pytest.raises(NotGelfand):
@@ -564,8 +576,9 @@ def test_spherical_functions_and_induction_form_no_products(name, monkeypatch):
         space = gelfand.build_coset_space(G, K)
         mults = table.decompose(space.permutation_character)
         if space.size > 1 and (mults <= 1).all():
-            sub, emb = groups.subgroup_table(G, K)
-            pairs.append((space, mults, sub, emb, characters.trivial_character(sub)))
+            sub, emb = subgroup_table(G, K)
+            trivial = np.ones(conjugacy_classes(sub).class_count)
+            pairs.append((space, mults, sub, emb, trivial))
     assert pairs
     counted = []
     mul = groups.GroupTable.mul
@@ -577,7 +590,7 @@ def test_spherical_functions_and_induction_form_no_products(name, monkeypatch):
     monkeypatch.setattr(groups.GroupTable, "mul", counting_mul)
     for space, mults, sub, emb, trivial in pairs:
         gelfand.spherical_functions(space, table, mults)
-        characters.induced_character(table, sub, emb, trivial)
+        induced_character(table, sub, emb, trivial)
     assert counted == []
 
 

