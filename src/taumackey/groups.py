@@ -3,10 +3,11 @@
 Elements of a constructed group are dense integer ids ``0..order-1`` with
 id 0 always the identity.  Every group is built the same way, from the
 right-multiplication columns x -> x*s of its generators s, and multiplies
-through one primitive, ``GroupTable.mul``.  A breadth-first search over the
-generators and their inverses gives each element a Cayley word; groups of
-order <= DENSE_CAP cache the full order x order table, filled row by row
-along those words, and larger groups walk the words on demand.
+one way, by ``GroupTable.mul``.  A breadth-first search over the generators,
+their inverses and the shortcut moves by their 2^j-th powers (each column
+squared from the last) gives each element a shallow Cayley word, and a
+product walks one word, one gather per letter: 7 letters at most on Z20000
+and D10000, 6 on D1000, 18 on S7.  No multiplication table is kept.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .morphisms import GroupMap
 
 ORDER_CAP = 20000
-DENSE_CAP = 4096
 # largest degree of a permutation group given by generators: closure memory
 # grows with the degree before the order cap can refuse
 DEGREE_CAP = 1000
@@ -49,8 +49,8 @@ class GroupTable:
     ):
         """``columns[i]`` is the permutation x -> x*generators[i] of all ids.
 
-        The multiplication table is filled when order <= DENSE_CAP, read at
-        call time.
+        These columns are all that is kept of the law: the Cayley search
+        tree is built from them, and every product walks its words.
         """
         self.order = order
         self._label_of = label_of
@@ -63,21 +63,17 @@ class GroupTable:
         self._caches: dict = {}
         columns = np.asarray(columns, dtype=np.int64).reshape(len(generators), order)
         self._cayley_words(columns)
-        self.table = None
         self.inverse = self._walk(0, np.arange(order)).astype(np.int32)
-        if order <= DENSE_CAP:
-            # (p*m)*y = p*(m*y): the row of p*m is the row of p read at the row of m
-            ids = np.arange(order)
-            rows = self.mul(np.array(generators, dtype=np.int64)[:, None], ids)
-            self.table = self.along_words(ids.astype(np.int32), rows, lambda r, m: r[m])
 
     def _cayley_words(self, columns: np.ndarray):
         """Breadth-first search from the identity over the moves x -> x*m,
-        m a generator or a generator's inverse.
+        m a generator, a generator's inverse, or a shortcut m^(2^j) of one
+        of those with 2^j < order.
 
         Each element other than the identity gets a parent and the move
         that reaches it from there, so its Cayley word is read off by
-        walking up to the root.
+        walking up to the root.  The shortcuts make the words shallow: a
+        power of a generator is a few squares, not one letter per factor.
         """
         n = self.order
         moves: list[int] = []
@@ -93,6 +89,17 @@ class GroupTable:
             if back[0] != 0 and back[0] not in moves:
                 moves.append(int(back[0]))
                 cols.append(back)
+        # shortcut m^(2^j) squares the column of m^(2^(j-1)), its half; a
+        # chain stops at the identity or at an element that is a move already.
+        # Shortcuts follow the other moves; half[i] is the i-th one's half.
+        half: list[int] = []
+        for at in range(len(moves)):
+            power = 2
+            while power < n and (col := cols[at][cols[at]])[0] != 0 and col[0] not in moves:
+                moves.append(int(col[0]))
+                cols.append(col)
+                half.append(at)
+                at, power = len(moves) - 1, 2 * power
         cols = np.array(cols, dtype=np.int64).reshape(len(moves), n)
         parent = np.full(n, -1, dtype=np.int64)
         parent[0] = 0
@@ -117,6 +124,7 @@ class GroupTable:
         self._undo = np.concatenate([undo.ravel(), np.arange(n)])
         self._undo_at = step * n
         self._moves = np.array(moves, dtype=np.int64)
+        self._half = half
         self._step = step
         self._parent = parent
         self._depth = depth
@@ -134,14 +142,17 @@ class GroupTable:
         """Evaluate data along every element's Cayley word, parents first.
 
         ``values[i]`` is a permutation attached to ``generators[i]``; a move
-        by a generator's inverse gets the inverse permutation.  Returns out
-        with out[0] = start and out[p*m] = step(out[p], value of m) for each
-        edge p -> p*m of the search tree.
+        by a generator's inverse gets the inverse permutation, and a
+        shortcut move the square v[v] of its half's value v.  Returns out with
+        out[0] = start and out[p*m] = step(out[p], value of m) for each edge
+        p -> p*m of the search tree.
         """
         gens = self.generators
         by_move = [values[gens.index(m)] if m in gens
                    else np.argsort(values[gens.index(int(self.inverse[m]))])
-                   for m in self._moves.tolist()]
+                   for m in self._moves[:len(self._moves) - len(self._half)].tolist()]
+        for h in self._half:
+            by_move.append(by_move[h][by_move[h]])
         start = np.asarray(start)
         out = np.empty((self.order, *start.shape), dtype=start.dtype)
         out[0] = start
@@ -154,10 +165,8 @@ class GroupTable:
     # -- arithmetic ---------------------------------------------------------
 
     def mul(self, a, b):
-        """a*b for ids or broadcastable id arrays, as int64: a gather from
-        the table, or else a walk of b^-1's Cayley word from a."""
-        if self.table is not None:
-            return self.table[a, b].astype(np.int64)
+        """a*b for ids or broadcastable id arrays, as int64: a walk of
+        b^-1's Cayley word from a, one gather per letter."""
         return self._walk(a, self.inverse[b])
 
     def right_mul_map(self, s: int) -> np.ndarray:
@@ -172,8 +181,7 @@ class GroupTable:
     def generator_conj_maps(self) -> np.ndarray:
         key = "generator_conj_maps"
         if key not in self._caches:
-            gens = self.generators or [0]
-            self._caches[key] = np.stack([self.conj_map(s) for s in gens])
+            self._caches[key] = self.conj_map(np.array(self.generators or [0])[:, None])
         return self._caches[key]
 
     # -- lookup ---------------------------------------------------------------
@@ -218,14 +226,8 @@ class GroupTable:
             raise InvalidMap(f"no element matching {what!r}") from None
 
     def is_abelian(self) -> bool:
-        key = "abelian"
-        if key not in self._caches:
-            gens = np.array(self.generators, dtype=np.int64)[:, None]
-            ids = np.arange(self.order)
-            self._caches[key] = bool(
-                np.array_equal(self.mul(gens, ids), self.mul(ids, gens))
-            )
-        return self._caches[key]
+        """Whether conjugation by every generator fixes every element."""
+        return bool((self.generator_conj_maps() == np.arange(self.order)).all())
 
 
 # ---------------------------------------------------------------------------

@@ -112,13 +112,11 @@ def tau_clifford(G: GroupTable) -> GroupMap:
     return validate(G, images, "anti-automorphism")
 
 
-def tau_from_generator_images(
-    G: GroupTable, pairs: dict[int, int], require_involutory: bool = False
-) -> GroupMap:
+def tau_from_generator_images(G: GroupTable, pairs: dict[int, int]) -> GroupMap:
     """Extend generator images along the Cayley search tree by the reversal
     rule tau(p*m) = tau(m)*tau(p), with tau(s^-1) = tau(s)^-1, then
     validate globally.  Every given pair, the generators' first, must agree
-    with the extension."""
+    with the extension, and the extension must be involutory."""
     for s in G.generators:
         if s not in pairs:
             raise InconsistentImages(f"no image given for generator {G.label(s)}")
@@ -133,6 +131,6 @@ def tau_from_generator_images(
                 f"but its Cayley word gives {G.label(int(images[a]))}"
             )
     m = validate(G, images, "anti-automorphism")
-    if require_involutory and not m.involutory:
-        raise NotInvolutory("extended map is a valid but non-involutory map")
+    if not m.involutory:
+        raise NotInvolutory("the generator images extend to a non-involutory anti-automorphism")
     return m

@@ -6,6 +6,8 @@ import numpy as np
 
 from taumackey import groups, morphisms
 
+from oracles import mul_table
+
 BATTERY_BUILDERS = {
     "Z3": lambda: groups.cyclic(3),
     "Z4": lambda: groups.cyclic(4),
@@ -44,7 +46,7 @@ def battery_names() -> list[str]:
 
 
 def _center(G: groups.GroupTable) -> np.ndarray:
-    t = G.table.astype(np.int64)
+    t = mul_table(G)
     return np.flatnonzero((t == t.T).all(axis=1))
 
 

@@ -25,7 +25,9 @@ from taumackey.groups import (
 )
 from taumackey.morphisms import GroupMap
 
-# sampled associativity for groups without a dense table
+# Light's test reads the whole product table up to this order; above it,
+# associativity is sampled
+LIGHT_CAP = 1024
 ASSOC_TRIPLES = 20_000
 ASSOC_SEED = 0
 
@@ -34,22 +36,39 @@ ASSOC_SEED = 0
 # groups
 # ---------------------------------------------------------------------------
 
+def mul_table(G: GroupTable) -> np.ndarray:
+    """The order x order table of G.mul, for tests that read products by
+    row and column."""
+    ids = np.arange(G.order)
+    return G.mul(ids[:, None], ids)
+
+
+def retraced(G: GroupTable) -> GroupTable:
+    """G over another Cayley search tree: the same ids, law and labels, but
+    generated by the inverses of its generators in reverse order, so the
+    search tries its moves in another order and may pick other words."""
+    gens = [int(G.inverse[s]) for s in reversed(G.generators)]
+    columns = G.mul(np.arange(G.order)[None, :], np.array(gens, dtype=np.int64)[:, None])
+    return GroupTable(G.order, G.label, gens, G.family_tag, columns, elements=G.elements,
+                      element_index=G._element_index, meta=G.meta)
+
+
 def verify_group_axioms(G: GroupTable) -> dict:
     """Check associativity, identity, inverses, and generator closure.
 
-    With a dense table, associativity is exact by Light's test: (x*s)*y =
-    x*(s*y) for every generator s and all x, y (Clifford & Preston, The
-    Algebraic Theory of Semigroups, vol. 1).  The elements a with
-    (x*a)*y = x*(a*y) for all x, y are closed under products, so once the
-    generators reach every element the law holds for all triples.  Without
-    a table, the same test would walk |S|*n^2 Cayley words (about 50M for
-    S7), so ASSOC_TRIPLES seeded random triples are checked instead.
-    Raises NonGroup on any violation; returns a report of what was checked.
+    Up to LIGHT_CAP, associativity is exact by Light's test on the table of
+    G.mul: (x*s)*y = x*(s*y) for every generator s and all x, y (Clifford &
+    Preston, The Algebraic Theory of Semigroups, vol. 1).  The elements a
+    with (x*a)*y = x*(a*y) for all x, y are closed under products, so once
+    the generators reach every element the law holds for all triples.
+    Above it, the test would form |S|*n^2 products (about 50M for S7), so
+    ASSOC_TRIPLES seeded random triples are checked instead.  Raises
+    NonGroup on any violation; returns a report of what was checked.
     """
     n = G.order
     idx = np.arange(n, dtype=np.int64)
-    if G.table is not None:
-        t = G.table
+    if n <= LIGHT_CAP:
+        t = mul_table(G)
         if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
             raise NonGroup("identity axiom failed")
         if not (t[idx, G.inverse[idx]] == 0).all():

@@ -20,7 +20,8 @@ from taumackey import (
 )
 
 from battery import CENSUS_BATTERY, available_taus, battery_names, get_group, symmetry_conditions
-from oracles import clifford_theory_check, induced_character, subgroup_table, twisted_orbit_count
+from oracles import (clifford_theory_check, induced_character, mul_table, subgroup_table,
+                     twisted_orbit_count)
 
 
 # -- 1: known simply reducible groups, three-way agreement, under a second ----
@@ -196,7 +197,7 @@ def test_criterion_10_twisted_burnside_fifty_actions():
         rng = np.random.default_rng(seed)
         g = get_group(picks[int(rng.integers(0, len(picks)))])
         n = g.order
-        t = g.table.astype(np.int64)
+        t = mul_table(g)
         a, b = (int(x) for x in rng.integers(0, n, size=2))
         gi = {s: np.concatenate([t[s, :], t[s, :] + n]) for s in g.generators}
         alpha = np.concatenate([t[:, a] + n, t[:, b]])

@@ -17,7 +17,9 @@ from oracles import (
     clifford_theory_check,
     find_row,
     induced_character,
+    mul_table,
     restricted_character,
+    retraced,
     subgroup_table,
 )
 
@@ -324,7 +326,7 @@ def test_row_order_matches_tuple_key(name):
 def _trace_indicator(table, tau, values):
     """Raw trace-formula indicator of an arbitrary class function."""
     g = table.group
-    t = g.table.astype(np.int64)
+    t = mul_table(g)
     ids = np.arange(g.order)
     targets = t[g.inverse[tau.images], ids]
     counts = np.bincount(table.conj.class_of[targets], minlength=table.class_count)
@@ -424,26 +426,24 @@ def test_class_matrices_match_double_loop(name):
     assert np.array_equal(_dense(G, conj), _class_matrices_oracle(G, conj))
 
 
-_NO_TABLE_BUILDERS = {
+_RETRACED_BUILDERS = {
     **{name: BATTERY_BUILDERS[name] for name in ("S4", "A5xZ2", "Q8", "CL3")},
     "S6": lambda: groups.symmetric(6),
 }
 
 
-@pytest.mark.parametrize("name", list(_NO_TABLE_BUILDERS))
-def test_class_matrices_without_table_match_double_loop(name, monkeypatch):
-    monkeypatch.setattr(groups, "DENSE_CAP", 1)  # read when a group is built
-    G = _NO_TABLE_BUILDERS[name]()
-    assert G.table is None
+@pytest.mark.parametrize("name", list(_RETRACED_BUILDERS))
+def test_class_matrices_without_table_match_double_loop(name):
+    """The same constants over another search tree, and on S6."""
+    G = retraced(_RETRACED_BUILDERS[name]())
     conj = conjugacy.conjugacy_classes(G)
     assert np.array_equal(_dense(G, conj), _class_matrices_oracle(G, conj))
 
 
 @pytest.mark.parametrize("name", ["S4", "A5xZ2"])
 def test_class_matrices_form_at_most_k_times_order_products(name, monkeypatch):
-    """Without a table every product is a word walk; the class constants take
-    one per (element, class), not one per pair of elements."""
-    monkeypatch.setattr(groups, "DENSE_CAP", 1)
+    """Every product is a word walk; the class constants take one per
+    (element, class), not one per pair of elements."""
     G = BATTERY_BUILDERS[name]()
     conj = conjugacy.conjugacy_classes(G)
     mul = groups.GroupTable.mul

@@ -370,23 +370,11 @@ def test_power_sums_exponent_budget(capsys):
     assert len(report["payload"]["sum_twisted_pow"]["value"]) == conjugacy.SUM_DIGITS
 
 
-def test_acceptance_manifest_reports_identical_without_table(monkeypatch):
-    manifest = json.loads((cli.Path(__file__).parent.parent / "manifests" /
-                           "acceptance.json").read_text())
-    dense, code, _ = cli.run_batch(manifest, cli.DEFAULT_SEED)
-    monkeypatch.setattr(groups, "DENSE_CAP", 1)  # every group walks its words
-    lazy, lazy_code, _ = cli.run_batch(manifest, cli.DEFAULT_SEED)
-    assert code == lazy_code == 0
-    assert cli.render_report(lazy) == cli.render_report(dense)
-
-
 @pytest.fixture(scope="module")
 def s7():
-    """S7 (order 5040, over the dense cap), built once: its conjugacy classes
-    and character table are cached on it across the jobs below."""
-    g = groups.symmetric(7)
-    assert g.table is None
-    return g
+    """S7 (order 5040), built once: its conjugacy classes and character
+    table are cached on it across the jobs below."""
+    return groups.symmetric(7)
 
 
 @pytest.mark.parametrize("command", ["char-table", "fs", "simply-reducible"])
@@ -483,6 +471,42 @@ def test_generator_degree_over_the_cap_is_refused_before_any_tuple(monkeypatch, 
     assert capsys.readouterr().err == "error: 'degree' 3000000 exceeds the cap 1000\n"
 
 
+# generator images of S7 that extend to an anti-automorphism whose square is
+# not the identity
+NON_INVOLUTORY_TAU = {"generator_images": {"(1 2)": "(2 3)",
+                                           "(1 2 3 4 5 6 7)": "(2 7 6 5 4 1 3)"}}
+NOT_INVOLUTORY = "the generator images extend to a non-involutory anti-automorphism"
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    """The calls of compute_character_table made during a test."""
+    calls = []
+    table = characters.compute_character_table
+    monkeypatch.setattr(characters, "compute_character_table",
+                        lambda *a: calls.append(a) or table(*a))
+    return calls
+
+
+def test_non_involutory_generator_images_are_refused_when_built(table_calls, capsys):
+    args = ["fs", "--group", json.dumps({"family": "symmetric", "n": 7}),
+            "--tau", json.dumps(NON_INVOLUTORY_TAU)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr() == ("", f"error: {NOT_INVOLUTORY}\n")
+    assert table_calls == []
+
+
+def test_batch_refuses_non_involutory_generator_images_and_runs_the_others(table_calls):
+    s7 = {"family": "symmetric", "n": 7}
+    bad = {"command": "simply-reducible", "group": s7, "tau": NON_INVOLUTORY_TAU}
+    good = {"command": "power-sums", "group": {"family": "cyclic", "n": 5}, "n": 2}
+    aggregate, code, _ = cli.run_batch({"jobs": [bad, good]}, 3)
+    assert code == 1
+    assert aggregate["jobs"][0]["payload"] == {"error": NOT_INVOLUTORY}
+    assert aggregate["jobs"][1] == cli.run_job(good, 3)[0]
+    assert table_calls == []
+
+
 def test_gelfand_refuses_on_the_class_cap_before_coset_work(monkeypatch, capsys):
     def no_coset_space(*args):
         raise AssertionError("build_coset_space ran before the class cap")
@@ -500,20 +524,16 @@ def test_gelfand_refuses_on_the_class_cap_before_coset_work(monkeypatch, capsys)
     ({"family": "symmetric", "n": 7}, 5040**2),
     ({"family": "dihedral", "n": 2048}, 4096**2),   # before the class cap
 ], ids=["S7", "D2048"])
-def test_gelfand_refuses_on_the_pair_budget_before_the_table(group, pairs, monkeypatch,
+def test_gelfand_refuses_on_the_pair_budget_before_the_table(group, pairs, table_calls,
                                                             capsys):
     """|X| = |G| / |K| is known once K is built: a trivial K is refused
     before any character table or coset space."""
-    calls = []
-    table = characters.compute_character_table
-    monkeypatch.setattr(characters, "compute_character_table",
-                        lambda *a: calls.append(a) or table(*a))
     args = ["gelfand", "--group", json.dumps(group),
             "--subgroup", json.dumps({"generators": []}), "--tau", "inverse"]
     assert cli.main(args) == 1
     assert capsys.readouterr() == (
         "", f"error: |X|^2 = {pairs} exceeds the pair budget 4000000\n")
-    assert calls == []
+    assert table_calls == []
 
 
 def test_gelfand_job_computes_the_twisted_indicators_once(monkeypatch):
@@ -585,14 +605,10 @@ def test_a_job_may_carry_its_seed_and_leave_tau_and_n_to_defaults():
     assert code == 0 and report["payload"]["n"] == 2
 
 
-def test_run_job_computes_with_the_jobs_own_seed(monkeypatch):
-    seeds = []
-    table = characters.compute_character_table
-    monkeypatch.setattr(characters, "compute_character_table",
-                        lambda G, seed, cap: seeds.append(seed) or table(G, seed, cap))
+def test_run_job_computes_with_the_jobs_own_seed(table_calls):
     job = {"command": "char-table", "group": {"family": "cyclic", "n": 3}}
     report, code = cli.run_job({**job, "seed": 4}, 1)
-    assert code == 0 and report["seed"] == 4 and seeds == [4]
+    assert code == 0 and report["seed"] == 4 and [a[1] for a in table_calls] == [4]
     assert report["payload"] == cli.run_job(job, 4)[0]["payload"]
     for bad, error in [(-4, "'seed' must be a non-negative integer, got -4"),
                        ("4", "'seed' must be an integer, got '4'"),

@@ -5,7 +5,7 @@ from taumackey import conjugacy, groups, morphisms
 from taumackey.errors import BudgetExceeded, InvalidMap
 
 from battery import available_taus, battery_names, get_group
-from oracles import twisted_orbit_count
+from oracles import mul_table, twisted_orbit_count
 
 
 def test_s3_classes():
@@ -88,7 +88,7 @@ def test_twisted_orbit_count_swap_example():
 def test_twisted_orbit_count_identity_is_burnside():
     s3 = get_group("S3")
     # regular action of S3 on itself; alpha = identity counts plain orbits
-    gi = {s: s3.table[s, :].astype(np.int64) for s in s3.generators}
+    gi = _regular_images(s3)
     out = twisted_orbit_count(s3, 6, gi, np.arange(6))
     assert out.fixed_orbit_count == out.orbit_count == 1
 
@@ -97,10 +97,7 @@ def test_twisted_orbit_count_no_fixed_orbit():
     # two copies of the regular action, alpha swaps the copies: no orbit fixed
     s3 = get_group("S3")
     n = s3.order
-    gi = {}
-    for s in s3.generators:
-        col = s3.table[s, :].astype(np.int64)
-        gi[s] = np.concatenate([col, col + n])
+    gi = {s: np.concatenate([col, col + n]) for s, col in _regular_images(s3).items()}
     alpha = np.concatenate([np.arange(n) + n, np.arange(n)])
     out = twisted_orbit_count(s3, 2 * n, gi, alpha)
     assert out.orbit_count == 2
@@ -112,8 +109,8 @@ def test_twisted_orbit_count_right_translation():
     # p(g) then counts solutions of x^-1 g x = a
     s3 = get_group("S3")
     a = s3.element_id("(1 2 3)")
-    gi = {s: s3.table[s, :].astype(np.int64) for s in s3.generators}
-    alpha = s3.table[:, a].astype(np.int64)
+    gi = _regular_images(s3)
+    alpha = s3.right_mul_map(a)
     out = twisted_orbit_count(s3, 6, gi, alpha)
     assert out.orbit_count == 1
     assert out.fixed_orbit_count == 1
@@ -121,14 +118,14 @@ def test_twisted_orbit_count_right_translation():
 
 def test_twisted_orbit_count_rejects_noncommuting():
     s3 = get_group("S3")
-    gi = {s: s3.table[s, :].astype(np.int64) for s in s3.generators}
-    alpha = s3.table[s3.element_id("(1 2)"), :].astype(np.int64)  # left mult
+    gi = _regular_images(s3)
+    alpha = s3.mul(s3.element_id("(1 2)"), np.arange(6))  # left mult
     with pytest.raises(AssertionError, match="alpha does not commute"):
         twisted_orbit_count(s3, 6, gi, alpha)
 
 
 def _regular_images(G):
-    return {s: G.table[s, :].astype(np.int64) for s in G.generators}
+    return {s: G.mul(s, np.arange(G.order)) for s in G.generators}
 
 
 @pytest.mark.parametrize("bad", ["zeros", "short", "out-of-range", "alpha-zeros"])
@@ -193,7 +190,7 @@ def test_twisted_orbit_count_matches_bfs_oracle():
         rng = np.random.default_rng(seed)
         g = get_group(picks[int(rng.integers(0, len(picks)))])
         n = g.order
-        t = g.table.astype(np.int64)
+        t = mul_table(g)
         a, b = (int(x) for x in rng.integers(0, n, size=2))
         gi = {s: np.concatenate([t[s, :], t[s, :] + n]) for s in g.generators}
         alpha = np.concatenate([t[:, a] + n, t[:, b]])

@@ -17,7 +17,7 @@ from taumackey.errors import (
 )
 
 from battery import BATTERY_BUILDERS, battery_names, get_group, symmetry_conditions
-from oracles import induced_character, subgroup_table
+from oracles import induced_character, mul_table, retraced, subgroup_table
 
 
 def coset_oracle(G, K):
@@ -83,7 +83,7 @@ def test_trivial_subgroup_regular_action():
     s3 = get_group("S3")
     sp = gelfand.build_coset_space(s3, [0])
     assert sp.size == 6
-    assert np.array_equal(sp.rows(np.arange(6)), s3.table.astype(np.int64))
+    assert np.array_equal(sp.rows(np.arange(6)), mul_table(s3))
 
 
 def test_permutation_character_values():
@@ -133,7 +133,7 @@ def test_dimension_bookkeeping_matches_coset_count():
 
 def weak_symmetry_scan(space, tau):
     """Oracle: g in K tau(g) K for every g, scanning the |K| x |K| block."""
-    t = space.group.table.astype(np.int64)
+    t = mul_table(space.group)
     K = space.subgroup
     for g in range(space.group.order):
         left = t[K, int(tau.images[g])]
@@ -144,7 +144,7 @@ def weak_symmetry_scan(space, tau):
 
 def double_coset_scan(space, tau, s):
     """Oracle: tau(s) in tau(K) s K, scanning the |K| x |K| block."""
-    t = space.group.table.astype(np.int64)
+    t = mul_table(space.group)
     tau_k = np.unique(tau.images[space.subgroup])
     coset = t[np.ix_(t[tau_k, int(s)], space.subgroup)]
     return bool(np.isin(int(tau.images[s]), coset).any())
@@ -152,7 +152,7 @@ def double_coset_scan(space, tau, s):
 
 def involutory_twists(G):
     """Inversion and every distinct involutory inner twist."""
-    t = G.table.astype(np.int64)
+    t = mul_table(G)
     center = set(np.flatnonzero((t == t.T).all(axis=1)).tolist())
     out = {}
     for g0 in range(G.order):
@@ -473,15 +473,11 @@ def oracle_subgroups(G):
     return list({K.tobytes(): K for K in cases}.values())
 
 
-@pytest.mark.parametrize("dense_cap", [None, 1], ids=["table", "walks"])
+# "walks" runs the group retraced: the same ids over another search tree
+@pytest.mark.parametrize("retrace", [False, True], ids=["table", "walks"])
 @pytest.mark.parametrize("name", battery_names())
-def test_coset_space_matches_the_loop_over_g(name, dense_cap, monkeypatch):
-    if dense_cap is None:
-        G = get_group(name)
-    else:
-        monkeypatch.setattr(groups, "DENSE_CAP", dense_cap)  # read when a group is built
-        G = BATTERY_BUILDERS[name]()
-        assert G.table is None
+def test_coset_space_matches_the_loop_over_g(name, retrace):
+    G = retraced(get_group(name)) if retrace else get_group(name)
     for K in oracle_subgroups(G):
         space = gelfand.build_coset_space(G, K)
         reps, point_of, action = coset_oracle(G, K)
@@ -528,15 +524,10 @@ def induced_oracle(table, sub, embedding, f):
                      for rep in table.conj.representatives])
 
 
-@pytest.mark.parametrize("dense_cap", [None, 1], ids=["table", "walks"])
+@pytest.mark.parametrize("retrace", [False, True], ids=["table", "walks"])
 @pytest.mark.parametrize("name", battery_names())
-def test_spherical_and_induction_match_the_product_sweeps(name, dense_cap, monkeypatch):
-    if dense_cap is None:
-        G = get_group(name)
-    else:
-        monkeypatch.setattr(groups, "DENSE_CAP", dense_cap)  # read when a group is built
-        G = BATTERY_BUILDERS[name]()
-        assert G.table is None
+def test_spherical_and_induction_match_the_product_sweeps(name, retrace):
+    G = retraced(get_group(name)) if retrace else get_group(name)
     table = characters.compute_character_table(G)
     gelfand_pairs = 0
     for K in oracle_subgroups(G):
@@ -566,9 +557,8 @@ def test_spherical_and_induction_match_the_product_sweeps(name, dense_cap, monke
 
 @pytest.mark.parametrize("name", ["S4", "A5xZ2"])
 def test_spherical_functions_and_induction_form_no_products(name, monkeypatch):
-    """Both read the classes and cosets the space already labelled: without a
-    table, where every product is a word walk, they call mul zero times."""
-    monkeypatch.setattr(groups, "DENSE_CAP", 1)
+    """Both read the classes and cosets the space already labelled: where
+    every product is a word walk, they call mul zero times."""
     G = BATTERY_BUILDERS[name]()
     table = characters.compute_character_table(G)
     pairs = []

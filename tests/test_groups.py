@@ -16,7 +16,7 @@ from taumackey.errors import (
 )
 
 from battery import BATTERY_BUILDERS, battery_names, get_group
-from oracles import subgroup_table, verify_group_axioms
+from oracles import mul_table, subgroup_table, verify_group_axioms
 
 
 def test_closure_s3_from_transposition_and_cycle():
@@ -82,10 +82,10 @@ def test_light_test_rejects_nonassociative_loop():
     table = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
                       [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]], dtype=np.int32)
     loop = groups.GroupTable(5, "eabcd".__getitem__, [1, 2], "loop", table[:, [1, 2]].T)
-    # filled along Cayley words from the loop's columns: not a group either
+    # multiplied along Cayley words from the loop's columns: not a group either
     with pytest.raises(NonGroup):
         verify_group_axioms(loop)
-    loop.table = table  # the loop itself
+    loop.mul = lambda a, b: table[a, b].astype(np.int64)  # the loop itself
     with pytest.raises(NonGroup, match="associativity"):
         verify_group_axioms(loop)
 
@@ -132,7 +132,7 @@ def test_clifford1_abelian_of_order_four():
 @pytest.mark.parametrize("n", [2, 4])
 def test_clifford_center_two_elements_for_even_n(n):
     g = groups.clifford(n)
-    t = g.table.astype(np.int64)
+    t = mul_table(g)
     center = np.flatnonzero((t == t.T).all(axis=1))
     assert set(center) == {0, g.element_id("-1")}
 
@@ -339,27 +339,6 @@ def test_check_subgroup_trivial_subgroup_has_no_generators():
     assert sub.order == 1 and sub.generators == [] and emb.tolist() == [0]
 
 
-def test_lazy_path_agrees_with_dense(monkeypatch):
-    dense = groups.symmetric(4)
-    monkeypatch.setattr(groups, "DENSE_CAP", 1)  # read when a group is built
-    lazy = groups.enumerate_from_generators(
-        [(1, 0, 2, 3), (1, 2, 3, 0)],
-        groups.perm_compose,
-        (0, 1, 2, 3),
-        groups.perm_label,
-    )
-    assert lazy.table is None
-    assert lazy.order == dense.order == 24
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        a, b = (int(x) for x in rng.integers(0, 24, size=2))
-        assert lazy.mul(a, b) == lazy._element_index[
-            groups.perm_compose(lazy.elements[a], lazy.elements[b])
-        ]
-        assert lazy.mul(a, lazy.inverse[a]) == 0
-    verify_group_axioms(lazy)
-
-
 def test_identity_always_id_zero():
     for name in battery_names():
         g = get_group(name)
@@ -370,10 +349,12 @@ def test_identity_always_id_zero():
 # lazy labels and the one-pass closure, against the eager two-pass build
 # ---------------------------------------------------------------------------
 
-def _two_pass_closure(seeds, compose, label, dense_cap=groups.DENSE_CAP):
+def _two_pass_closure(seeds, compose, label):
     """The closure as first written: breadth-first discovery, then a second
     compose sweep for the right-multiplication columns, and every label
-    built eagerly.  Returns (elements, labels, generator ids, table, inverse)."""
+    built eagerly.  The table is filled column by column from those columns,
+    so it never calls GroupTable.mul.  Returns (elements, labels, generator
+    ids, table, inverse)."""
     index = {g: i for i, g in enumerate(seeds)}
     order = list(seeds)
     parent = [None] * len(seeds)
@@ -400,9 +381,6 @@ def _two_pass_closure(seeds, compose, label, dense_cap=groups.DENSE_CAP):
     element_index = {el: i for i, el in enumerate(elements)}
     labels = [label(el) for el in elements]
     gen_ids = [int(remap[index[g]]) for g in seeds]
-    if n > dense_cap:
-        inverse = _inverse_by_powers(elements, element_index, compose)
-        return elements, labels, gen_ids, None, inverse
     right_new = [remap[np.array(col)][old_of_new] for col in right_by]
     table = np.empty((n, n), dtype=np.int32)
     table[:, 0] = np.arange(n)
@@ -424,23 +402,6 @@ def _inverse_from_table(table):
     inverse = np.empty(n, dtype=np.int32)
     inverse[rows] = cols
     assert (table[inverse, np.arange(n)] == 0).all(), "one-sided inverses only"
-    return inverse
-
-
-def _inverse_by_powers(elements, element_index, compose):
-    """Each inverse as the last power before the identity."""
-    n = len(elements)
-    e = elements[0]
-    inverse = np.empty(n, dtype=np.int32)
-    for i, x in enumerate(elements):
-        prev, cur = x, compose(x, x)
-        steps = 1
-        while cur != e:
-            prev, cur = cur, compose(cur, x)
-            steps += 1
-            assert steps <= n, f"element {i} has no inverse in the closure"
-        inverse[i] = element_index[prev] if steps > 1 else (i if x == e else element_index[x])
-    inverse[0] = 0
     return inverse
 
 
@@ -502,9 +463,7 @@ def closure_case():
     def get(name):
         if name not in cases:
             G = CLOSURE_BUILDERS[name]()
-            seeds, compose, label = _closure_inputs(G)
-            dense_cap = groups.DENSE_CAP if G.table is not None else 0
-            cases[name] = G, _two_pass_closure(seeds, compose, label, dense_cap)
+            cases[name] = G, _two_pass_closure(*_closure_inputs(G))
         return cases[name]
 
     return get
@@ -525,14 +484,20 @@ def _other_cycle_notation(perm) -> str:
     return "".join(out)
 
 
+def _assert_multiplies_as(G, table):
+    """G.mul against a table that does not come from it, 512 rows at a time
+    (a whole S7 table of walks would take hundreds of megabytes)."""
+    ids = np.arange(G.order)
+    for rows in np.array_split(ids, -(-G.order // 512)):
+        assert np.array_equal(G.mul(rows[:, None], ids), table[rows])
+
+
 @pytest.mark.parametrize("name", list(CLOSURE_BUILDERS))
 def test_closure_matches_two_pass_build(name, closure_case):
     G, (elements, _, gen_ids, table, inverse) = closure_case(name)
     assert _denoted_elements(G) == elements
     assert G.generators == gen_ids
-    assert (G.table is None) == (table is None)
-    if table is not None:
-        assert np.array_equal(G.table, table)
+    _assert_multiplies_as(G, table)
     assert np.array_equal(G.inverse, inverse)
 
 
@@ -560,7 +525,7 @@ def test_closure_from_the_identity_matches_the_identity_search(case):
         seeds, groups.perm_compose, groups.perm_label)
     assert G.elements == elements
     assert G.generators == gen_ids
-    assert np.array_equal(G.table, table)  # its columns x -> x*s included
+    assert np.array_equal(mul_table(G), table)  # its columns x -> x*s included
     assert np.array_equal(G.inverse, inverse)
 
 
@@ -596,14 +561,7 @@ def test_cycle_strings_resolve_without_building_labels():
 
 def test_derived_groups_label_lazily():
     s3, z4 = groups.symmetric(3), groups.cyclic(4)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groups, "DENSE_CAP", 1)  # only lazy_s4 goes without a table
-        lazy_s4 = groups.enumerate_from_generators(
-            [(1, 0, 2, 3), (1, 2, 3, 0)], groups.perm_compose, (0, 1, 2, 3),
-            groups.perm_label,
-        )
-    assert lazy_s4.table is None
-    for a, b in [(s3, z4), (lazy_s4, groups.cyclic(3))]:
+    for a, b in [(s3, z4), (get_group("S4"), groups.cyclic(3))]:
         p = groups.direct_product(a, b)
         eager = [f"({la},{lb})" for la in a.labels for lb in b.labels]
         assert [p.label(x) for x in range(p.order)] == p.labels == eager
@@ -623,53 +581,66 @@ def test_parse_cycles_rejects_non_integer_points():
 
 
 # ---------------------------------------------------------------------------
-# one way to multiply: the Cayley-word walk against the dense table
+# one way to multiply: the Cayley-word walk against tables it did not build
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", battery_names())
-def test_battery_without_table_multiplies_as_dense(name, monkeypatch):
-    dense = get_group(name)
-    monkeypatch.setattr(groups, "DENSE_CAP", 1)  # read when a group is built
-    lazy = BATTERY_BUILDERS[name]()
-    assert lazy.table is None and dense.table is not None
-    assert lazy.generators == dense.generators and lazy.labels == dense.labels
-    ids = np.arange(dense.order)
-    assert np.array_equal(lazy.mul(ids[:, None], ids), dense.table)
-    assert all(lazy.mul(a, b) == dense.table[a, b] for a, b in [(0, 0), (1, 2), (2, 1)])
-    assert np.array_equal(lazy.inverse, dense.inverse)
-    for s in dense.generators:
-        assert np.array_equal(lazy.conj_map(s), dense.conj_map(s))
-        assert np.array_equal(lazy.right_mul_map(s), dense.table[:, s])
-    assert lazy.is_abelian() == dense.is_abelian()
-    verify_group_axioms(lazy)
+def test_battery_without_table_multiplies_as_dense(name, closure_case):
+    """Every product a battery group forms, against a dense table that does
+    not come from its mul: its two-pass closure, or for A5xZ2 the tables of
+    its factors, with (a, b) at id a*2 + b."""
+    G = get_group(name)
+    if name == "A5xZ2":
+        t5, t2 = closure_case("A5")[1][3], closure_case("Z2")[1][3]
+        t = (t5[:, None, :, None] * 2 + t2[None, :, None, :]).reshape(120, 120)
+    else:
+        t = closure_case(name)[1][3]
+    inverse = np.nonzero(t == 0)[1]
+    assert np.array_equal(mul_table(G), t) and np.array_equal(G.inverse, inverse)
+    assert all(G.mul(a, b) == t[a, b] for a, b in [(0, 0), (1, 2), (2, 1)])
+    for s in G.generators:
+        assert np.array_equal(G.conj_map(s), t[t[s], inverse[s]])
+        assert np.array_equal(G.right_mul_map(s), t[:, s])
+    assert G.is_abelian() == np.array_equal(t, t.T)
+    verify_group_axioms(G)
 
 
-@pytest.mark.parametrize("dense_cap", [1, 30])
-def test_semidirect_past_the_cap_multiplies_by_its_law(dense_cap, monkeypatch):
-    monkeypatch.setattr(groups, "DENSE_CAP", dense_cap)
-    s4 = groups.symmetric(4)
-    assert (s4.table is None) == (dense_cap == 1)
+def test_semidirect_multiplies_by_its_law(closure_case):
+    s4, (_, _, _, t, _) = closure_case("S4")
     tau = morphisms.tau_inner(s4, s4.element_id("(1 2)(3 4)"))
     g = groups.construct_semidirect_with_involution(s4, tau)
-    assert g.order == 48 and g.table is None
+    assert g.order == 48
     alpha = tau.images[s4.inverse]  # n -> tau(n^-1)
     assert not np.array_equal(alpha, np.arange(24))
-    rng = np.random.default_rng(6)
-    x, y = rng.integers(0, 48, size=(2, 500))
+    x, y = np.divmod(np.arange(48 * 48), 48)
     (e, a), (f, b) = np.divmod(x, 24), np.divmod(y, 24)
-    # (a, e)(b, f) = (a * alpha^e(b), e + f mod 2)
-    expected = (e + f) % 2 * 24 + s4.mul(a, np.where(e == 1, alpha[b], b))
+    # (a, e)(b, f) = (a * alpha^e(b), e + f mod 2), read off the table of S4
+    expected = (e + f) % 2 * 24 + t[a, np.where(e == 1, alpha[b], b)]
     assert np.array_equal(g.mul(x, y), expected)
     verify_group_axioms(g)
+
+
+def _search_moves(g):
+    """The moves of g's search, from g.mul: the generators and their
+    inverses, then each one squared again and again while 2^j < |G|, up to
+    the identity or an element that is a move already."""
+    moves = list(dict.fromkeys(m for m in [*g.generators, *g.inverse[g.generators].tolist()]
+                               if m != 0))
+    for m in list(moves):
+        power = 2
+        while power < g.order and (m := int(g.mul(m, m))) != 0 and m not in moves:
+            moves.append(m)
+            power *= 2
+    return np.array(moves, dtype=np.int64)
 
 
 @pytest.mark.parametrize("name", battery_names())
 def test_along_words_evaluates_parents_first(name):
     g = get_group(name)
-    rows = g.table[g.generators].astype(np.int64)  # y -> s*y
+    rows = g.mul(np.array(g.generators)[:, None], np.arange(g.order))  # y -> s*y
     # the word length of each element is its distance from the identity
-    # over the generators and their inverses
-    moves = np.concatenate([g.generators, g.inverse[g.generators]])
+    # over the moves of the search
+    moves = _search_moves(g)
     dist = np.full(g.order, -1)
     dist[0] = 0
     frontier = np.zeros(1, dtype=np.int64)
@@ -680,20 +651,32 @@ def test_along_words_evaluates_parents_first(name):
     assert np.array_equal(g.along_words(np.int64(0), rows, lambda d, _: d + 1), dist)
     # the left regular representation evaluated along the words is the table
     assert np.array_equal(g.along_words(np.arange(g.order), rows, lambda r, m: r[m]),
-                          g.table)
+                          mul_table(g))
+
+
+def test_cayley_words_are_shallow(affine_at_the_cap):
+    """A power of a generator is a few shortcut moves, not one letter per
+    factor: the longest word on D1000, Z20000 and D10000 has at most 16
+    letters, where a search over the generators and their inverses alone
+    gives 501, 10,000 and 10,000."""
+    for g in [groups.dihedral(1000), *affine_at_the_cap]:
+        rows = g.mul(np.array(g.generators)[:, None], np.arange(g.order))
+        assert g.along_words(np.int64(0), rows, lambda d, _: d + 1).max() <= 16
 
 
 def test_only_groups_reads_the_table():
-    """Every other module multiplies through GroupTable.mul and walks G only
-    through GroupTable.along_words: no module but groups.py reads the table
-    or the search tree, no breadth-first loop over G is left elsewhere, and
-    no module reads per-class member lists off a ConjugacyData."""
+    """No module keeps a multiplication table: DENSE_CAP and a `table`
+    attribute appear nowhere, groups.py included.  Every other module
+    multiplies through GroupTable.mul and walks G only through
+    GroupTable.along_words: no module but groups.py reads the search tree,
+    no breadth-first loop over G is left elsewhere, and no module reads
+    per-class member lists off a ConjugacyData."""
     import ast
     from pathlib import Path
 
     gone = {"require_dense", "_compose", "_inverse_by_powers", "clifford_inverse",
-            "_fill_table"}
-    internals = {"table", "_cayley_words", "_walk", "_undo", "_undo_at", "_moves",
+            "_fill_table", "DENSE_CAP", "require_involutory"}
+    internals = {"_cayley_words", "_walk", "_undo", "_undo_at", "_moves", "_half",
                  "_step", "_parent", "_depth"}
     # class members are read off class_of; the only `.classes` left is the
     # class budget of the CLI
@@ -703,6 +686,8 @@ def test_only_groups_reads_the_table():
             name = getattr(node, "attr", None) or getattr(node, "id", None) or \
                 getattr(node, "name", None)
             assert name not in gone, (path.name, name)
+            assert not (isinstance(node, ast.Attribute) and node.attr == "table"), \
+                (path.name, node.lineno)
             if isinstance(node, ast.Attribute) and node.attr == "classes":
                 assert ast.unparse(node.value) == "budgets", (path.name, node.lineno)
             if path.name != "groups.py":
@@ -718,17 +703,18 @@ def test_only_groups_reads_the_table():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", AFFINE_CASES)
-def test_affine_walks_without_table_match_the_tuple_closure(name, closure_case, monkeypatch):
-    G, (_, _, gen_ids, table, inverse) = closure_case(name)
-    monkeypatch.setattr(groups, "DENSE_CAP", 1)
-    lazy = _family_builder(name)()
-    assert (lazy.table is None) == (G.order > 1) and lazy.generators == gen_ids
-    assert np.array_equal(lazy.inverse, inverse)
+def test_affine_walks_without_table_match_the_tuple_closure(name, closure_case):
+    """The walk against the law of the n-point tuples each id denotes,
+    composed one pair at a time: every pair up to order 40, 2000 beyond."""
+    G, _ = closure_case(name)
+    perms = _denoted_elements(G)
+    index = {p: i for i, p in enumerate(perms)}
     if G.order <= 40:
         a, b = np.divmod(np.arange(G.order * G.order), G.order)
     else:
         a, b = np.random.default_rng(11).integers(0, G.order, size=(2, 2000))
-    assert np.array_equal(lazy.mul(a, b), table[a, b])
+    law = [index[groups.perm_compose(perms[i], perms[j])] for i, j in zip(a.tolist(), b.tolist())]
+    assert np.array_equal(G.mul(a, b), law)
 
 
 @pytest.mark.parametrize("family, n, cycles", [
@@ -761,7 +747,7 @@ def test_affine_families_build_at_the_order_cap(affine_at_the_cap):
     rng = np.random.default_rng(12)
     for g in affine_at_the_cap:
         n = g.meta["degree"]
-        assert g.order == groups.ORDER_CAP and g.table is None
+        assert g.order == groups.ORDER_CAP
         r = g.generators[0]
         assert g.mul(r, g.inverse[r]) == 0
         x, y = rng.integers(0, g.order, size=(2, 500))

@@ -12,7 +12,8 @@ from taumackey.errors import (
     WrongKind,
 )
 
-from battery import BATTERY_BUILDERS, available_taus, battery_names, get_group
+from battery import available_taus, battery_names, get_group
+from oracles import mul_table, retraced
 
 
 def test_identity_map_is_involutory_automorphism():
@@ -145,16 +146,19 @@ def test_generator_images_identity_on_abelian():
 def test_generator_images_non_involutory_extension():
     # (1 2) -> (1 3), (1 2 3) -> (1 3 2) extends to the valid anti-map
     # g -> c g^-1 c^-1 with c = (1 3 2), whose square is conjugation by a
-    # non-central element
+    # non-central element: refused when it is built
     s3 = get_group("S3")
     pairs = {
         s3.element_id("(1 2)"): s3.element_id("(1 3)"),
         s3.element_id("(1 2 3)"): s3.element_id("(1 3 2)"),
     }
-    m = morphisms.tau_from_generator_images(s3, pairs)
-    assert not m.involutory
-    with pytest.raises(NotInvolutory):
-        morphisms.tau_from_generator_images(s3, pairs, require_involutory=True)
+    c = s3.element_id("(1 3 2)")
+    m = morphisms.validate(s3, s3.mul(s3.mul(c, s3.inverse), s3.inverse[c]),
+                           "anti-automorphism")
+    assert not m.involutory and all(m.images[a] == b for a, b in pairs.items())
+    with pytest.raises(NotInvolutory, match="^the generator images extend to a "
+                                            "non-involutory anti-automorphism$"):
+        morphisms.tau_from_generator_images(s3, pairs)
 
 
 def test_generator_images_missing_generator():
@@ -241,21 +245,21 @@ def _involutory_inner_twists(G):
     return list(seen.values())
 
 
-@pytest.mark.parametrize("dense", [True, False], ids=["table", "no-table"])
+# "no-table" runs the group retraced: the same ids over another search tree
+@pytest.mark.parametrize("retrace", [False, True], ids=["table", "no-table"])
 @pytest.mark.parametrize("name", battery_names())
-def test_generator_images_match_bfs_oracle(name, dense, monkeypatch):
+def test_generator_images_match_bfs_oracle(name, retrace):
     """Every battery twist and involutory inner twist, given by its generator
-    images, extends to itself, as the breadth-first oracle extends it."""
+    images, extends to itself, as the breadth-first oracle extends it,
+    whichever search tree carries the extension."""
     g = get_group(name)
     taus = [tau.images for _, tau in available_taus(g)]
     taus += [tau.images for tau in _involutory_inner_twists(g)]
-    if not dense:
-        monkeypatch.setattr(groups, "DENSE_CAP", 1)  # same ids, no table
-        g = BATTERY_BUILDERS[name]()
-        assert g.table is None
+    if retrace:
+        g = retraced(g)
     for images in taus:
         pairs = {s: int(images[s]) for s in g.generators}
-        m = morphisms.tau_from_generator_images(g, pairs, require_involutory=True)
+        m = morphisms.tau_from_generator_images(g, pairs)
         assert np.array_equal(m.images, images)
         assert np.array_equal(_bfs_generator_images(g, pairs), images)
 
@@ -285,10 +289,7 @@ KINDS = ("automorphism", "anti-automorphism")
 
 def _oracle_violations(G, images, kind):
     """The full table comparison: True at (a, b) where the law fails."""
-    if G.table is not None:
-        t = G.table.astype(np.int64)
-    else:
-        t = np.array([[G.mul(a, b) for b in range(G.order)] for a in range(G.order)])
+    t = mul_table(G)
     lhs = images[t]
     m = t[np.ix_(images, images)]
     rhs = m if kind == "automorphism" else m.T
@@ -318,13 +319,6 @@ def _s4_wr_z2():
     return groups.enumerate_from_generators(
         [groups.parse_cycles(c, 8) for c in gens], groups.perm_compose,
         tuple(range(8)), groups.perm_label, meta={"degree": 8},
-    )
-
-
-def _lazy_s4(monkeypatch):
-    monkeypatch.setattr(groups, "DENSE_CAP", 1)  # read when a group is built
-    return groups.enumerate_from_generators(
-        [(1, 0, 2, 3), (1, 2, 3, 0)], groups.perm_compose, (0, 1, 2, 3), groups.perm_label,
     )
 
 
@@ -359,22 +353,10 @@ def test_generator_check_matches_oracle_on_battery(name):
 
 def test_generator_check_matches_oracle_on_s4_wr_z2():
     g = _s4_wr_z2()
-    assert g.order == 1152 and g.table is not None
+    assert g.order == 1152
     _assert_matches_oracle(g, g.inverse)
     c = g.element_id("(1 5)(2 6)(3 7)(4 8)")
     _assert_matches_oracle(g, morphisms.tau_inner(g, c).images)
     _assert_matches_oracle(g, g.conj_map(g.element_id("(1 2 3 4)")))
     for images in _random_maps(g, 11, 2):
         assert _assert_matches_oracle(g, images) >= 1
-
-
-def test_generator_check_matches_oracle_without_dense_table(monkeypatch):
-    g = _lazy_s4(monkeypatch)
-    assert g.table is None
-    _assert_matches_oracle(g, g.inverse)
-    _assert_matches_oracle(g, morphisms.tau_inner(g, g.element_id("(1 2)")).images)
-    for x in range(g.order):
-        _assert_matches_oracle(g, g.conj_map(x))  # every inner automorphism
-    for images in _random_maps(g, 5, 6):
-        assert _assert_matches_oracle(g, images) >= 1
-

@@ -7,7 +7,7 @@ from taumackey import conjugacy, groups, morphisms
 from taumackey.errors import InvalidMap
 
 from battery import available_taus, battery_names, get_group
-from oracles import twisted_orbit_count, verify_group_axioms
+from oracles import mul_table, twisted_orbit_count, verify_group_axioms
 
 names = st.sampled_from(battery_names())
 
@@ -73,7 +73,7 @@ def test_twisted_burnside_on_random_regular_actions(seed):
     rng = np.random.default_rng(seed)
     g = get_group(["S3", "Z6", "D4", "Q8", "A4"][int(rng.integers(0, 5))])
     n = g.order
-    t = g.table.astype(np.int64)
+    t = mul_table(g)
     a, b = (int(x) for x in rng.integers(0, n, size=2))
     gi = {}
     for s in g.generators:
