@@ -16,7 +16,7 @@ from taumackey.errors import (
 )
 
 from battery import BATTERY_BUILDERS, battery_names, get_group
-from oracles import mul_table, subgroup_table, verify_group_axioms
+from oracles import LIGHT_CAP, mul_table, subgroup_table, verify_group_axioms
 
 
 def test_closure_s3_from_transposition_and_cycle():
@@ -618,6 +618,24 @@ def test_semidirect_multiplies_by_its_law(closure_case):
     expected = (e + f) % 2 * 24 + t[a, np.where(e == 1, alpha[b], b)]
     assert np.array_equal(g.mul(x, y), expected)
     verify_group_axioms(g)
+
+
+@pytest.mark.parametrize("seed", [1, 30])
+def test_semidirect_past_the_cap_multiplies_by_its_law(seed, closure_case):
+    """An extension past LIGHT_CAP, where the axiom check samples triples:
+    S6 twisted by an inner involution (order 1440), its products at seeded
+    random pairs against the two-pass table of S6."""
+    s6, (_, _, _, t, _) = closure_case("S6")
+    tau = morphisms.tau_inner(s6, s6.element_id("(1 2)(3 4)"))
+    g = groups.construct_semidirect_with_involution(s6, tau)
+    assert g.order == 1440 > LIGHT_CAP
+    alpha = tau.images[s6.inverse]  # n -> tau(n^-1)
+    assert not np.array_equal(alpha, np.arange(720))
+    x, y = np.random.default_rng(seed).integers(0, 1440, size=(2, 5000))
+    (e, a), (f, b) = np.divmod(x, 720), np.divmod(y, 720)
+    expected = (e + f) % 2 * 720 + t[a, np.where(e == 1, alpha[b], b)]
+    assert np.array_equal(g.mul(x, y), expected)
+    assert not verify_group_axioms(g)["associativity_exhaustive"]
 
 
 def _search_moves(g):
