@@ -5,6 +5,14 @@ criteria, and spherical-function identities."""
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread unless the user sets another count.  The tables are at
+# most 200 x 200, too small to gain from a second thread, and OpenBLAS's
+# idle worker spins on a core after each call, slowing a process started
+# beside it.  This must run before the first import of numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .characters import (
     CharacterTable,
     compute_character_table,

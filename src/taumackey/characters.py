@@ -321,9 +321,10 @@ def table_to_jsonable(table: CharacterTable) -> dict:
         "class_representatives": [table.group.label(int(r)) for r in conj.representatives],
         "class_sizes": [int(s) for s in conj.class_sizes],
         "degrees": [int(d) for d in table.degrees],
+        # round() on Python floats: np.round gives other values on some entries
         "rows": [
-            [[round(float(v.real), 12), round(float(v.imag), 12)] for v in row]
-            for row in table.values
+            [[round(x, 12), round(y, 12)] for x, y in zip(xs, ys)]
+            for xs, ys in zip(table.values.real.tolist(), table.values.imag.tolist())
         ],
         "quality": {
             "orthogonality_residual": table.orthogonality_residual,

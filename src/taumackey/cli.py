@@ -460,7 +460,8 @@ def _one_line(exc: Exception) -> str:
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """One line of compact JSON: without an indent, json's C encoder runs."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def render_text(report: dict) -> str:

@@ -70,8 +70,8 @@ def check_definition(table: CharacterTable, tau: GroupMap) -> tuple[bool, bool, 
             raise CrossCheckFailed(f"tensor row {i} disagrees with its sums N and S")
         j, l = (int(x) for x in np.argwhere(block > 1)[0])
         witnesses["tensor"] = {
-            "rows": (i, i + j, l),
-            "degrees": tuple(int(table.degrees[x]) for x in (i, i + j, l)),
+            "rows": [i, i + j, l],
+            "degrees": [int(table.degrees[x]) for x in (i, i + j, l)],
             "multiplicity": int(block[j, l]),
         }
     mf = "tensor" not in witnesses

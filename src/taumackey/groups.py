@@ -77,7 +77,7 @@ class GroupTable:
         """
         n = self.order
         moves: list[int] = []
-        cols: list[np.ndarray] = []
+        cols: list[np.ndarray] = []  # of the generator and inverse moves
         for s, col in zip(self.generators, columns):
             if s != 0 and s not in moves:
                 moves.append(s)
@@ -92,36 +92,52 @@ class GroupTable:
         # shortcut m^(2^j) squares the column of m^(2^(j-1)), its half; a
         # chain stops at the identity or at an element that is a move already.
         # Shortcuts follow the other moves; half[i] is the i-th one's half.
+        # Only a chain's last column is held until the moves are counted.
         half: list[int] = []
-        for at in range(len(moves)):
-            power = 2
-            while power < n and (col := cols[at][cols[at]])[0] != 0 and col[0] not in moves:
+        for at in range(len(cols)):
+            power, col = 2, cols[at]
+            while power < n and (col := col[col])[0] != 0 and col[0] not in moves:
                 moves.append(int(col[0]))
-                cols.append(col)
                 half.append(at)
                 at, power = len(moves) - 1, 2 * power
-        cols = np.array(cols, dtype=np.int64).reshape(len(moves), n)
+        # one buffer holds every move's column, then (inverted in place)
+        # every move's undo column and, last, the identity's
+        buf = np.empty((len(moves) + 1, n), dtype=np.int64)
+        for i, col in enumerate(cols):
+            buf[i] = col
+        for i, h in enumerate(half, start=len(cols)):
+            np.take(buf[h], buf[h], out=buf[i])
+        fwd = buf[:len(moves)]
         parent = np.full(n, -1, dtype=np.int64)
         parent[0] = 0
         step = np.full(n, len(moves), dtype=np.int64)  # the root's is the identity
         depth = np.zeros(n, dtype=np.int64)
-        frontier = np.zeros(1, dtype=np.int64)
+        frontier, level = np.zeros(1, dtype=np.int64), 0
         while frontier.size:
-            # each new element's parent and move: its first hit, move-major
-            found, first = np.unique(cols[:, frontier], return_index=True)
-            fresh = parent[found] < 0
-            found = found[fresh]
-            step[found], at = np.divmod(first[fresh], frontier.size)
-            parent[found] = frontier[at]
-            depth[found] = depth[frontier[0]] + 1
-            frontier = found
+            # each new element's parent and move: its first hit, move-major.
+            # One move hits each element at most once, so the first move
+            # that reaches an element claims it, whatever the frontier order.
+            level += 1
+            found = [frontier[:0]]  # none, if there are no moves
+            for m, col in enumerate(fwd):
+                hit = col[frontier]
+                fresh = parent[hit] < 0
+                hit = hit[fresh]
+                parent[hit] = frontier[fresh]
+                step[hit] = m
+                found.append(hit)
+            frontier = np.concatenate(found)
+            depth[frontier] = level
         reached = int((parent >= 0).sum())
         if reached != n:
             raise NonGroup(f"generators reach {reached} of {n} elements")
         # a walk undoes one move per step: x -> x*m^-1, by the inverse column
-        undo = np.empty_like(cols)
-        np.put_along_axis(undo, cols, np.arange(n)[None, :], axis=1)
-        self._undo = np.concatenate([undo.ravel(), np.arange(n)])
+        ids, inverse = np.arange(n), np.empty(n, dtype=np.int64)
+        for row in fwd:
+            inverse[row] = ids
+            row[:] = inverse
+        buf[-1] = ids
+        self._undo = buf.ravel()
         self._undo_at = step * n
         self._moves = np.array(moves, dtype=np.int64)
         self._half = half

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -580,6 +581,17 @@ def test_table_rows_keep_the_dense_path_order(name, monkeypatch):
     dense = characters.compute_character_table(_LARGE_BUILDERS[name]())
     assert np.array_equal(sparse.degrees, dense.degrees)
     assert np.abs(sparse.values - dense.values).max() < 1e-9
+
+
+@pytest.mark.parametrize("name", ["D300", "D397", "CL7"])
+def test_report_rows_round_each_value_as_a_python_float(name):
+    """The rows read from whole-array lists are the per-scalar expression
+    round(float(v.real), 12), round(float(v.imag), 12) to the last bit and
+    the sign of zero; np.round gives other values on some entries."""
+    t = characters.compute_character_table(_LARGE_BUILDERS[name]())
+    want = [[[round(float(v.real), 12), round(float(v.imag), 12)] for v in row]
+            for row in t.values]
+    assert json.dumps(characters.table_to_jsonable(t)["rows"]) == json.dumps(want)
 
 
 def test_d397_table_holds_no_cube_of_class_constants():

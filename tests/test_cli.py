@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -872,3 +875,79 @@ def test_interrupts_and_cross_check_failures_keep_their_handling(tmp_path, capsy
     assert cli.main(["char-table", "--group", json.dumps(S3)]) == 2
     out, _ = capsys.readouterr()
     assert json.loads(out)["payload"] == {"cross_check_failure": "routes disagree"}
+
+
+# ---------------------------------------------------------------------------
+# report encoding
+# ---------------------------------------------------------------------------
+
+ACCEPTANCE_JOBS = json.loads(
+    (Path(__file__).parent.parent / "manifests" / "acceptance.json").read_text())["jobs"]
+
+
+def test_render_report_is_one_compact_line():
+    report, _ = cli.run_job({"command": "char-table", "group": S3}, 1)
+    text = cli.render_report(report)
+    assert text == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    assert text.count("\n") == 1
+
+
+def test_every_acceptance_report_decodes_to_itself():
+    for job in ACCEPTANCE_JOBS:
+        report, code = cli.run_job(job, 1729)
+        assert code == 0
+        assert json.loads(cli.render_report(report)) == report
+
+
+def test_cache_entries_are_rendered_outcomes_and_warm_output_is_cold_output(tmp_path):
+    jobs = [{"command": "char-table", "group": S3},
+            {"command": "fs", "group": {"family": "missing-family"}}]
+    manifest, cache = tmp_path / "m.json", tmp_path / "cache"
+    manifest.write_text(json.dumps({"jobs": jobs}))
+    outputs = []
+    for run in ("cold", "warm"):
+        out = tmp_path / f"{run}.json"
+        assert cli.main(["batch", str(manifest), "--cache-dir", str(cache),
+                         "--out", str(out), "--seed", "1"]) == 1
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    aggregate = json.loads(outputs[0])
+    assert outputs[0] == cli.render_report(aggregate).encode()
+    for job, report, code in zip(jobs, aggregate["jobs"], (0, 1)):
+        entry = cache / f"{cli._cache_key(job, 1, cli.Budgets())}.json"
+        assert entry.read_bytes() == cli.render_report(
+            {"report": report, "exit_code": code}).encode()
+
+
+def test_d300_char_table_report_is_under_three_quarters_of_a_megabyte(tmp_path):
+    """The table's 153 x 153 entries dominate; indented, they took 1.58 MB."""
+    out = tmp_path / "r.json"
+    assert cli.main(["char-table", "--group", '{"family": "dihedral", "n": 300}',
+                     "--out", str(out)]) == 0
+    assert out.stat().st_size < 750_000
+
+
+# numpy is imported in this process already, so a fresh interpreter records
+# the thread setting at the moment its first import of numpy starts
+_BLAS_PROBE = """
+import os, sys
+at_numpy = []
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not at_numpy:
+            at_numpy.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Probe())
+import taumackey
+print(at_numpy[0], os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+@pytest.mark.parametrize("preset,threads", [(None, "1"), ("2", "2")])
+def test_one_blas_thread_unless_the_environment_sets_a_count(preset, threads):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parent.parent)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                           capture_output=True, text=True, check=True)
+    assert probe.stdout.split() == [threads, threads]

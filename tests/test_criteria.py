@@ -195,8 +195,8 @@ def _tensor_witness_oracle(table):
         if witness is None and (row > 1).any():
             j, l = (int(x) for x in np.argwhere(row > 1)[0])
             witness = {
-                "rows": (i, j, l),
-                "degrees": tuple(int(table.degrees[x]) for x in (i, j, l)),
+                "rows": [i, j, l],
+                "degrees": [int(table.degrees[x]) for x in (i, j, l)],
                 "multiplicity": int(row[j, l]),
             }
     if worst > characters.INT_TOL:
@@ -273,7 +273,7 @@ def test_a5_tensor_witness_is_a_multiplicity_two():
     g = groups.alternating(5)
     _, _, witnesses = criteria.check_definition(table_of(g), morphisms.tau_inverse(g))
     assert witnesses["tensor"]["multiplicity"] == 2
-    assert witnesses["tensor"]["degrees"] == (4, 5, 5)
+    assert witnesses["tensor"]["degrees"] == [4, 5, 5]
 
 
 def _sums_residual_oracle(table):

@@ -1,5 +1,6 @@
 import dataclasses
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -382,7 +383,8 @@ def _two_pass_closure(seeds, compose, label):
     labels = [label(el) for el in elements]
     gen_ids = [int(remap[index[g]]) for g in seeds]
     right_new = [remap[np.array(col)][old_of_new] for col in right_by]
-    table = np.empty((n, n), dtype=np.int32)
+    assert n < 2**15, "the table's ids are int16"
+    table = np.empty((n, n), dtype=np.int16)
     table[:, 0] = np.arange(n)
     for s, gid in enumerate(gen_ids):
         if gid != 0:
@@ -782,6 +784,22 @@ def test_affine_labels_and_lookup_at_the_order_cap(affine_at_the_cap):
             perm = groups._affine_perm(g.elements[x], n)
             assert g.label(x) == groups.perm_label(perm)
             assert g.element_id(g.label(x)) == g.element_id(perm) == x
+
+
+@pytest.mark.parametrize("build", [lambda: groups.cyclic(20000), lambda: groups.dihedral(10000)],
+                         ids=["Z20000", "D10000"])
+def test_build_at_the_order_cap_peaks_under_12_mb(build):
+    """Every move's column is filled into one buffer and inverted there, and
+    the search claims each level's elements one move at a time, so the
+    build makes no second copy of its 5 MB of words."""
+    build()  # one-time allocations stay out of the count
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
 
 
 def test_groups_defines_no_new_public_function():
