@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import CLASS_CAP, DEFAULT_SEED
 from .errors import (
     BudgetExceeded,
     CrossCheckFailed,
@@ -31,8 +32,6 @@ from .conjugacy import ConjugacyData, conjugacy_classes, count_twisted_squares, 
 from .groups import GroupTable
 from .morphisms import GroupMap
 
-DEFAULT_SEED = 1729
-CLASS_CAP = 200
 INT_TOL = 1e-6
 EIG_GAP = 1e-8
 MAX_EIG_RETRIES = 20
@@ -314,6 +313,16 @@ def self_conjugate_census(table: CharacterTable, tau: GroupMap) -> SelfConjugate
 # export
 # ---------------------------------------------------------------------------
 
+def _rounded_pairs(values: np.ndarray) -> list:
+    """Rows of [re, im] pairs, each part round(x, 12) of a Python float
+    (np.round gives other values on some entries).  Each distinct bit
+    pattern is rounded once, so -0.0 stays apart from 0.0."""
+    parts = np.stack([values.real, values.imag], axis=-1)
+    bits, where = np.unique(parts.view(np.int64), return_inverse=True)
+    rounded = np.array([round(x, 12) for x in bits.view(np.float64).tolist()], dtype=object)
+    return rounded[where.reshape(parts.shape)].tolist()
+
+
 def table_to_jsonable(table: CharacterTable) -> dict:
     conj = table.conj
     return {
@@ -321,11 +330,7 @@ def table_to_jsonable(table: CharacterTable) -> dict:
         "class_representatives": [table.group.label(int(r)) for r in conj.representatives],
         "class_sizes": [int(s) for s in conj.class_sizes],
         "degrees": [int(d) for d in table.degrees],
-        # round() on Python floats: np.round gives other values on some entries
-        "rows": [
-            [[round(x, 12), round(y, 12)] for x, y in zip(xs, ys)]
-            for xs, ys in zip(table.values.real.tolist(), table.values.imag.tolist())
-        ],
+        "rows": _rounded_pairs(table.values),
         "quality": {
             "orthogonality_residual": table.orthogonality_residual,
             "integrality_residual": table.integrality_residual,

@@ -12,28 +12,47 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import importlib.util
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, characters, conjugacy, criteria, gelfand, groups, morphisms
+from . import CLASS_CAP, DEFAULT_SEED, ORDER_CAP, PAIR_BUDGET, __version__
 from .errors import InconsistentImages, MathCheckError, SpecError, TauMackeyError
 
+
+def _lazy(name: str):
+    """Module ``name``, executed on its first attribute access (the
+    importlib.util.LazyLoader recipe): a run that computes nothing, such as a
+    warm batch or a usage error, never loads numpy."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    if parent:
+        setattr(sys.modules[parent], child, module)
+    return module
+
+
+np = _lazy("numpy")
+characters, conjugacy, criteria, gelfand, groups, morphisms = (
+    _lazy(f"{__package__}.{name}")
+    for name in ("characters", "conjugacy", "criteria", "gelfand", "groups", "morphisms"))
+
 ENV_SEED = "TAUMACKEY_SEED"
-DEFAULT_SEED = characters.DEFAULT_SEED
 
 
-@dataclass(frozen=True)
-class Budgets:
-    pairs: int = conjugacy.PAIR_BUDGET
-    order: int = groups.ORDER_CAP
-    classes: int = characters.CLASS_CAP
+# a namedtuple, not a dataclass: importing dataclasses (and with it
+# inspect) would cost a warm batch more than its cache reads
+Budgets = namedtuple("Budgets", "pairs order classes",
+                     defaults=(PAIR_BUDGET, ORDER_CAP, CLASS_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +98,7 @@ def _form(spec, key: str) -> bool:
     return isinstance(spec, dict) and set(spec) == {key}
 
 
-def build_group(spec, cap: int = groups.ORDER_CAP) -> groups.GroupTable:
+def build_group(spec, cap: int = ORDER_CAP) -> groups.GroupTable:
     """Group specification: {"family": name, "n": int} |
     {"generators": [cycles], "degree": int} | {"product": [spec, spec]} |
     {"semidirect": {"base": spec, "tau": tau-spec}}; exactly one form, and
@@ -191,7 +210,8 @@ def _identity(holds: bool, residual: float | None = None) -> dict:
     return out
 
 
-def _fraction(f: Fraction) -> str:
+def _fraction(f) -> str:
+    """A Fraction as "p/q", or "p" when it is whole."""
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
@@ -610,9 +630,9 @@ def run_batch(
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget-pairs", type=int, default=conjugacy.PAIR_BUDGET)
-    p.add_argument("--budget-order", type=int, default=groups.ORDER_CAP)
-    p.add_argument("--budget-classes", type=int, default=characters.CLASS_CAP)
+    p.add_argument("--budget-pairs", type=int, default=PAIR_BUDGET)
+    p.add_argument("--budget-order", type=int, default=ORDER_CAP)
+    p.add_argument("--budget-classes", type=int, default=CLASS_CAP)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", type=str, default=None)
 

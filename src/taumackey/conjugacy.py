@@ -7,12 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import PAIR_BUDGET
 from ._kernels import orbit_labels, orbit_representatives
 from .errors import BudgetExceeded, CrossCheckFailed, InvalidMap
 from .groups import GroupTable
 from .morphisms import GroupMap
 
-PAIR_BUDGET = 4_000_000
 # Python's default int-to-str limit; the exact power sums must print within it.
 SUM_DIGITS = 4300
 

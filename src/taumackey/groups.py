@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import ORDER_CAP
 from .errors import (
     ClosureCapExceeded,
     InvalidMap,
@@ -27,7 +28,6 @@ from .errors import (
 if TYPE_CHECKING:  # pragma: no cover
     from .morphisms import GroupMap
 
-ORDER_CAP = 20000
 # largest degree of a permutation group given by generators: closure memory
 # grows with the degree before the order cap can refuse
 DEGREE_CAP = 1000

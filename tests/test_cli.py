@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import taumackey
 from taumackey import characters, cli, conjugacy, criteria, errors, gelfand, groups
 from taumackey.errors import SpecError
 
@@ -927,8 +928,16 @@ def test_d300_char_table_report_is_under_three_quarters_of_a_megabyte(tmp_path):
     assert out.stat().st_size < 750_000
 
 
+def _fresh_env() -> dict:
+    """This environment, with no BLAS thread count and the package on the path."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parent.parent)
+    return env
+
+
 # numpy is imported in this process already, so a fresh interpreter records
-# the thread setting at the moment its first import of numpy starts
+# the thread setting at the moment its first import of numpy starts; a bare
+# package import must not start it
 _BLAS_PROBE = """
 import os, sys
 at_numpy = []
@@ -938,16 +947,64 @@ class Probe:
             at_numpy.append(os.environ.get("OPENBLAS_NUM_THREADS"))
 sys.meta_path.insert(0, Probe())
 import taumackey
+print("numpy" in sys.modules, len(at_numpy))
+import taumackey.groups
 print(at_numpy[0], os.environ["OPENBLAS_NUM_THREADS"])
 """
 
 
 @pytest.mark.parametrize("preset,threads", [(None, "1"), ("2", "2")])
 def test_one_blas_thread_unless_the_environment_sets_a_count(preset, threads):
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).parent.parent)
+    env = _fresh_env()
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
     probe = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
                            capture_output=True, text=True, check=True)
-    assert probe.stdout.split() == [threads, threads]
+    assert probe.stdout.split() == ["False", "0", threads, threads]
+
+
+def test_every_public_name_resolves_from_its_module():
+    assert set(taumackey.__all__) <= set(dir(taumackey))
+    for name in taumackey.__all__:
+        value = getattr(taumackey, name)
+        assert name == "__version__" or value.__module__.startswith("taumackey."), name
+    with pytest.raises(AttributeError):
+        getattr(taumackey, "no_such_name")
+
+
+# main(argv) in a fresh interpreter; the last line of stdout tells what ran:
+# the exit code, whether numpy executed, and which package modules executed
+# (a module bound lazily but never touched is not a plain module yet)
+_LOAD_PROBE = """
+import json, sys, types
+from taumackey.cli import main
+try:
+    code = main(sys.argv[1:]) if len(sys.argv) > 1 else None
+except SystemExit as exc:
+    code = exc.code
+executed = sorted(n for n, m in sys.modules.items()
+                  if n.partition(".")[0] == "taumackey" and type(m) is types.ModuleType)
+print(json.dumps({"code": code, "numpy": "numpy._core" in sys.modules, "executed": executed}))
+"""
+_FRONT_END = ["taumackey", "taumackey.cli", "taumackey.errors"]
+
+
+def _load_probe(*argv: str) -> dict:
+    probe = subprocess.run([sys.executable, "-c", _LOAD_PROBE, *argv], env=_fresh_env(),
+                           capture_output=True, text=True, check=True)
+    return json.loads(probe.stdout.splitlines()[-1])
+
+
+def test_only_a_computing_job_loads_numpy(tmp_path):
+    manifest = Path(__file__).parent.parent / "manifests" / "acceptance.json"
+    batch = ["batch", str(manifest), "--cache-dir", str(tmp_path / "cache"), "--out"]
+    cold = _load_probe(*batch, str(tmp_path / "cold.json"))
+    assert cold["code"] == 0 and cold["numpy"]
+    idle = {"import": _load_probe(), "usage error": _load_probe("nonsense"),
+            "help": _load_probe("--help"),
+            "warm batch": _load_probe(*batch, str(tmp_path / "warm.json"))}
+    assert {k: v["code"] for k, v in idle.items()} == {
+        "import": None, "usage error": 1, "help": 0, "warm batch": 0}
+    for case, seen in idle.items():
+        assert (seen["numpy"], seen["executed"]) == (False, _FRONT_END), case
+    assert (tmp_path / "warm.json").read_bytes() == (tmp_path / "cold.json").read_bytes()
