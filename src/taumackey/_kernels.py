@@ -38,8 +38,6 @@ def orbit_labels(moves: np.ndarray) -> np.ndarray:
     at most each of its members is the orbit minimum.
     """
     moves = np.asarray(moves, dtype=np.int64)
-    if moves.ndim != 2:
-        raise ValueError("moves must be a (n_moves, n_states) array")
     n = moves.shape[1]
     labels = np.arange(n, dtype=np.int64)
     prev = np.empty(n, dtype=np.int64)

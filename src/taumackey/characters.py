@@ -18,16 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import CLASS_CAP, DEFAULT_SEED
-from .errors import (
-    BudgetExceeded,
-    CrossCheckFailed,
-    DegenerateEigenspaces,
-    GroupMismatch,
-    NoMatchingRow,
-    NonIntegralIndicator,
-    NonIntegralMultiplicity,
-    ValueOutOfRange,
-)
+from .errors import BudgetExceeded, MathCheckError, SpecError
 from .conjugacy import ConjugacyData, conjugacy_classes, count_twisted_squares, power_sums
 from .groups import GroupTable
 from .morphisms import GroupMap
@@ -59,7 +50,7 @@ class CharacterTable:
         rounded = np.round(mults.real).astype(np.int64)
         residual = float(np.abs(mults - rounded).max())
         if residual > INT_TOL:
-            raise NonIntegralMultiplicity(
+            raise MathCheckError(
                 f"{what} has non-integral multiplicities (residual {residual:.3g})"
             )
         return rounded
@@ -85,7 +76,7 @@ def _class_matrices(G: GroupTable, conj: ConjugacyData) -> tuple[np.ndarray, np.
     """
     class_of = conj.class_of
     if any((class_of[c] != class_of).any() for c in G.generator_conj_maps()):
-        raise CrossCheckFailed("class products are not constant on classes")
+        raise MathCheckError("class products are not constant on classes")
     k = conj.class_count
     prods = G.mul(G.inverse[:, None], conj.representatives)   # (|G|, k)
     flat = (class_of[:, None] * k + class_of[prods]) * k + np.arange(k)
@@ -160,7 +151,7 @@ def compute_character_table(
             integrality_residual=deg_res,
             seed=seed,
         )
-    raise DegenerateEigenspaces(
+    raise MathCheckError(
         f"no usable eigenbasis after {MAX_EIG_RETRIES} random combinations: "
         + last_problem
     )
@@ -174,7 +165,7 @@ def _integral(raw: np.ndarray) -> np.ndarray:
     rounded = np.round(raw.real).astype(np.int64)
     worst = float(np.abs(raw - rounded).max())
     if worst > INT_TOL:
-        raise NonIntegralMultiplicity(
+        raise MathCheckError(
             f"tensor multiplicities are not integral (residual {worst:.3g})"
         )
     return rounded
@@ -216,9 +207,9 @@ def _round_indicators(raw: np.ndarray, what: str) -> np.ndarray:
     rounded = np.round(raw.real).astype(np.int64)
     residual = float(np.abs(raw - rounded).max())
     if residual > INT_TOL:
-        raise NonIntegralIndicator(f"{what} residual {residual:.3g}")
+        raise MathCheckError(f"{what} residual {residual:.3g}")
     if np.abs(rounded).max() > 1:
-        raise ValueOutOfRange(f"{what} outside {{-1, 0, 1}}: {rounded}")
+        raise MathCheckError(f"{what} outside {{-1, 0, 1}}: {rounded}")
     return rounded
 
 
@@ -243,7 +234,7 @@ def twisted_fs_indicators(table: CharacterTable, tau: GroupMap) -> TwistedIndica
     with the rounded indicators as coefficients (reported, not asserted)."""
     G = table.group
     if tau.group is not G:
-        raise GroupMismatch("map lives on a different group")
+        raise SpecError("map lives on a different group")
     targets = G.mul(G.inverse[tau.images], np.arange(G.order))  # tau(g)^-1 * g
     trace_route = _indicator_from_targets(table, targets)
     counts = count_twisted_squares(G, tau)[table.conj.representatives]
@@ -251,7 +242,7 @@ def twisted_fs_indicators(table: CharacterTable, tau: GroupMap) -> TwistedIndica
     count_route = (table.values.conj() @ weights) / G.order
     agreement = float(np.abs(trace_route - count_route).max())
     if agreement > INT_TOL:
-        raise CrossCheckFailed(
+        raise MathCheckError(
             f"twisted indicator routes disagree (residual {agreement:.3g})"
         )
     values = _round_indicators(trace_route, "twisted Frobenius-Schur indicator")
@@ -267,7 +258,7 @@ def twisted_fs_indicators(table: CharacterTable, tau: GroupMap) -> TwistedIndica
 def tau_row_permutation(table: CharacterTable, tau: GroupMap) -> np.ndarray:
     """perm[i] = j with chi_j(g) = chi_i(tau(g)) for all g."""
     if tau.group is not table.group:
-        raise GroupMismatch("map lives on a different group")
+        raise SpecError("map lives on a different group")
     X = table.values
     twisted = X[:, table.conj.tau_class_image(tau)]
     # the twisted rows against every row in one k x k product: a row within
@@ -276,11 +267,11 @@ def tau_row_permutation(table: CharacterTable, tau: GroupMap) -> np.ndarray:
     perm = (twisted @ (X.conj() * w).T).real.argmax(axis=1)
     worst = float(np.abs(X[perm] - twisted).max())
     if worst > INT_TOL:
-        raise NoMatchingRow(
+        raise MathCheckError(
             f"tau-conjugate of some row is not in the table (residual {worst:.3g})"
         )
     if len(np.unique(perm)) != len(perm):
-        raise NoMatchingRow("tau-conjugation did not permute the rows")
+        raise MathCheckError("tau-conjugation did not permute the rows")
     return perm
 
 
@@ -298,11 +289,11 @@ def self_conjugate_census(table: CharacterTable, tau: GroupMap) -> SelfConjugate
     count = int((perm == np.arange(len(perm))).sum())
     _, total = power_sums(table.group, tau, 1)
     if total % table.group.order:
-        raise CrossCheckFailed("averaged squared counts are not integral")
+        raise MathCheckError("averaged squared counts are not integral")
     squared_route = total // table.group.order
     class_route = int(table.conj.tau_invariant_classes(tau).sum())
     if not (count == squared_route == class_route):
-        raise CrossCheckFailed(
+        raise MathCheckError(
             f"census disagreement: rows {count}, counts {squared_route}, "
             f"classes {class_route}"
         )

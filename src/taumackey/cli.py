@@ -21,7 +21,7 @@ from collections import namedtuple
 from pathlib import Path
 
 from . import CLASS_CAP, DEFAULT_SEED, ORDER_CAP, PAIR_BUDGET, __version__
-from .errors import InconsistentImages, MathCheckError, SpecError, TauMackeyError
+from .errors import MathCheckError, SpecError
 
 
 def _lazy(name: str):
@@ -165,7 +165,7 @@ def build_tau(G: groups.GroupTable, spec) -> morphisms.GroupMap:
         resolved = [(G.element_id(k), G.element_id(v)) for k, v in images.items()]
         pairs = dict(resolved)
         if len(pairs) != len(resolved):
-            raise InconsistentImages("two keys of 'generator_images' name one element")
+            raise SpecError("two keys of 'generator_images' name one element")
         return morphisms.tau_from_generator_images(G, pairs)
     raise SpecError(f"bad tau spec: {spec!r}")
 
@@ -716,7 +716,7 @@ def main(argv=None) -> int:
     except MathCheckError as exc:
         print(f"cross-check failure: {exc}", file=sys.stderr)
         return 2
-    except (TauMackeyError, OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (SpecError, OSError, json.JSONDecodeError, RecursionError) as exc:
         # a RecursionError: input nested too deeply to decode or to echo
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ from .characters import (
     tensor_row,
 )
 from .conjugacy import PAIR_BUDGET, power_sums, simultaneous_conjugation_scan
-from .errors import BudgetExceeded, CrossCheckFailed
+from .errors import BudgetExceeded, MathCheckError
 from .groups import GroupTable
 from .morphisms import GroupMap
 
@@ -67,7 +67,7 @@ def check_definition(table: CharacterTable, tau: GroupMap) -> tuple[bool, bool, 
         i = int(np.flatnonzero(failing.any(axis=1))[0])
         block = tensor_row(table, i)
         if not np.array_equal((block > 1).any(axis=1), failing[i, i:]):
-            raise CrossCheckFailed(f"tensor row {i} disagrees with its sums N and S")
+            raise MathCheckError(f"tensor row {i} disagrees with its sums N and S")
         j, l = (int(x) for x in np.argwhere(block > 1)[0])
         witnesses["tensor"] = {
             "rows": [i, i + j, l],

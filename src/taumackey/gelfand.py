@@ -18,13 +18,7 @@ from .characters import (
     twisted_fs_indicators,
 )
 from .conjugacy import PAIR_BUDGET, conjugacy_classes
-from .errors import (
-    BudgetExceeded,
-    CrossCheckFailed,
-    GroupMismatch,
-    NotAutomorphism,
-    NotGelfand,
-)
+from .errors import BudgetExceeded, MathCheckError, SpecError
 from .groups import GroupTable, check_subgroup
 from .morphisms import GroupMap
 
@@ -63,13 +57,13 @@ def build_coset_space(G: GroupTable, subgroup_ids) -> CosetSpace:
     reps = orbit_representatives(labels)
     point_of = np.searchsorted(reps, labels)
     if not np.array_equal(np.flatnonzero(point_of == 0), K):
-        raise CrossCheckFailed("stabilizer of the base point is not K")
+        raise MathCheckError("stabilizer of the base point is not K")
     k_orbits = orbit_labels(point_of[G.mul(gens[:, None], reps)])
     conj = conjugacy_classes(G)
     meets = np.bincount(conj.class_of[K], minlength=conj.class_count)
     fixed, remainder = np.divmod(conj.centralizer_order[conj.representatives] * meets, len(K))
     if remainder.any():
-        raise CrossCheckFailed("fixed-point counts are not integers")
+        raise MathCheckError("fixed-point counts are not integers")
     perm = fixed.astype(complex)
     k_orbits.flags.writeable = perm.flags.writeable = False
     return CosetSpace(G, K, gens, len(reps), reps, point_of, k_orbits, perm)
@@ -118,13 +112,13 @@ def orbit_analysis(
     m1 = int(symmetric.sum())
     m2 = int(len(pair_reps) - m1)
     if m2 % 2:
-        raise CrossCheckFailed(f"antisymmetric orbit count {m2} is odd")
+        raise MathCheckError(f"antisymmetric orbit count {m2} is odd")
     # every orbit meets {(base point, y)}; the first group element hitting an
     # orbit there is its double-coset representative
     label_of_s = labels[space.point_of]
     orbit_labels_sorted, first_s = np.unique(label_of_s, return_index=True)
     if not np.array_equal(orbit_labels_sorted, pair_reps):
-        raise CrossCheckFailed("double-coset representatives missed an orbit")
+        raise MathCheckError("double-coset representatives missed an orbit")
     return OrbitAnalysis(
         orbit_count=len(pair_reps),
         m_symmetric=m1,
@@ -185,7 +179,7 @@ def gelfand_criteria_report(
     ``table`` is the character table of the space's group."""
     G = space.group
     if table.group is not G:
-        raise GroupMismatch("the table and the coset space belong to different groups")
+        raise SpecError("the table and the coset space belong to different groups")
     perm = space.permutation_character
     mults = table.decompose(perm, "permutation character")
     gelfand = bool((mults <= 1).all())
@@ -193,9 +187,9 @@ def gelfand_criteria_report(
     rank = len(orbit_representatives(space.k_orbit_labels))
     norm = complex(np.sum(table.conj.class_sizes * perm * perm.conj()) / G.order)
     if abs(norm - round(norm.real)) > INT_TOL or round(norm.real) != int((mults**2).sum()):
-        raise CrossCheckFailed("permutation character norm disagrees with multiplicities")
+        raise MathCheckError("permutation character norm disagrees with multiplicities")
     if int(round(norm.real)) != rank:
-        raise CrossCheckFailed(
+        raise MathCheckError(
             f"character norm {norm} disagrees with the orbit rank {rank}"
         )
     hypothesis = bool(np.abs(perm[table.conj.tau_class_image(tau)] - perm).max() < INT_TOL)
@@ -211,12 +205,12 @@ def gelfand_criteria_report(
     )
     conditions = (cond_a, cond_b, cond_c, cond_d)
     if hypothesis and len(set(conditions)) != 1:
-        raise CrossCheckFailed(
+        raise MathCheckError(
             f"equivalent conditions disagree under the hypothesis: {conditions}"
         )
     if weak:
         if not (tau_k and all(conditions)):
-            raise CrossCheckFailed(
+            raise MathCheckError(
                 "weak symmetry holds but a symmetry condition fails"
             )
     return GelfandCriteria(
@@ -255,14 +249,14 @@ def spherical_functions(
     """Averaged bi-K-invariant matrix coefficients of each constituent, with
     the normalization, inversion, and orthogonality identities checked.
     ``mults`` is the permutation character's decomposition in ``table``, as
-    gelfand_criteria_report computes it.
+    gelfand_criteria_report computes it on a Gelfand pair.  phi(K) is the
+    multiplicity m of its constituent, so a pair that is not
+    multiplicity-free fails the normalization check by m - 1 >= 1.
 
     Both directions read meets[c, x] = #{g in C_c : gK = x}: phi(x) is the
     mean of conj(chi) over the coset x, and as g runs over G, g^-1 r g
     covers the class of r |C_G(r)| times, so the inversion average of
     conj(phi) is d / |C| times its sum over the class's points."""
-    if (mults > 1).any():
-        raise NotGelfand("permutation character is not multiplicity-free")
     constituents = np.flatnonzero(mults)
     conj = table.conj
     meets = np.bincount(
@@ -273,10 +267,10 @@ def spherical_functions(
     phi = chi.conj() @ meets / len(space.subgroup)
     norm_res = float(np.abs(phi[:, 0] - 1).max())
     if norm_res > INT_TOL:
-        raise CrossCheckFailed(f"spherical normalization residual {norm_res:.3g}")
+        raise MathCheckError(f"spherical normalization residual {norm_res:.3g}")
     inv_res = float(np.abs(phi - phi[:, space.k_orbit_labels]).max())
     if inv_res > INT_TOL:
-        raise CrossCheckFailed(f"spherical functions not K-orbit constant: {inv_res:.3g}")
+        raise MathCheckError(f"spherical functions not K-orbit constant: {inv_res:.3g}")
     # recover each character from its spherical function
     degrees = table.degrees[constituents][:, None]
     recon = degrees * (phi.conj() @ meets.T) / conj.class_sizes
@@ -285,7 +279,7 @@ def spherical_functions(
     expected = np.diag(1.0 / table.degrees[constituents].astype(float))
     orth_res = float(np.abs(orth - expected).max())
     if max(recon_res, orth_res) > INT_TOL:
-        raise CrossCheckFailed(
+        raise MathCheckError(
             f"spherical identities fail: inversion {recon_res:.3g}, "
             f"orthogonality {orth_res:.3g}"
         )
@@ -333,7 +327,7 @@ def twisted_fs_gelfand(
     averaged = table.degrees[constituents] * (sph.values @ counts_x) / G.order
     res1 = float(np.abs(averaged - indicators[constituents]).max())
     if res1 > INT_TOL:
-        raise CrossCheckFailed(f"averaged spherical indicator residual {res1:.3g}")
+        raise MathCheckError(f"averaged spherical indicator residual {res1:.3g}")
 
     # identity (2): exact rational comparison
     lhs = Fraction(int((counts_x.astype(object) ** 2).sum()), G.order)
@@ -345,7 +339,7 @@ def twisted_fs_gelfand(
         Fraction(0),
     )
     if lhs != rhs:
-        raise CrossCheckFailed(
+        raise MathCheckError(
             f"twisted point-count identity fails: {lhs} != {rhs}"
         )
 
@@ -355,7 +349,7 @@ def twisted_fs_gelfand(
     )
     res3 = float(np.abs(recon - counts_x).max())
     if res3 > INT_TOL:
-        raise CrossCheckFailed(f"point-count inversion residual {res3:.3g}")
+        raise MathCheckError(f"point-count inversion residual {res3:.3g}")
 
     n_self = int(self_conj.sum())
     invariant_orbits = None
@@ -365,13 +359,13 @@ def twisted_fs_gelfand(
         tau_point = space.point_of[tau.images[space.reps]]
         invariant_orbits = int((labels[tau_point[reps]] == reps).sum())
         if invariant_orbits != n_self:
-            raise CrossCheckFailed(
+            raise MathCheckError(
                 f"tau-invariant K-orbits {invariant_orbits} != "
                 f"self-conjugate constituents {n_self}"
             )
         bad = constituents[self_conj & (indicators[constituents] != 1)].tolist()
         if bad:
-            raise CrossCheckFailed(
+            raise MathCheckError(
                 f"self-conjugate constituents with indicator != 1: rows {bad}"
             )
     return TwistedPairReport(
@@ -409,9 +403,9 @@ def condition_star(
     involutory sigma that condition forces (G, fixed subgroup) to be a
     Gelfand pair, which is asserted."""
     if sigma.kind != "automorphism":
-        raise NotAutomorphism("need a validated automorphism")
+        raise SpecError("need a validated automorphism")
     if sigma.group is not G:
-        raise NotAutomorphism("automorphism lives on a different group")
+        raise SpecError("automorphism lives on a different group")
     n = G.order
     ids = np.arange(n)
     K, gens = check_subgroup(G, np.flatnonzero(sigma.images == ids))
@@ -421,7 +415,7 @@ def condition_star(
     labels = orbit_labels(G.conj_map(gens[:, None]))
     in_k = len(np.unique(labels[omega]))
     if in_k < in_g:
-        raise CrossCheckFailed(
+        raise MathCheckError(
             "fixed-subgroup conjugacy cannot be coarser than group conjugacy"
         )
     holds = in_k == in_g
@@ -434,7 +428,7 @@ def condition_star(
         gelfand = bool((mults <= 1).all())
         rank = len(orbit_representatives(space.k_orbit_labels))
         if holds and not gelfand:
-            raise CrossCheckFailed(
+            raise MathCheckError(
                 "twisted-square condition holds for an involution but the "
                 "pair is not Gelfand"
             )

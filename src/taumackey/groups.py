@@ -17,13 +17,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from . import ORDER_CAP
-from .errors import (
-    ClosureCapExceeded,
-    InvalidMap,
-    NonGroup,
-    NotASubgroup,
-    UnknownFamily,
-)
+from .errors import SpecError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .morphisms import GroupMap
@@ -85,7 +79,7 @@ class GroupTable:
         for col in list(cols):
             back = np.argsort(col)  # y -> y*s^-1, so back[0] = s^-1
             if not np.array_equal(col[back], np.arange(n)):
-                raise NonGroup("right multiplication by a generator is not a bijection")
+                raise SpecError("right multiplication by a generator is not a bijection")
             if back[0] != 0 and back[0] not in moves:
                 moves.append(int(back[0]))
                 cols.append(back)
@@ -130,7 +124,7 @@ class GroupTable:
             depth[frontier] = level
         reached = int((parent >= 0).sum())
         if reached != n:
-            raise NonGroup(f"generators reach {reached} of {n} elements")
+            raise SpecError(f"generators reach {reached} of {n} elements")
         # a walk undoes one move per step: x -> x*m^-1, by the inverse column
         ids, inverse = np.arange(n), np.empty(n, dtype=np.int64)
         for row in fwd:
@@ -219,14 +213,14 @@ class GroupTable:
         Permutation groups (those with a degree) label by cycle notation, so
         a string is parsed, never looked up in the label list.  A boolean,
         or anything else that is not an element of the group, raises
-        InvalidMap.
+        SpecError.
         """
         if isinstance(what, bool):
-            raise InvalidMap(f"no element matching {what!r}")
+            raise SpecError(f"no element matching {what!r}")
         if isinstance(what, (int, np.integer)):
             i = int(what)
             if not 0 <= i < self.order:
-                raise InvalidMap(f"element id {i} out of range for order {self.order}")
+                raise SpecError(f"element id {i} out of range for order {self.order}")
             return i
         key = what
         if isinstance(what, str) and self.meta.get("degree"):
@@ -235,11 +229,11 @@ class GroupTable:
             try:
                 return self.labels.index(what)
             except ValueError:
-                raise InvalidMap(f"no element matching {what!r}") from None
+                raise SpecError(f"no element matching {what!r}") from None
         try:
             return self._element_index[key]
         except (KeyError, TypeError):  # no concrete elements, or unhashable
-            raise InvalidMap(f"no element matching {what!r}") from None
+            raise SpecError(f"no element matching {what!r}") from None
 
     def is_abelian(self) -> bool:
         """Whether conjugation by every generator fixes every element."""
@@ -278,13 +272,13 @@ def parse_cycles(text: str, degree: int) -> tuple:
     """Parse one-line notation of disjoint cycles on points 1..degree into a
     0-based tuple."""
     if not isinstance(text, str):
-        raise InvalidMap(f"a permutation must be a cycle string, got {text!r}")
+        raise SpecError(f"a permutation must be a cycle string, got {text!r}")
     text = text.strip()
     perm = list(range(degree))
     if text in ("", "e", "()", "id"):
         return tuple(perm)
     if text.count("(") == 0 or text.count("(") != text.count(")"):
-        raise InvalidMap(f"bad cycle notation: {text!r}")
+        raise SpecError(f"bad cycle notation: {text!r}")
     moved: set[int] = set()
     for chunk in text.replace(")", ")|").split("|"):
         chunk = chunk.strip()
@@ -296,11 +290,11 @@ def parse_cycles(text: str, degree: int) -> tuple:
         try:
             pts = [int(t) for t in body.replace(",", " ").split()]
         except ValueError:
-            raise InvalidMap(f"bad cycle {chunk!r}: points must be integers") from None
+            raise SpecError(f"bad cycle {chunk!r}: points must be integers") from None
         if any(not 1 <= t <= degree for t in pts) or len(set(pts)) != len(pts):
-            raise InvalidMap(f"bad cycle {chunk!r} for degree {degree}")
+            raise SpecError(f"bad cycle {chunk!r} for degree {degree}")
         if moved.intersection(pts):
-            raise InvalidMap(f"cycles of {text!r} are not disjoint")
+            raise SpecError(f"cycles of {text!r} are not disjoint")
         moved.update(pts)
         for a, b in zip(pts, pts[1:] + pts[:1]):
             perm[a - 1] = b - 1
@@ -324,13 +318,13 @@ def enumerate_from_generators(
 
     Elements must be hashable and compose associatively.  The closure runs
     breadth-first from ``identity``, so the identity is id 0; an identity
-    that does not fix every generator on both sides raises NonGroup.
+    that does not fix every generator on both sides raises SpecError.
     """
     seeds = list(dict.fromkeys(generators))  # repeats dropped, order kept
     if not seeds:
-        raise NonGroup("generator list is empty")
+        raise SpecError("generator list is empty")
     if not all(compose(identity, g) == g == compose(g, identity) for g in seeds):
-        raise NonGroup("the identity does not fix every generator")
+        raise SpecError("the identity does not fix every generator")
 
     index: dict = {identity: 0}
     elements: list = [identity]
@@ -344,7 +338,7 @@ def enumerate_from_generators(
             if j is None:
                 j = len(elements)
                 if j >= cap:
-                    raise ClosureCapExceeded(
+                    raise SpecError(
                         f"closure exceeded cap {cap} (tag {family_tag})"
                     )
                 index[c] = j
@@ -368,17 +362,17 @@ def enumerate_from_generators(
 
 def cyclic(n: int, cap: int = ORDER_CAP) -> GroupTable:
     if n < 1:
-        raise UnknownFamily(f"cyclic({n})")
+        raise SpecError(f"cyclic({n})")
     if n > cap:
-        raise ClosureCapExceeded(f"cyclic({n}) has order {n} > cap {cap}")
+        raise SpecError(f"cyclic({n}) has order {n} > cap {cap}")
     return _affine_group([(1 % n, 0)], n, f"cyclic({n})", cap)
 
 
 def symmetric(n: int, cap: int = ORDER_CAP) -> GroupTable:
     if n < 1:
-        raise UnknownFamily(f"symmetric({n})")
+        raise SpecError(f"symmetric({n})")
     if _product_over(2, n, cap):
-        raise ClosureCapExceeded(f"symmetric({n}) has order {n}! > cap {cap}")
+        raise SpecError(f"symmetric({n}) has order {n}! > cap {cap}")
     if n == 1:
         return cyclic(1)
     swap = (1, 0) + tuple(range(2, n))
@@ -392,9 +386,9 @@ def symmetric(n: int, cap: int = ORDER_CAP) -> GroupTable:
 
 def alternating(n: int, cap: int = ORDER_CAP) -> GroupTable:
     if n < 1:
-        raise UnknownFamily(f"alternating({n})")
+        raise SpecError(f"alternating({n})")
     if _product_over(3, n, cap):
-        raise ClosureCapExceeded(f"alternating({n}) has order {n}!/2 > cap {cap}")
+        raise SpecError(f"alternating({n}) has order {n}!/2 > cap {cap}")
     if n <= 2:
         g = cyclic(1)
         g.family_tag = f"alternating({n})"
@@ -413,9 +407,9 @@ def alternating(n: int, cap: int = ORDER_CAP) -> GroupTable:
 def dihedral(n: int, cap: int = ORDER_CAP) -> GroupTable:
     """Symmetry group of the n-gon, order 2n."""
     if n < 1:
-        raise UnknownFamily(f"dihedral({n})")
+        raise SpecError(f"dihedral({n})")
     if 2 * n > cap:
-        raise ClosureCapExceeded(f"dihedral({n}) has order {2 * n} > cap {cap}")
+        raise SpecError(f"dihedral({n}) has order {2 * n} > cap {cap}")
     if n == 1:
         g = symmetric(2)
         g.family_tag = "dihedral(1)"
@@ -550,9 +544,9 @@ def clifford(n: int, cap: int = ORDER_CAP) -> GroupTable:
     the element model has 2^(n+1) members and that is what we enumerate.
     """
     if n < 1:
-        raise UnknownFamily(f"clifford({n})")
+        raise SpecError(f"clifford({n})")
     if n + 1 > cap.bit_length() or 2 ** (n + 1) > cap:
-        raise ClosureCapExceeded(f"clifford({n}) has order 2^{n + 1} > cap {cap}")
+        raise SpecError(f"clifford({n}) has order 2^{n + 1} > cap {cap}")
     gens = [(1, 1 << i) for i in range(n)] + [(-1, 0)]
     return enumerate_from_generators(
         gens,
@@ -570,7 +564,7 @@ def direct_product(g1: GroupTable, g2: GroupTable, cap: int = ORDER_CAP) -> Grou
     n1, n2 = g1.order, g2.order
     n = n1 * n2
     if n > cap:
-        raise ClosureCapExceeded(f"direct product order {n} > cap {cap}")
+        raise SpecError(f"direct product order {n} > cap {cap}")
 
     def label_of(a):
         return f"({g1.label(a // n2)},{g2.label(a % n2)})"
@@ -594,13 +588,13 @@ def construct_family(family: str, n: int | None = None, cap: int = ORDER_CAP) ->
     }
     if family == "quaternion8":
         if n is not None:
-            raise UnknownFamily("family 'quaternion8' takes no parameter n")
+            raise SpecError("family 'quaternion8' takes no parameter n")
         return quaternion8(cap)
     if family in builders:
         if n is None:
-            raise UnknownFamily(f"family {family!r} needs parameter n")
+            raise SpecError(f"family {family!r} needs parameter n")
         return builders[family](n, cap)
-    raise UnknownFamily(f"unknown family {family!r}")
+    raise SpecError(f"unknown family {family!r}")
 
 
 def construct_semidirect_with_involution(
@@ -613,13 +607,13 @@ def construct_semidirect_with_involution(
     h*n*h = tau(n)^-1 are asserted after construction.
     """
     if tau.group is not N:
-        raise InvalidMap("map is attached to a different group")
+        raise SpecError("map is attached to a different group")
     if tau.kind != "anti-automorphism" or not tau.involutory:
-        raise InvalidMap("need a validated involutory anti-automorphism")
+        raise SpecError("need a validated involutory anti-automorphism")
     n = N.order
     order = 2 * n
     if order > cap:
-        raise ClosureCapExceeded(f"semidirect order {order} > cap {cap}")
+        raise SpecError(f"semidirect order {order} > cap {cap}")
     alpha = tau.images[N.inverse]  # n -> tau(n^-1), an automorphism
     ids = np.arange(n)
     # (a, e)*(s, 0) = (a * alpha^e(s), e) and (a, e)*h = (a, e+1 mod 2)
@@ -642,9 +636,9 @@ def construct_semidirect_with_involution(
         meta={"h": h},
     )
     if g.mul(h, h) != 0:
-        raise NonGroup("semidirect relation h*h = 1 failed")
+        raise SpecError("semidirect relation h*h = 1 failed")
     if not np.array_equal(g.mul(g.mul(h, ids), h), N.inverse[tau.images]):
-        raise NonGroup("semidirect relation h*n*h = tau(n)^-1 failed")
+        raise SpecError("semidirect relation h*n*h = tau(n)^-1 failed")
     return g
 
 
@@ -676,7 +670,7 @@ def check_subgroup(G: GroupTable, ids: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """
     ids = np.unique(np.asarray(ids, dtype=np.int64))
     if len(ids) == 0 or ids[0] != 0:
-        raise NotASubgroup("subgroup must contain the identity (id 0)")
+        raise SpecError("subgroup must contain the identity (id 0)")
     member = np.zeros(G.order, dtype=bool)
     member[ids] = True
     spanned = np.zeros(G.order, dtype=bool)
@@ -689,7 +683,7 @@ def check_subgroup(G: GroupTable, ids: np.ndarray) -> tuple[np.ndarray, np.ndarr
         found = G.mul(ids[spanned[ids]], gens[-1])
         while (found := np.unique(found[~spanned[found]])).size:
             if not member[found].all():
-                raise NotASubgroup("set is not closed under multiplication")
+                raise SpecError("set is not closed under multiplication")
             spanned[found] = True
             found = G.mul(found[:, None], gens).ravel()
     return ids, gens

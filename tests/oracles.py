@@ -16,7 +16,7 @@ import numpy as np
 from taumackey._kernels import orbit_labels, orbit_representatives
 from taumackey.characters import INT_TOL, CharacterTable, compute_character_table
 from taumackey.conjugacy import conjugacy_classes
-from taumackey.errors import CrossCheckFailed, InvalidMap, NonGroup
+from taumackey.errors import MathCheckError, SpecError
 from taumackey.groups import (
     GroupTable,
     check_subgroup,
@@ -63,19 +63,19 @@ def verify_group_axioms(G: GroupTable) -> dict:
     the generators reach every element the law holds for all triples.
     Above it, the test would form |S|*n^2 products (about 50M for S7), so
     ASSOC_TRIPLES seeded random triples are checked instead.  Raises
-    NonGroup on any violation; returns a report of what was checked.
+    SpecError on any violation; returns a report of what was checked.
     """
     n = G.order
     idx = np.arange(n, dtype=np.int64)
     if n <= LIGHT_CAP:
         t = mul_table(G)
         if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
-            raise NonGroup("identity axiom failed")
+            raise SpecError("identity axiom failed")
         if not (t[idx, G.inverse[idx]] == 0).all():
-            raise NonGroup("inverse axiom failed")
+            raise SpecError("inverse axiom failed")
         for s in G.generators:
             if not np.array_equal(t[t[:, s]], t[:, t[s]]):
-                raise NonGroup(f"associativity failed at generator {G.label(s)}")
+                raise SpecError(f"associativity failed at generator {G.label(s)}")
         exhaustive = True
         checked = len(G.generators) * n * n
     else:
@@ -84,13 +84,13 @@ def verify_group_axioms(G: GroupTable) -> dict:
         checked = ASSOC_TRIPLES
         a, b, c = rng.integers(0, n, size=(checked, 3)).T
         if not np.array_equal(G.mul(G.mul(a, b), c), G.mul(a, G.mul(b, c))):
-            raise NonGroup("associativity failed on a sampled triple")
+            raise SpecError("associativity failed on a sampled triple")
         if not (np.array_equal(G.mul(idx, 0), idx) and np.array_equal(G.mul(0, idx), idx)
                 and (G.mul(idx, G.inverse) == 0).all()):
-            raise NonGroup("identity/inverse axiom failed")
+            raise SpecError("identity/inverse axiom failed")
     reached = len(subgroup_closure(G, G.generators))
     if reached != n:
-        raise NonGroup(f"generators reach {reached} of {n} elements")
+        raise SpecError(f"generators reach {reached} of {n} elements")
     return {"order": n, "associativity_exhaustive": exhaustive, "triples": checked}
 
 
@@ -131,21 +131,21 @@ def twisted_orbit_count(
     commute with it.  Route one averages |{x: g.x = alpha(x)}| over the
     group; route two enumerates orbits directly; they are asserted equal.
     Images that are not permutations, or that satisfy no action of G,
-    raise InvalidMap.
+    raise SpecError.
     """
     points = np.arange(n_points)
 
     def permutation(what, m):
         m = np.asarray(m, dtype=np.int64)
         if m.shape != (n_points,) or not np.array_equal(np.sort(m), points):
-            raise InvalidMap(f"{what} is not a permutation of 0..{n_points - 1}")
+            raise SpecError(f"{what} is not a permutation of 0..{n_points - 1}")
         return m
 
     alpha = permutation("alpha", alpha)
     gens = list(G.generators)
     for s in gens:
         if s not in gen_images:
-            raise InvalidMap(f"no action image for generator {G.label(s)}")
+            raise SpecError(f"no action image for generator {G.label(s)}")
     moves = np.stack([permutation(f"the image of {G.label(s)}", gen_images[s])
                       for s in gens])
     for s, m in zip(gens, moves):
@@ -160,7 +160,7 @@ def twisted_orbit_count(
     ids = np.arange(G.order)
     for s, m in zip(gens, moves):
         if not np.array_equal(perms[G.mul(ids, s)], perms[:, m]):
-            raise InvalidMap(f"the images do not define an action: {G.label(s)} fails")
+            raise SpecError(f"the images do not define an action: {G.label(s)} fails")
     match_sum = int((perms == alpha[None, :]).sum())
     assert match_sum % G.order == 0, \
         f"match average {match_sum}/{G.order} is not an integer"
@@ -171,7 +171,7 @@ def twisted_orbit_count(
     reps = orbit_representatives(labels)
     fixed = int(np.sum(labels[alpha[reps]] == reps))
     if fixed != averaged:
-        raise CrossCheckFailed(
+        raise MathCheckError(
             f"averaged fixed-orbit count {averaged} != enumerated count {fixed}"
         )
     return TwistedOrbitCount(fixed, averaged, len(reps), match_sum)
@@ -216,7 +216,7 @@ def induced_character(
     bad = np.flatnonzero(np.abs(lhs - rhs) > 1e-8)
     if bad.size:
         i = bad[0]
-        raise CrossCheckFailed(
+        raise MathCheckError(
             f"Frobenius reciprocity fails on row {i}: {lhs[i]} vs {rhs[i]}"
         )
     return values

@@ -36,12 +36,13 @@ def test_run_job_power_sums_strings():
 
 
 def test_run_job_char_table_trivial():
-    report, code = cli.run_job(
-        {"command": "char-table", "group": {"family": "cyclic", "n": 1}},
-        seed=1,
-    )
-    assert code == 0
-    assert report["payload"]["rows"] == [[[1.0, 0.0]]]
+    for family, n in [("cyclic", 1), ("symmetric", 1), ("alternating", 2)]:
+        report, code = cli.run_job(
+            {"command": "char-table", "group": {"family": family, "n": n}},
+            seed=1,
+        )
+        assert code == 0
+        assert report["payload"]["rows"] == [[[1.0, 0.0]]]
 
 
 def test_unknown_command_and_family():
@@ -708,7 +709,12 @@ def test_map_and_subgroup_specs_take_one_key(build, spec):
     (["clifford-battery", "--n", "0"], "clifford-battery 'n' must be at least 1, got 0"),
     (["char-table", "--group", '{"family":"quaternion8","n":5}'],
      "family 'quaternion8' takes no parameter n"),
-], ids=["battery-negative", "battery-zero", "quaternion8-n"])
+    (["fs", "--group", '{"generators":[],"degree":3}'], "generator list is empty"),
+    (["power-sums", "--group", json.dumps(S3), "--n", "0"], "power must be >= 1"),
+    (["fs", "--group", json.dumps(S3), "--tau", '{"inner":99}'],
+     "element id 99 out of range for order 6"),
+], ids=["battery-negative", "battery-zero", "quaternion8-n", "no-generators", "power-zero",
+        "element-id-range"])
 def test_lax_inputs_are_refused(argv, error, capsys):
     assert cli.main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {error}\n")
@@ -867,7 +873,7 @@ def test_interrupts_and_cross_check_failures_keep_their_handling(tmp_path, capsy
         cli.run_batch({"jobs": [job]}, 1)
     with pytest.raises(KeyboardInterrupt):
         cli.main(["char-table", "--group", json.dumps(S3)])
-    failed = errors.CrossCheckFailed("routes disagree")
+    failed = errors.MathCheckError("routes disagree")
     monkeypatch.setitem(cli.COMMANDS, "char-table", (_raise(failed), ("group",)))
     aggregate, code, _ = cli.run_batch({"jobs": [job]}, 1, cache_dir=tmp_path)
     assert code == 2
@@ -1008,3 +1014,53 @@ def test_only_a_computing_job_loads_numpy(tmp_path):
     for case, seen in idle.items():
         assert (seen["numpy"], seen["executed"]) == (False, _FRONT_END), case
     assert (tmp_path / "warm.json").read_bytes() == (tmp_path / "cold.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# payload branches reached only from a command
+# ---------------------------------------------------------------------------
+
+Z2xZ2 = {"product": [{"family": "cyclic", "n": 2}, {"family": "cyclic", "n": 2}]}
+SWAP_FACTORS = {"generator_images": {"((1 2),e)": "(e,(1 2))", "(e,(1 2))": "((1 2),e)"}}
+
+
+def _payload(job: dict) -> dict:
+    report, code = cli.run_job(job, 1)
+    assert code == 0
+    return report["payload"]
+
+
+def test_an_integer_element_id_is_that_element():
+    label = groups.construct_family("quaternion8").label(1)
+    fs = {"command": "fs", "group": {"family": "quaternion8"}}
+    assert _payload({**fs, "tau": {"inner": 1}}) == _payload({**fs, "tau": {"inner": label}})
+
+
+def test_gelfand_on_a_pair_that_is_not_multiplicity_free():
+    payload = _payload({"command": "gelfand", "group": S3, "subgroup": {"generators": []}})
+    assert payload["gelfand"] is False and payload["multiplicities"] == [1, 1, 2]
+    skipped = {"skipped": "pair is not multiplicity-free"}
+    assert payload["spherical"] == skipped and payload["twisted_pair"] == skipped
+
+
+def test_condition_star_skips_gelfand_for_a_sigma_that_is_not_an_involution():
+    payload = _payload({"command": "condition-star", "group": S3,
+                        "sigma": {"inner": "(1 2 3)"}})
+    assert payload["holds"] is True and payload["rank"] is None
+    assert payload["gelfand"] == {"skipped": "sigma is not an involution"}
+
+
+@pytest.mark.parametrize("group,subgroup,tau,equivalences", [
+    # tau(K) = (1 3)K(1 3) = <(2 3)>, and tau still preserves every class
+    (S3, ["(1 2)"], {"inner": "(1 3)"}, {"exact": True, "holds": True}),
+    # the swap of the factors moves the permutation character of G/K
+    (Z2xZ2, ["((1 2),e)"], SWAP_FACTORS,
+     {"skipped": "twisted permutation representation not equivalent"}),
+], ids=["S3-inner", "Z2xZ2-swap"])
+def test_gelfand_pair_with_a_subgroup_tau_moves(group, subgroup, tau, equivalences):
+    payload = _payload({"command": "gelfand", "group": group,
+                        "subgroup": {"generators": subgroup}, "tau": tau})
+    assert payload["gelfand"] is True and payload["subgroup_tau_invariant"] is False
+    assert payload["twisted_pair"]["tau_invariant_k_orbits"] == {
+        "skipped": "K is not tau-invariant"}
+    assert payload["equivalences"] == equivalences

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taumackey import characters, cli, conjugacy, criteria, groups, morphisms
-from taumackey.errors import NonIntegralMultiplicity
+from taumackey.errors import MathCheckError
 
 from battery import available_taus, battery_names, get_group
 
@@ -170,7 +170,7 @@ def _tensor_cube_oracle(table):
     mults = np.round(raw.real).astype(np.int64)
     worst = float(np.abs(raw - mults).max())
     if worst > characters.INT_TOL:
-        raise NonIntegralMultiplicity(
+        raise MathCheckError(
             f"tensor multiplicities are not integral (residual {worst:.3g})"
         )
     return mults
@@ -200,7 +200,7 @@ def _tensor_witness_oracle(table):
                 "multiplicity": int(row[j, l]),
             }
     if worst > characters.INT_TOL:
-        raise NonIntegralMultiplicity(
+        raise MathCheckError(
             f"tensor multiplicities are not integral (residual {worst:.3g})"
         )
     return witness
@@ -300,10 +300,10 @@ def test_non_integral_block_raises_the_worst_residual_before_any_witness(
     table = characters.compute_character_table(g)
     bent = dataclasses.replace(table, values=table.values.copy())
     bent.values[row, col] += 1e-3
-    with pytest.raises(NonIntegralMultiplicity):
+    with pytest.raises(MathCheckError, match="tensor multiplicities are not integral"):
         _tensor_witness_oracle(bent)
     monkeypatch.setattr(criteria, "tensor_row", None)     # no witness is formed
-    with pytest.raises(NonIntegralMultiplicity) as got:
+    with pytest.raises(MathCheckError) as got:
         criteria.check_definition(bent, morphisms.tau_inverse(g))
     worst = _sums_residual_oracle(bent)
     assert worst > characters.INT_TOL

@@ -8,13 +8,7 @@ import pytest
 from taumackey import characters, cli, conjugacy, gelfand, groups, morphisms
 from taumackey._kernels import orbit_labels
 from taumackey.conjugacy import conjugacy_classes
-from taumackey.errors import (
-    BudgetExceeded,
-    CrossCheckFailed,
-    GroupMismatch,
-    NotAutomorphism,
-    NotGelfand,
-)
+from taumackey.errors import BudgetExceeded, MathCheckError, SpecError
 
 from battery import BATTERY_BUILDERS, battery_names, get_group, symmetry_conditions
 from oracles import induced_character, mul_table, retraced, subgroup_table
@@ -231,7 +225,7 @@ def test_symmetric_pair_s4_s3():
 def test_gelfand_report_refuses_a_table_of_another_group():
     sp = space_in("S3", ["(1 2)"])
     table = characters.compute_character_table(get_group("S4"))
-    with pytest.raises(GroupMismatch):
+    with pytest.raises(SpecError, match="belong to different groups"):
         gelfand.gelfand_criteria_report(sp, morphisms.tau_inverse(sp.group), table)
 
 
@@ -289,9 +283,12 @@ def test_spherical_functions_s4_s3():
 
 
 def test_spherical_rejects_non_gelfand():
+    """phi(K) is the multiplicity of its constituent: a multiplicity 2 fails
+    the normalization by 1."""
     sp = space_in("S4", ["(1 2)"])  # rank 7 over 5 rows forces multiplicity
     t = characters.compute_character_table(sp.group)
-    with pytest.raises(NotGelfand):
+    assert t.decompose(sp.permutation_character).max() == 2
+    with pytest.raises(MathCheckError, match="^spherical normalization residual 1$"):
         gelfand.spherical_functions(sp, t, t.decompose(sp.permutation_character))
 
 
@@ -359,7 +356,7 @@ def test_condition_star_identity_sigma():
 
 def test_condition_star_requires_automorphism():
     s4 = get_group("S4")
-    with pytest.raises(NotAutomorphism):
+    with pytest.raises(SpecError, match="need a validated automorphism"):
         gelfand.condition_star(s4, morphisms.tau_inverse(s4))
 
 
@@ -542,7 +539,7 @@ def test_spherical_and_induction_match_the_product_sweeps(name, retrace):
         assert np.abs(trivial - space.permutation_character).max() < 1e-9
         mults = table.decompose(space.permutation_character)
         if (mults > 1).any():
-            with pytest.raises(NotGelfand):
+            with pytest.raises(MathCheckError, match="spherical normalization residual"):
                 gelfand.spherical_functions(space, table, mults)
             continue
         gelfand_pairs += 1
@@ -593,7 +590,7 @@ def test_corrupted_classes_fail_the_permutation_character_division():
     class_of = conj.class_of.copy()
     class_of[G.element_id("(1 2)")] = class_of[G.element_id("(1 2 3)")]
     G._caches["conjugacy"] = dataclasses.replace(conj, class_of=class_of)
-    with pytest.raises(CrossCheckFailed, match="fixed-point counts are not integers"):
+    with pytest.raises(MathCheckError, match="fixed-point counts are not integers"):
         gelfand.build_coset_space(G, K)
 
 

@@ -8,13 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from taumackey import groups, morphisms
 from taumackey.conjugacy import ConjugacyData
-from taumackey.errors import (
-    ClosureCapExceeded,
-    InvalidMap,
-    NonGroup,
-    NotASubgroup,
-    UnknownFamily,
-)
+from taumackey.errors import SpecError
 
 from battery import BATTERY_BUILDERS, battery_names, get_group
 from oracles import LIGHT_CAP, mul_table, subgroup_table, verify_group_axioms
@@ -43,7 +37,7 @@ def test_closure_signed_subsets_order_eight():
 
 
 def test_closure_cap():
-    with pytest.raises(ClosureCapExceeded):
+    with pytest.raises(SpecError, match="> cap 1000"):
         groups.symmetric(8, cap=1000)
 
 
@@ -52,15 +46,15 @@ def test_non_group_detected():
     def compose(a, b):
         return tuple(a[x] for x in b)
 
-    with pytest.raises(NonGroup):
+    with pytest.raises(SpecError, match="not a bijection"):
         groups.enumerate_from_generators([(1, 2, 2)], compose, (0, 1, 2), str)
     # a constant map and the identity: a monoid with no inverses
-    with pytest.raises(NonGroup, match="not a bijection"):
+    with pytest.raises(SpecError, match="not a bijection"):
         groups.enumerate_from_generators([(0, 0), (0, 1)], compose, (0, 1), str)
 
 
 def test_wrong_identity_is_refused():
-    with pytest.raises(NonGroup, match="identity does not fix every generator"):
+    with pytest.raises(SpecError, match="identity does not fix every generator"):
         groups.enumerate_from_generators(
             [(1, 0, 2), (1, 2, 0)], groups.perm_compose, (1, 2, 0), groups.perm_label
         )
@@ -68,7 +62,7 @@ def test_wrong_identity_is_refused():
     def left_zero(a, b):
         return b
 
-    with pytest.raises(NonGroup, match="identity does not fix every generator"):
+    with pytest.raises(SpecError, match="identity does not fix every generator"):
         groups.enumerate_from_generators([1, 2], left_zero, 0)
 
 
@@ -84,10 +78,10 @@ def test_light_test_rejects_nonassociative_loop():
                       [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]], dtype=np.int32)
     loop = groups.GroupTable(5, "eabcd".__getitem__, [1, 2], "loop", table[:, [1, 2]].T)
     # multiplied along Cayley words from the loop's columns: not a group either
-    with pytest.raises(NonGroup):
+    with pytest.raises(SpecError, match="associativity failed"):
         verify_group_axioms(loop)
     loop.mul = lambda a, b: table[a, b].astype(np.int64)  # the loop itself
-    with pytest.raises(NonGroup, match="associativity"):
+    with pytest.raises(SpecError, match="associativity"):
         verify_group_axioms(loop)
 
 def test_semidirect_axioms():
@@ -97,14 +91,14 @@ def test_semidirect_axioms():
 
 
 def test_unknown_family():
-    with pytest.raises(UnknownFamily):
+    with pytest.raises(SpecError, match="unknown family"):
         groups.construct_family("sporadic", 1)
-    with pytest.raises(UnknownFamily):
+    with pytest.raises(SpecError, match="needs parameter n"):
         groups.construct_family("cyclic")
 
 
 def test_quaternion8_takes_no_n():
-    with pytest.raises(UnknownFamily, match="^family 'quaternion8' takes no parameter n$"):
+    with pytest.raises(SpecError, match="^family 'quaternion8' takes no parameter n$"):
         groups.construct_family("quaternion8", 5)
 
 
@@ -211,7 +205,7 @@ def test_semidirect_relations_z4():
 def test_semidirect_rejects_plain_automorphism():
     z3 = groups.cyclic(3)
     auto = morphisms.validate(z3, np.arange(3), "automorphism")
-    with pytest.raises(InvalidMap):
+    with pytest.raises(SpecError, match="need a validated involutory anti-automorphism"):
         groups.construct_semidirect_with_involution(z3, auto)
 
 
@@ -220,11 +214,11 @@ def test_parse_cycles():
     assert groups.parse_cycles("(1 2)(3 4)", 4) == (1, 0, 3, 2)
     assert groups.parse_cycles("(1,2)", 4) == (1, 0, 2, 3)
     assert groups.parse_cycles("e", 3) == (0, 1, 2)
-    with pytest.raises(InvalidMap):
+    with pytest.raises(SpecError, match="bad cycle"):
         groups.parse_cycles("(1 5)", 3)
-    with pytest.raises(InvalidMap):
+    with pytest.raises(SpecError, match="bad cycle"):
         groups.parse_cycles("(1 1)", 3)
-    with pytest.raises(InvalidMap):
+    with pytest.raises(SpecError, match="bad cycle notation"):
         groups.parse_cycles("1 2", 3)
 
 
@@ -251,9 +245,9 @@ def test_subgroup_closure_and_table():
 
 def test_not_a_subgroup():
     s3 = get_group("S3")
-    with pytest.raises(NotASubgroup):
+    with pytest.raises(SpecError, match="not closed under multiplication"):
         groups.check_subgroup(s3, [0, s3.element_id("(1 2 3)")])
-    with pytest.raises(NotASubgroup):
+    with pytest.raises(SpecError, match="must contain the identity"):
         groups.check_subgroup(s3, [s3.element_id("(1 2)")])
 
 
@@ -277,7 +271,7 @@ def check_subgroup_against_oracle(G, ids):
     Returns whether the set was accepted."""
     expected = closure_oracle_refusal(G, ids)
     if expected is not None:
-        with pytest.raises(NotASubgroup) as info:
+        with pytest.raises(SpecError) as info:
             groups.check_subgroup(G, ids)
         assert str(info.value) == expected
         return False
@@ -329,7 +323,7 @@ def test_check_subgroup_on_seeded_s4_subsets():
 
 
 def test_check_subgroup_refuses_the_empty_set():
-    with pytest.raises(NotASubgroup, match="identity"):
+    with pytest.raises(SpecError, match="identity"):
         groups.check_subgroup(get_group("S3"), [])
 
 
@@ -554,9 +548,9 @@ def test_cycle_strings_resolve_without_building_labels():
     assert g.element_id(rotation) == g.generators[0]
     assert g.element_id("e") == 0
     assert g._labels is None
-    with pytest.raises(InvalidMap, match="no element"):
+    with pytest.raises(SpecError, match="no element"):
         g.element_id("(1 2)")  # a transposition, not a symmetry of the 50-gon
-    with pytest.raises(InvalidMap, match="bad cycle"):
+    with pytest.raises(SpecError, match="bad cycle"):
         g.element_id("(1 x)")
 
 
@@ -577,7 +571,7 @@ def test_derived_groups_label_lazily():
 
 
 def test_parse_cycles_rejects_non_integer_points():
-    with pytest.raises(InvalidMap, match="integers"):
+    with pytest.raises(SpecError, match="integers"):
         groups.parse_cycles("(1 x)", 3)
 
 
@@ -744,7 +738,7 @@ def test_affine_walks_without_table_match_the_tuple_closure(name, closure_case):
 ])
 def test_affine_element_id_refuses_non_members(family, n, cycles):
     g = groups.construct_family(family, n)
-    with pytest.raises(InvalidMap, match="no element matching"):
+    with pytest.raises(SpecError, match="no element matching"):
         g.element_id(cycles)
 
 
@@ -752,7 +746,7 @@ def test_affine_element_id_refuses_other_concrete_keys():
     g = groups.dihedral(4)
     assert g.element_id((1, 2, 3, 0)) == g.generators[0]
     for what in [(1, 0), [1, 2, 3, 0], (1, 2, 3), (9, 2, 3, 0), ("a", 2, 3, 0)]:
-        with pytest.raises(InvalidMap, match="no element matching"):
+        with pytest.raises(SpecError, match="no element matching"):
             g.element_id(what)
 
 
@@ -834,12 +828,12 @@ def test_family_order_over_the_cap_is_refused_up_front(family, n, order, monkeyp
     def no_closure(*args, **kwargs):
         raise AssertionError("closure started")
     monkeypatch.setattr(groups, "enumerate_from_generators", no_closure)
-    with pytest.raises(ClosureCapExceeded, match=rf"^{family}\({n}\) has order .* > cap {order - 1}$"):
+    with pytest.raises(SpecError, match=rf"^{family}\({n}\) has order .* > cap {order - 1}$"):
         groups.construct_family(family, n, cap=order - 1)
     # n alone decides: no n-point tuple, n! or 2^(n+1) is formed (2^(10^9+1)
     # alone takes seconds), so the refusal is immediate
     start = time.perf_counter()
-    with pytest.raises(ClosureCapExceeded, match=rf"^{family}\(1000000000\) has order"):
+    with pytest.raises(SpecError, match=rf"^{family}\(1000000000\) has order"):
         groups.construct_family(family, 10**9)
     assert time.perf_counter() - start < 0.5
 
@@ -848,7 +842,7 @@ def test_family_cap_refusal_texts():
     texts = {}
     for family, n in [("cyclic", 20001), ("dihedral", 10001), ("symmetric", 8),
                       ("alternating", 9), ("clifford", 14)]:
-        with pytest.raises(ClosureCapExceeded) as info:
+        with pytest.raises(SpecError) as info:
             groups.construct_family(family, n)
         texts[family] = str(info.value)
     assert texts == {
