@@ -101,8 +101,7 @@ def simultaneous_conjugation_scan(
             f"|G|^2 = {size} exceeds the pair budget {pair_budget}"
         )
     cmaps = G.generator_conj_maps()
-    moves = np.stack([(c[:, None] * G.order + c[None, :]).reshape(-1) for c in cmaps])
-    labels = orbit_labels(moves)
+    labels = orbit_labels(np.stack([cmaps, cmaps], axis=1))
     reps = orbit_representatives(labels)
     a, b = np.divmod(reps, G.order)
     tau_pairs = tau.images[a] * G.order + tau.images[b]

@@ -105,7 +105,7 @@ def orbit_analysis(
     gens = np.array(G.generators, dtype=np.int64)
     left = space.rows(tau.images[G.inverse[gens]])   # tau-twisted action
     right = space.rows(gens)
-    labels = orbit_labels((left[:, :, None] * X + right[:, None, :]).reshape(len(gens), -1))
+    labels = orbit_labels(np.stack([left, right], axis=1))
     pair_reps = orbit_representatives(labels)
     x1, x2 = np.divmod(pair_reps, X)
     symmetric = labels[x2 * X + x1] == pair_reps

@@ -362,7 +362,7 @@ def enumerate_from_generators(
 
 def cyclic(n: int, cap: int = ORDER_CAP) -> GroupTable:
     if n < 1:
-        raise SpecError(f"cyclic({n})")
+        raise SpecError(f"cyclic({n}): n must be at least 1")
     if n > cap:
         raise SpecError(f"cyclic({n}) has order {n} > cap {cap}")
     return _affine_group([(1 % n, 0)], n, f"cyclic({n})", cap)
@@ -370,11 +370,13 @@ def cyclic(n: int, cap: int = ORDER_CAP) -> GroupTable:
 
 def symmetric(n: int, cap: int = ORDER_CAP) -> GroupTable:
     if n < 1:
-        raise SpecError(f"symmetric({n})")
+        raise SpecError(f"symmetric({n}): n must be at least 1")
     if _product_over(2, n, cap):
         raise SpecError(f"symmetric({n}) has order {n}! > cap {cap}")
     if n == 1:
-        return cyclic(1)
+        g = cyclic(1)
+        g.family_tag = "symmetric(1)"
+        return g
     swap = (1, 0) + tuple(range(2, n))
     cycle = tuple(range(1, n)) + (0,)
     gens = [swap] if n == 2 else [swap, cycle]
@@ -386,7 +388,7 @@ def symmetric(n: int, cap: int = ORDER_CAP) -> GroupTable:
 
 def alternating(n: int, cap: int = ORDER_CAP) -> GroupTable:
     if n < 1:
-        raise SpecError(f"alternating({n})")
+        raise SpecError(f"alternating({n}): n must be at least 1")
     if _product_over(3, n, cap):
         raise SpecError(f"alternating({n}) has order {n}!/2 > cap {cap}")
     if n <= 2:
@@ -407,7 +409,7 @@ def alternating(n: int, cap: int = ORDER_CAP) -> GroupTable:
 def dihedral(n: int, cap: int = ORDER_CAP) -> GroupTable:
     """Symmetry group of the n-gon, order 2n."""
     if n < 1:
-        raise SpecError(f"dihedral({n})")
+        raise SpecError(f"dihedral({n}): n must be at least 1")
     if 2 * n > cap:
         raise SpecError(f"dihedral({n}) has order {2 * n} > cap {cap}")
     if n == 1:
@@ -544,7 +546,7 @@ def clifford(n: int, cap: int = ORDER_CAP) -> GroupTable:
     the element model has 2^(n+1) members and that is what we enumerate.
     """
     if n < 1:
-        raise SpecError(f"clifford({n})")
+        raise SpecError(f"clifford({n}): n must be at least 1")
     if n + 1 > cap.bit_length() or 2 ** (n + 1) > cap:
         raise SpecError(f"clifford({n}) has order 2^{n + 1} > cap {cap}")
     gens = [(1, 1 << i) for i in range(n)] + [(-1, 0)]

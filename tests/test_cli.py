@@ -45,6 +45,22 @@ def test_run_job_char_table_trivial():
         assert report["payload"]["rows"] == [[[1.0, 0.0]]]
 
 
+@pytest.mark.parametrize("family", ["cyclic", "symmetric", "alternating", "dihedral",
+                                    "clifford"])
+def test_family_below_one_names_the_check(family, capsys):
+    group = json.dumps({"family": family, "n": 0})
+    assert cli.main(["fs", "--group", group, "--tau", "inverse"]) == 1
+    assert capsys.readouterr() == ("", f"error: {family}(0): n must be at least 1\n")
+
+
+@pytest.mark.parametrize("family,n", [("symmetric", 1), ("alternating", 2)])
+def test_trivial_family_keeps_its_tag(family, n, capsys):
+    group = json.dumps({"family": family, "n": n})
+    assert cli.main(["fs", "--group", group, "--tau", "clifford"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {family}({n}) was not built by clifford(n)\n")
+
+
 def test_unknown_command_and_family():
     with pytest.raises(SpecError):
         cli.run_job({"command": "nonsense"}, 1)

@@ -380,9 +380,10 @@ def test_coset_space_data_is_computed_once_per_space(monkeypatch):
     gelfand.spherical_functions(sp, table, rep.multiplicities)
     gelfand.twisted_fs_gelfand(sp, tau, table, rep)
     # the cosets, the K-orbits, the pair orbits of X x X, the tau(K)-orbits:
-    # one call each, with K's generators as moves
+    # one call each, with K's generators as moves (G's on the pairs, one
+    # permutation of X per coordinate)
     gens = len(sp.generators)
-    assert kernel_calls == [(gens, G.order), (gens, sp.size), (2, sp.size ** 2),
+    assert kernel_calls == [(gens, G.order), (gens, sp.size), (2, 2, sp.size),
                             (gens, sp.size)]
     assert sp.k_orbit_labels is labels
     assert sp.permutation_character is perm

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from taumackey import _kernels, cli, gelfand, groups
+from taumackey import ORDER_CAP, _kernels, cli, conjugacy, gelfand, groups, morphisms
+from taumackey.errors import BudgetExceeded
 
 
 def _reference_labels(moves):
@@ -53,11 +56,38 @@ def test_no_moves_gives_singletons():
 
 
 
-def _pair_moves(G):
-    """Simultaneous conjugation on G x G, as the pair scan builds it."""
-    n = G.order
-    return np.stack([(c[:, None] * n + c[None, :]).reshape(-1)
-                     for c in G.generator_conj_maps()])
+def _grid_pair_moves(G):
+    """Simultaneous conjugation on G x G, as the pair scan passes it: one
+    conjugation map per coordinate."""
+    c = G.generator_conj_maps()
+    return np.stack([c, c], axis=1)
+
+
+def _pair_moves(moves):
+    """The oracle for moves on the grid {0..n-1}^2: the same moves stacked
+    as permutations of the n^2 flat state ids, x*n + y -> left[x]*n + right[y]."""
+    n = moves.shape[2]
+    flat = moves[:, 0, :, None] * n + moves[:, 1, None, :]
+    return flat.reshape(len(moves), n * n)
+
+
+def _random_pair_moves(n, count, seed):
+    """Random pair actions with a different permutation on each side, the
+    shape of `gelfand.orbit_analysis`'s twisted action."""
+    rng = np.random.default_rng(seed)
+    return np.array([[rng.permutation(n), rng.permutation(n)] for _ in range(count)],
+                    dtype=np.int64).reshape(count, 2, n)
+
+
+def _orbit_analysis_moves():
+    """The twisted pair action that `gelfand.orbit_analysis` passes: S6 on
+    X x X, X the cosets of S3 x S3, with tau inner by the factor swap."""
+    G = groups.symmetric(6)
+    K = cli.build_subgroup(G, {"generators": ["(1 2)", "(1 2 3)", "(4 5)", "(4 5 6)"]})
+    tau = cli.build_tau(G, {"inner": "(1 4)(2 5)(3 6)"})
+    space = gelfand.build_coset_space(G, K)
+    gens = np.array(G.generators)
+    return np.stack([space.rows(tau.images[G.inverse[gens]]), space.rows(gens)], axis=1)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -72,10 +102,10 @@ def test_representatives_are_unique_labels_on_random_moves(seed, n, m):
 @pytest.mark.parametrize("build", [lambda: groups.symmetric(6), lambda: groups.dihedral(50)],
                          ids=["S6", "D50"])
 def test_representatives_are_unique_labels_on_pair_moves(build):
-    labels = _kernels.orbit_labels(_pair_moves(build()))
+    labels = _kernels.orbit_labels(_grid_pair_moves(build()))
     reps = _kernels.orbit_representatives(labels)
     assert np.array_equal(reps, np.unique(labels))
-    assert reps.dtype == np.unique(labels).dtype
+    assert reps.dtype == np.int64
 
 
 def test_representatives_of_no_moves_are_all_states():
@@ -85,8 +115,11 @@ def test_representatives_of_no_moves_are_all_states():
 
 def _propagation_oracle(moves):
     """The previous kernel: each round one min-propagation sweep over the
-    moves and their inverses, then a single ``labels[labels]`` jump."""
+    moves and their inverses, then a single ``labels[labels]`` jump.  Moves
+    on the grid {0..n-1}^2 run as their flat `_pair_moves`."""
     moves = np.asarray(moves, dtype=np.int64)
+    if moves.ndim == 3:
+        moves = _pair_moves(moves)
     n = moves.shape[1]
     both = list(moves)
     for m in moves:
@@ -127,12 +160,22 @@ def _random_moves(n, count, seed):
     return np.stack([rng.permutation(n) for _ in range(count)])
 
 
-ORACLE_CASES = {
-    "D397 pairs": lambda: _pair_moves(groups.dihedral(397)),
-    "D101 pairs": lambda: _pair_moves(groups.dihedral(101)),
-    "S6 pairs": lambda: _pair_moves(groups.symmetric(6)),
-    "A6xZ2 pairs": lambda: _pair_moves(
+PAIR_CASES = {
+    "D397 pairs": lambda: _grid_pair_moves(groups.dihedral(397)),
+    "D101 pairs": lambda: _grid_pair_moves(groups.dihedral(101)),
+    "S6 pairs": lambda: _grid_pair_moves(groups.symmetric(6)),
+    "A6xZ2 pairs": lambda: _grid_pair_moves(
         groups.direct_product(groups.alternating(6), groups.cyclic(2))),
+    "S6 on X x X, X the cosets of S3 x S3, twisted": _orbit_analysis_moves,
+    **{f"random pair action, {count} moves on {n}^2 states, seed {seed}": (
+        lambda n=n, count=count, seed=seed: _random_pair_moves(n, count, seed))
+       for n, count in [(0, 2), (1, 1), (1, 0), (6, 0), (7, 1), (30, 1), (40, 2), (150, 3)]
+       for seed in range(2)},
+}
+
+
+ORACLE_CASES = {
+    **PAIR_CASES,
     "Z10007 shift up": lambda: _shift(10007, 1),
     "Z10007 shift down": lambda: _shift(10007, -1),
     "S4 x S4 on the 2 cosets of S4 wr Z2 (576 moves)": _s4_wr_z2_k_action,
@@ -152,8 +195,43 @@ ORACLE_CASES = {
 def test_matches_the_propagation_oracle(case):
     moves = ORACLE_CASES[case]()
     got = _kernels.orbit_labels(moves)
-    assert got.dtype == np.int64
+    assert got.dtype == np.int32
     assert np.array_equal(got, _propagation_oracle(moves))
+
+
+@pytest.mark.parametrize("case", PAIR_CASES)
+def test_grid_labels_match_the_flat_pair_moves(case):
+    moves = PAIR_CASES[case]()
+    n = moves.shape[2]
+    got = _kernels.orbit_labels(moves)
+    assert got.shape == (n * n,)
+    assert np.array_equal(got, _kernels.orbit_labels(_pair_moves(moves)))
+
+
+def test_every_state_id_fits_int32():
+    assert ORDER_CAP**2 < 2**31
+
+
+def test_a_grid_past_int32_is_refused_before_any_state():
+    with pytest.raises(BudgetExceeded, match="46341\\^2 states exceed the int32 state ids"):
+        _kernels.orbit_labels(np.empty((0, 2, 46341), dtype=np.int64))
+
+
+def test_pair_scan_peak_memory_per_state():
+    """The D397 scan holds the labels, `prev` and two work arrays as int32,
+    plus the intp copy of an index array that `take` and `ufunc.at` make:
+    24 bytes per state, against 41 with the moves stacked as flat int64
+    index arrays."""
+    G = groups.dihedral(397)
+    tau = morphisms.tau_inverse(G)
+    conjugacy.conjugacy_classes(G)
+    tracemalloc.start()
+    try:
+        conjugacy.simultaneous_conjugation_scan(G, 2, tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * G.order**2
 
 
 class _CountedMinimum:
