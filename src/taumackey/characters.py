@@ -36,7 +36,6 @@ class CharacterTable:
     degrees: np.ndarray           # int per row
     orthogonality_residual: float
     integrality_residual: float
-    seed: int
 
     @property
     def class_count(self) -> int:
@@ -149,7 +148,6 @@ def compute_character_table(
             degrees=degrees[order],
             orthogonality_residual=orth,
             integrality_residual=deg_res,
-            seed=seed,
         )
     raise MathCheckError(
         f"no usable eigenbasis after {MAX_EIG_RETRIES} random combinations: "
@@ -230,8 +228,8 @@ class TwistedIndicators:
 
 def twisted_fs_indicators(table: CharacterTable, tau: GroupMap) -> TwistedIndicators:
     """Twisted indicators computed two independent ways and asserted equal,
-    and the error of expanding the twisted square-root counts in the rows
-    with the rounded indicators as coefficients (reported, not asserted)."""
+    and the twisted square-root counts asserted to expand in the rows with
+    the rounded indicators as coefficients."""
     G = table.group
     if tau.group is not G:
         raise SpecError("map lives on a different group")
@@ -248,6 +246,10 @@ def twisted_fs_indicators(table: CharacterTable, tau: GroupMap) -> TwistedIndica
     values = _round_indicators(trace_route, "twisted Frobenius-Schur indicator")
     residual = float(np.abs(trace_route - values).max())
     expansion = float(np.abs(values.astype(complex) @ table.values - counts).max())
+    if expansion > INT_TOL:
+        raise MathCheckError(
+            f"twisted square-root counts do not expand in the rows (residual {expansion:.3g})"
+        )
     return TwistedIndicators(values, max(residual, agreement), expansion)
 
 

@@ -6,13 +6,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import PAIR_BUDGET
 from .characters import (
     CharacterTable,
     multiplicity_free_pairs,
     tau_row_permutation,
     tensor_row,
 )
-from .conjugacy import PAIR_BUDGET, power_sums, simultaneous_conjugation_scan
+from .conjugacy import power_sums, simultaneous_conjugation_scan
 from .errors import BudgetExceeded, MathCheckError
 from .groups import GroupTable
 from .morphisms import GroupMap

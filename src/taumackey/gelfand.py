@@ -8,16 +8,16 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import CLASS_CAP, PAIR_BUDGET
 from ._kernels import orbit_labels, orbit_representatives
 from .characters import (
-    CLASS_CAP,
     INT_TOL,
     CharacterTable,
     compute_character_table,
     tau_row_permutation,
     twisted_fs_indicators,
 )
-from .conjugacy import PAIR_BUDGET, conjugacy_classes
+from .conjugacy import conjugacy_classes
 from .errors import BudgetExceeded, MathCheckError, SpecError
 from .groups import GroupTable, check_subgroup
 from .morphisms import GroupMap
@@ -158,7 +158,6 @@ class GelfandCriteria:
     gelfand: bool                      # permutation character multiplicity-free
     rank: int                          # number of K-orbits on X
     multiplicities: np.ndarray
-    constituent_rows: np.ndarray
     indicators: np.ndarray             # twisted indicator per table row
     hypothesis_holds: bool             # twisted permutation character = plain one
     weak_symmetry: bool
@@ -217,7 +216,6 @@ def gelfand_criteria_report(
         gelfand=gelfand,
         rank=rank,
         multiplicities=mults,
-        constituent_rows=constituents,
         indicators=indicators,
         hypothesis_holds=hypothesis,
         weak_symmetry=weak,

@@ -170,6 +170,19 @@ def test_count_expansion_examples():
     assert int(twq.values @ tq.degrees) == 2  # 1+1+1+1-2
 
 
+@pytest.mark.parametrize("name", ["S4", "Z4", "Q8", "D5"])
+def test_count_expansion_fails_loudly_on_a_doctored_table(name):
+    """The last row replaced by the trivial row: both indicator routes give 1
+    for it and agree, and the rounding holds, so only the expansion of the
+    twisted counts in the rows can catch it."""
+    t = table(name)
+    values = t.values.copy()
+    values[-1] = values[0]
+    doctored = dataclasses.replace(t, values=values)
+    with pytest.raises(MathCheckError, match="counts do not expand in the rows"):
+        characters.twisted_fs_indicators(doctored, morphisms.tau_inverse(t.group))
+
+
 def test_induced_character_a3_to_s3():
     s3 = get_group("S3")
     t = table("S3")

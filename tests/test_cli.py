@@ -1,12 +1,13 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import taumackey
 from taumackey import characters, cli, conjugacy, criteria, errors, gelfand, groups
 from taumackey.errors import SpecError
 
@@ -896,8 +897,32 @@ def test_interrupts_and_cross_check_failures_keep_their_handling(tmp_path, capsy
     assert aggregate["jobs"][0]["payload"] == {"cross_check_failure": "routes disagree"}
     assert len(list(tmp_path.iterdir())) == 1   # a cross-check failure is cached
     assert cli.main(["char-table", "--group", json.dumps(S3)]) == 2
-    out, _ = capsys.readouterr()
+    out, err = capsys.readouterr()
     assert json.loads(out)["payload"] == {"cross_check_failure": "routes disagree"}
+    assert re.fullmatch(r"char-table: \d+\.\d\ds\n", err)
+
+
+def test_fs_exits_2_when_the_count_expansion_fails(monkeypatch, capsys):
+    """A table whose last row is replaced by the trivial row passes every
+    other check before the expansion; fs reports the failure with exit 2,
+    as one command and as a batch job."""
+    real = characters.compute_character_table
+
+    def doctored(*args):
+        table = real(*args)
+        values = table.values.copy()
+        values[-1] = values[0]
+        return dataclasses.replace(table, values=values)
+
+    monkeypatch.setattr(characters, "compute_character_table", doctored)
+    job = {"command": "fs", "group": {"family": "quaternion8"}, "tau": "inverse"}
+    failure = {"cross_check_failure":
+               "twisted square-root counts do not expand in the rows (residual 3)"}
+    assert cli.main(["fs", "--group", json.dumps(job["group"]), "--tau", "inverse"]) == 2
+    assert json.loads(capsys.readouterr().out)["payload"] == failure
+    aggregate, code, _ = cli.run_batch({"jobs": [job]}, 1)
+    assert code == 2
+    assert aggregate["jobs"][0]["payload"] == failure
 
 
 # ---------------------------------------------------------------------------
@@ -983,15 +1008,6 @@ def test_one_blas_thread_unless_the_environment_sets_a_count(preset, threads):
     probe = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
                            capture_output=True, text=True, check=True)
     assert probe.stdout.split() == ["False", "0", threads, threads]
-
-
-def test_every_public_name_resolves_from_its_module():
-    assert set(taumackey.__all__) <= set(dir(taumackey))
-    for name in taumackey.__all__:
-        value = getattr(taumackey, name)
-        assert name == "__version__" or value.__module__.startswith("taumackey."), name
-    with pytest.raises(AttributeError):
-        getattr(taumackey, "no_such_name")
 
 
 # main(argv) in a fresh interpreter; the last line of stdout tells what ran:
