@@ -41,9 +41,10 @@ def orbit_labels(moves: np.ndarray) -> np.ndarray:
     connectivity algorithm (J. Algorithms 3, 1982):
 
     - propagate: for every move m, each state i takes the smaller of its
-      label and that of m(i), then m(i) takes the smaller of its label and
-      that of i (a scatter, exact because m is a permutation, and done as a
-      gather by the inverse coordinate permutations);
+      label and that of m(i), then the smaller of its label and that of
+      m^-1(i) (a gather by the inverse coordinate permutations, which
+      gives what scattering i's label to m(i) would give, as m is a
+      permutation);
     - hook: each label held at the start of the round takes the minimum of
       the labels now held by the states that pointed to it;
     - compress: jump ``labels[labels]`` until it stops changing.
@@ -70,7 +71,9 @@ def orbit_labels(moves: np.ndarray) -> np.ndarray:
     for row, inverse in zip(moves.reshape(k * d, n), inverses.reshape(k * d, n)):
         inverse[row] = ids
     labels = np.arange(n**d, dtype=np.int32)
-    prev = np.empty_like(labels)
+    # the labels as of the last compress, kept as intp: the hook and every
+    # compress jump index by it, and an int32 index would be copied to intp
+    prev = np.empty(n**d, dtype=np.intp)
     tmp = np.empty_like(labels)
     buf = np.empty((n, n) if d > 1 else 0, dtype=np.int32)
     first = True
@@ -82,9 +85,8 @@ def orbit_labels(moves: np.ndarray) -> np.ndarray:
                 continue
             settled = False
             np.minimum(labels, tmp, out=labels)
-            _gather(labels, m, tmp, buf)
-            np.minimum(tmp, labels, out=tmp)
-            _gather(tmp, inv, labels, buf)
+            _gather(labels, inv, tmp, buf)
+            np.minimum(labels, tmp, out=labels)
         if settled:
             return labels
         # In the first round every state pointed to itself: nothing to hook.
@@ -95,11 +97,11 @@ def orbit_labels(moves: np.ndarray) -> np.ndarray:
             np.minimum.at(labels, prev, tmp)
         first = False
         while True:
-            labels.take(labels, out=tmp, mode="clip")
+            np.copyto(prev, labels)
+            labels.take(prev, out=tmp, mode="clip")
             if (tmp == labels).all():
                 break
             labels, tmp = tmp, labels
-        np.copyto(prev, labels)
 
 
 def orbit_representatives(labels: np.ndarray) -> np.ndarray:

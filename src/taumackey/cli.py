@@ -122,10 +122,7 @@ def build_group(spec, cap: int = ORDER_CAP) -> groups.GroupTable:
         if degree > groups.DEGREE_CAP:
             raise SpecError(f"'degree' {degree} exceeds the cap {groups.DEGREE_CAP}")
         perms = [groups.parse_cycles(s, degree) for s in gens]
-        return groups.enumerate_from_generators(
-            perms, groups.perm_compose, tuple(range(degree)), groups.perm_label,
-            "generators", cap, meta={"degree": degree},
-        )
+        return groups._permutation_group(perms, degree, "generators", cap)
     if form == "product":
         parts = spec["product"]
         if not isinstance(parts, list) or len(parts) != 2:

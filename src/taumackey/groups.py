@@ -8,6 +8,11 @@ their inverses and the shortcut moves by their 2^j-th powers (each column
 squared from the last) gives each element a shallow Cayley word, and a
 product walks one word, one gather per letter: 7 letters at most on Z20000
 and D10000, 6 on D1000, 18 on S7.  No multiplication table is kept.
+
+Permutation groups and the signed-subset (Clifford) family close in numpy,
+one breadth-first level at a time, with their elements as rows of an array.
+The affine families (cyclic, dihedral) and Q8 close one product at a time:
+their levels hold a few elements each, too few to pay for array calls.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ class GroupTable:
         generators: list[int],
         family_tag: str,
         columns: np.ndarray,
-        elements: list | None = None,
+        elements: list | np.ndarray | None = None,
         element_index: dict | None = None,
         meta: dict | None = None,
     ):
@@ -244,11 +249,6 @@ class GroupTable:
 # permutation helpers
 # ---------------------------------------------------------------------------
 
-def perm_compose(p: tuple, q: tuple) -> tuple:
-    """(p*q)(x) = p(q(x))."""
-    return tuple(map(p.__getitem__, q))
-
-
 def perm_label(p: tuple) -> str:
     """Cycle notation on points 1..m; identity is 'e'."""
     seen = [False] * len(p)
@@ -356,6 +356,75 @@ def enumerate_from_generators(
     )
 
 
+# bytes of candidate rows formed at once: a degree-1000 permutation row is
+# 2 KB, so a whole level of candidates could take hundreds of megabytes
+_BLOCK_BYTES = 1 << 22
+
+
+def _close_rows(identity: np.ndarray, gens: np.ndarray, right_mul: Callable,
+                tag: str, cap: int):
+    """Close rows under right multiplication, one breadth-first level at a
+    time: the search of enumerate_from_generators, with elements as rows.
+
+    ``right_mul(x)`` gives, for rows x of shape (m, w), the (m, k, w)
+    products x*s by the k generators ``gens``, element-major and
+    generator-minor.  Candidates are told apart exactly, by their bytes,
+    and each new row takes the next id in order of first hit, so the ids,
+    columns and generator ids are those of the one-at-a-time search.
+    Returns (rows by id, the (k, order) right-multiplication columns,
+    generator ids, row bytes -> id).
+    """
+    void = np.dtype((np.void, identity.nbytes))
+    index = {identity.tobytes(): 0}
+    right = []
+    frontier = identity[None]
+    block = max(1, _BLOCK_BYTES // (len(gens) * identity.nbytes))
+    while len(frontier):
+        new: list[bytes] = []
+        for lo in range(0, len(frontier), block):
+            keys = right_mul(frontier[lo:lo + block]).view(void).ravel().tolist()
+            fresh = [key for key in dict.fromkeys(keys) if key not in index]
+            if len(index) + len(fresh) > cap:
+                raise SpecError(f"closure exceeded cap {cap} (tag {tag})")
+            index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+            new += fresh
+            right.append(np.fromiter(map(index.__getitem__, keys), np.int64, len(keys)))
+        frontier = np.frombuffer(b"".join(new), identity.dtype).reshape(-1, identity.size)
+    # the index holds each row's bytes once, inserted in id order
+    rows = np.frombuffer(b"".join(index), identity.dtype).reshape(len(index), identity.size)
+    columns = np.concatenate(right).reshape(-1, len(gens)).T
+    return rows, columns, [index[g.tobytes()] for g in gens], index
+
+
+def _permutation_group(perms: Sequence[tuple], degree: int, tag: str = "generators",
+                       cap: int = ORDER_CAP) -> GroupTable:
+    """The group generated by permutation tuples of 0..degree-1, closed as
+    int16 rows: x*s is the row x[s], as (x*s)(i) = x(s(i)).  Labels and
+    lookups read the rows, so no element becomes a tuple of Python ints."""
+    seeds = list(dict.fromkeys(perms))  # repeats dropped, order kept
+    if not seeds:
+        raise SpecError("generator list is empty")
+    gens = np.array(seeds, dtype=np.int16)
+    rows, columns, gen_ids, index = _close_rows(
+        np.arange(degree, dtype=np.int16), gens, lambda x: x.take(gens, axis=1), tag, cap)
+    return GroupTable(len(rows), lambda a: perm_label(rows[a].tolist()), gen_ids, tag,
+                      columns, elements=rows, element_index=_RowIndex(index, degree),
+                      meta={"degree": degree})
+
+
+class _RowIndex(dict):
+    """Row bytes -> id, looked up by the permutation tuple a row denotes."""
+
+    def __init__(self, index: dict, n: int):
+        super().__init__(index)
+        self.n = n
+
+    def __getitem__(self, perm):
+        if isinstance(perm, tuple) and sorted(perm) == list(range(self.n)):
+            return super().__getitem__(np.array(perm, dtype=np.int16).tobytes())
+        raise KeyError(perm)
+
+
 # ---------------------------------------------------------------------------
 # builtin families
 # ---------------------------------------------------------------------------
@@ -380,10 +449,7 @@ def symmetric(n: int, cap: int = ORDER_CAP) -> GroupTable:
     swap = (1, 0) + tuple(range(2, n))
     cycle = tuple(range(1, n)) + (0,)
     gens = [swap] if n == 2 else [swap, cycle]
-    return enumerate_from_generators(
-        gens, perm_compose, tuple(range(n)), perm_label, f"symmetric({n})", cap,
-        meta={"degree": n},
-    )
+    return _permutation_group(gens, n, f"symmetric({n})", cap)
 
 
 def alternating(n: int, cap: int = ORDER_CAP) -> GroupTable:
@@ -400,10 +466,7 @@ def alternating(n: int, cap: int = ORDER_CAP) -> GroupTable:
         p = list(range(n))
         p[0], p[1], p[k] = p[1], p[k], p[0]
         gens.append(tuple(p))
-    return enumerate_from_generators(
-        gens, perm_compose, tuple(range(n)), perm_label, f"alternating({n})", cap,
-        meta={"degree": n},
-    )
+    return _permutation_group(gens, n, f"alternating({n})", cap)
 
 
 def dihedral(n: int, cap: int = ORDER_CAP) -> GroupTable:
@@ -420,10 +483,7 @@ def dihedral(n: int, cap: int = ORDER_CAP) -> GroupTable:
         # 2-gon symmetries degenerate as permutations; use two disjoint swaps
         a = (1, 0, 2, 3)
         b = (0, 1, 3, 2)
-        return enumerate_from_generators(
-            [a, b], perm_compose, (0, 1, 2, 3), perm_label, "dihedral(2)", cap,
-            meta={"degree": 4},
-        )
+        return _permutation_group([a, b], 4, "dihedral(2)", cap)
     return _affine_group([(1, 0), (0, 1)], n, f"dihedral({n})", cap)
 
 
@@ -443,7 +503,7 @@ def _product_over(lo: int, hi: int, cap: int) -> bool:
 # permutation is formed only to label an element or to look one up.
 
 def _affine_compose(p: tuple, q: tuple, n: int) -> tuple:
-    """The pair of p*q, read as perm_compose reads tuples: p(q(i))."""
+    """The pair of p*q, read as permutations compose: (p*q)(i) = p(q(i))."""
     (a1, b1), (a2, b2) = p, q
     return ((a1 - a2 if b1 else a1 + a2) % n, b1 ^ b2)
 
@@ -509,29 +569,9 @@ def quaternion8(cap: int = ORDER_CAP) -> GroupTable:
     )
 
 
-def _subset_inversions(a: int, b: int) -> int:
-    """Number of pairs (x, y) in A x B with x > y, subsets as bitmasks."""
-    count = 0
-    rest = b
-    while rest:
-        low = rest & -rest
-        pos = low.bit_length()  # point index of this bit is pos (1-based)
-        count += bin(a >> pos).count("1")
-        rest ^= low
-    return count
-
-
-def clifford_mul(x: tuple, y: tuple) -> tuple:
-    """Signed-subset product: signs multiply, inversion pairs flip the sign,
-    subsets combine by symmetric difference."""
-    (s1, a), (s2, b) = x, y
-    s = s1 * s2 * (-1) ** (_subset_inversions(a, b) & 1)
-    return (s, a ^ b)
-
-
-def _clifford_label(x: tuple, n: int) -> str:
-    s, a = x
-    sign = "-" if s < 0 else ""
+def _clifford_label(code: int, n: int) -> str:
+    a = code >> 1
+    sign = "-" if code & 1 else ""
     if a == 0:
         return sign + "1"
     pts = [str(i + 1) for i in range(n) if a >> i & 1]
@@ -544,21 +584,28 @@ def clifford(n: int, cap: int = ORDER_CAP) -> GroupTable:
 
     The builtin order claim for this family in some sources is 2^n-flavored;
     the element model has 2^(n+1) members and that is what we enumerate.
+    Element +-g_A is the code 2A + (1 if negative), A a bitmask.  Right
+    multiplication by g_i flips bit i of A, and flips the sign once for each
+    point of A above i, as g_i moves past it; by -1 it flips the sign bit.
     """
     if n < 1:
         raise SpecError(f"clifford({n}): n must be at least 1")
     if n + 1 > cap.bit_length() or 2 ** (n + 1) > cap:
         raise SpecError(f"clifford({n}) has order 2^{n + 1} > cap {cap}")
-    gens = [(1, 1 << i) for i in range(n)] + [(-1, 0)]
-    return enumerate_from_generators(
-        gens,
-        clifford_mul,
-        (1, 0),
-        lambda x: _clifford_label(x, n),
-        f"clifford({n})",
-        cap,
-        meta={"clifford_n": n},
-    )
+    points = np.arange(n)
+
+    def right_mul(x):
+        a, sign = x >> 1, x & 1
+        passed = np.bitwise_count(a >> (points + 1)) & 1
+        by_g = ((a ^ 1 << points) << 1) | (sign ^ passed)
+        return np.concatenate([by_g, x ^ 1], axis=1)[:, :, None]
+
+    gens = np.array([2 << i for i in range(n)] + [1], dtype=np.int64)[:, None]
+    rows, columns, gen_ids, _ = _close_rows(
+        np.zeros(1, dtype=np.int64), gens, right_mul, f"clifford({n})", cap)
+    codes = rows[:, 0]
+    return GroupTable(len(codes), lambda a: _clifford_label(int(codes[a]), n), gen_ids,
+                      f"clifford({n})", columns, elements=codes, meta={"clifford_n": n})
 
 
 def direct_product(g1: GroupTable, g2: GroupTable, cap: int = ORDER_CAP) -> GroupTable:

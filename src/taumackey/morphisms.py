@@ -94,11 +94,13 @@ def tau_clifford(G: GroupTable) -> GroupMap:
         raise SpecError(f"{G.family_tag} was not built by clifford(n)")
     if n % 4 != 3:
         return tau_inverse(G)
-    images = np.empty(G.order, dtype=np.int64)
-    for i, (s, a) in enumerate(G.elements):
-        k = bin(a).count("1")
-        flip = -1 if (k * (k + 1) // 2) & 1 else 1
-        images[i] = G.element_id((s * flip, a))
+    # element +-g_A is the code 2A + (1 if negative); its image flips the
+    # sign when k(k+1)/2 is odd, k = |A|
+    codes = G.elements
+    k = np.bitwise_count(codes >> 1).astype(np.int64)
+    id_of = np.empty(G.order, dtype=np.int64)
+    id_of[codes] = np.arange(G.order)
+    images = id_of[codes ^ ((k * (k + 1) // 2) & 1)]
     return validate(G, images, "anti-automorphism")
 
 

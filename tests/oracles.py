@@ -1,7 +1,8 @@
 """Checks of the paper's statements that no command runs, kept as test oracles.
 
 Each one computes a quantity of the library by a second route and asserts
-the two agree: group axioms, subgroups as groups of their own, induction and
+the two agree: group axioms, subgroups as groups of their own, the laws of
+permutations and signed subsets one product at a time, induction and
 restriction with Frobenius reciprocity, the index-two branching of Clifford
 theory, and the twisted Burnside count.  Class functions are arrays of
 class values, indexed like ``conjugacy_classes(group).representatives``.
@@ -108,6 +109,35 @@ def subgroup_table(G: GroupTable, ids: np.ndarray) -> tuple[GroupTable, np.ndarr
         pos[G.mul(ids[None, :], gens[:, None])],  # row i: x -> x*gens[i]
     )
     return sub, ids
+
+
+# ---------------------------------------------------------------------------
+# elements one product at a time: the laws the numpy closures are held to
+# ---------------------------------------------------------------------------
+
+def perm_compose(p: tuple, q: tuple) -> tuple:
+    """(p*q)(x) = p(q(x))."""
+    return tuple(map(p.__getitem__, q))
+
+
+def subset_inversions(a: int, b: int) -> int:
+    """Number of pairs (x, y) in A x B with x > y, subsets as bitmasks."""
+    count = 0
+    rest = b
+    while rest:
+        low = rest & -rest
+        pos = low.bit_length()  # point index of this bit is pos (1-based)
+        count += bin(a >> pos).count("1")
+        rest ^= low
+    return count
+
+
+def clifford_mul(x: tuple, y: tuple) -> tuple:
+    """Signed-subset product of pairs (sign, subset): signs multiply,
+    inversion pairs flip the sign, subsets combine by symmetric difference."""
+    (s1, a), (s2, b) = x, y
+    s = s1 * s2 * (-1) ** (subset_inversions(a, b) & 1)
+    return (s, a ^ b)
 
 
 # ---------------------------------------------------------------------------

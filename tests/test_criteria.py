@@ -237,8 +237,7 @@ def permutation_groups(draw):
     """Groups generated by up to three random permutations of degree <= 6."""
     degree = draw(st.integers(1, 6))
     gens = draw(st.lists(st.permutations(range(degree)).map(tuple), min_size=1, max_size=3))
-    return groups.enumerate_from_generators(
-        gens, groups.perm_compose, tuple(range(degree)), groups.perm_label)
+    return groups._permutation_group(gens, degree)
 
 
 @settings(max_examples=100, deadline=None)

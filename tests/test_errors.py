@@ -10,8 +10,9 @@ from taumackey import errors
 
 PACKAGE = Path(taumackey.__file__).parent
 CLASSES = {"SpecError", "BudgetExceeded", "MathCheckError"}
-# the one raise a protocol requires: a mapping's missing key
-PROTOCOL = {("groups", "_AffineIndex.__getitem__"): "KeyError"}
+# the raises a protocol requires: a mapping's missing key
+PROTOCOL = {("groups", "_AffineIndex.__getitem__"): "KeyError",
+            ("groups", "_RowIndex.__getitem__"): "KeyError"}
 
 
 def test_errors_defines_the_three_classes():

@@ -6,33 +6,37 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taumackey import groups, morphisms
+from taumackey import cli, groups, morphisms
 from taumackey.conjugacy import ConjugacyData
 from taumackey.errors import SpecError
 
 from battery import BATTERY_BUILDERS, battery_names, get_group
-from oracles import LIGHT_CAP, mul_table, subgroup_table, verify_group_axioms
+from oracles import (
+    LIGHT_CAP,
+    clifford_mul,
+    mul_table,
+    perm_compose,
+    subgroup_table,
+    subset_inversions,
+    verify_group_axioms,
+)
 
 
 def test_closure_s3_from_transposition_and_cycle():
-    g = groups.enumerate_from_generators(
-        [(1, 0, 2), (1, 2, 0)], groups.perm_compose, (0, 1, 2), groups.perm_label
-    )
+    g = groups._permutation_group([(1, 0, 2), (1, 2, 0)], 3)
     assert g.order == 6
     assert g.labels[0] == "e"
 
 
 def test_closure_trivial_group():
-    g = groups.enumerate_from_generators(
-        [(0, 1)], groups.perm_compose, (0, 1), groups.perm_label
-    )
+    g = groups._permutation_group([(0, 1)], 2)
     assert g.order == 1
 
 
 def test_closure_signed_subsets_order_eight():
     # gamma_1, gamma_2 and the central sign generate all 8 signed subsets
     gens = [(1, 0b01), (1, 0b10), (-1, 0)]
-    g = groups.enumerate_from_generators(gens, groups.clifford_mul, (1, 0), str)
+    g = groups.enumerate_from_generators(gens, clifford_mul, (1, 0), str)
     assert g.order == 8
 
 
@@ -56,7 +60,7 @@ def test_non_group_detected():
 def test_wrong_identity_is_refused():
     with pytest.raises(SpecError, match="identity does not fix every generator"):
         groups.enumerate_from_generators(
-            [(1, 0, 2), (1, 2, 0)], groups.perm_compose, (1, 2, 0), groups.perm_label
+            [(1, 0, 2), (1, 2, 0)], perm_compose, (1, 2, 0), groups.perm_label
         )
     # a left identity of the generators that is not a right one
     def left_zero(a, b):
@@ -144,9 +148,9 @@ def test_clifford_inverse_sign_rule():
 
 
 def test_subset_inversion_counts():
-    assert groups._subset_inversions(0b01, 0b10) == 0  # 1 before 2
-    assert groups._subset_inversions(0b10, 0b01) == 1  # 2 after 1
-    assert groups._subset_inversions(0b111, 0b111) == 3  # pairs above the diagonal
+    assert subset_inversions(0b01, 0b10) == 0  # 1 before 2
+    assert subset_inversions(0b10, 0b01) == 1  # 2 after 1
+    assert subset_inversions(0b111, 0b111) == 3  # pairs above the diagonal
 
 
 def test_direct_product_componentwise():
@@ -402,24 +406,32 @@ def _inverse_from_table(table):
 
 
 def _denoted(G, x: int):
-    """The concrete element id x denotes: the n-point permutation of an
-    affine pair, else the closure's own element."""
+    """The concrete element id x denotes, as a tuple: the n-point
+    permutation of an affine pair or of a permutation row, the pair (sign,
+    subset) of a signed-subset code, else the closure's own element."""
     if isinstance(G._element_index, groups._AffineIndex):
         return groups._affine_perm(G.elements[x], G.meta["degree"])
+    if "degree" in G.meta:
+        return tuple(G.elements[x].tolist())
+    if "clifford_n" in G.meta:
+        code = int(G.elements[x])
+        return (-1 if code & 1 else 1, code >> 1)
     return G.elements[x]
 
 
 def _closure_inputs(G):
-    """The seeds, compose and element label a closure-built group came from.
-    The cyclic and dihedral families give their generators as n-point
-    tuples, so the oracle closes the permutations, not the pairs."""
+    """The seeds, compose and element label a closure-built group came from,
+    with elements as tuples.  The cyclic and dihedral families give their
+    generators as n-point tuples, so the oracle closes the permutations,
+    not the pairs."""
     seeds = [_denoted(G, s) for s in G.generators]
     if "degree" in G.meta:
-        return seeds, groups.perm_compose, groups.perm_label
+        return seeds, perm_compose, groups.perm_label
     if "clifford_n" in G.meta:
         def label(x):
-            return groups._clifford_label(x, G.meta["clifford_n"])
-        return seeds, groups.clifford_mul, label
+            s, a = x
+            return groups._clifford_label(2 * a + (s < 0), G.meta["clifford_n"])
+        return seeds, clifford_mul, label
     return seeds, groups._quat_mul, groups._quat_label
 
 
@@ -447,6 +459,15 @@ CLOSURE_BUILDERS = {
     "A6": lambda: groups.alternating(6),
     "CL7": lambda: groups.clifford(7),
     "CL10": lambda: groups.clifford(10),
+    # with those, every permutation and signed-subset family the order cap
+    # admits, each of which closes in numpy, and a generators spec
+    "S1": lambda: groups.symmetric(1),
+    "S2": lambda: groups.symmetric(2),
+    "A3": lambda: groups.alternating(3),
+    "A7": lambda: groups.alternating(7),
+    **{f"CL{n}": (lambda n=n: groups.clifford(n)) for n in (6, 8, 9)},
+    "S4wrZ2": lambda: cli.build_group(
+        {"generators": ["(1 2)", "(1 2 3 4)", "(1 5)(2 6)(3 7)(4 8)"], "degree": 8}),
 }
 
 
@@ -513,15 +534,73 @@ def test_closure_from_the_identity_matches_the_identity_search(case):
     """Closing from the identity gives the ids that closing from the
     generators, then searching for the identity and renumbering, gives."""
     degree, gens = case
-    G = groups.enumerate_from_generators(
-        gens, groups.perm_compose, tuple(range(degree)), groups.perm_label)
+    G = groups._permutation_group(gens, degree)
     seeds = list(dict.fromkeys(gens))
-    elements, _, gen_ids, table, inverse = _two_pass_closure(
-        seeds, groups.perm_compose, groups.perm_label)
-    assert G.elements == elements
+    elements, labels, gen_ids, table, inverse = _two_pass_closure(
+        seeds, perm_compose, groups.perm_label)
+    assert [_denoted(G, x) for x in range(G.order)] == elements
+    assert G.labels == labels
     assert G.generators == gen_ids
     assert np.array_equal(mul_table(G), table)  # its columns x -> x*s included
     assert np.array_equal(G.inverse, inverse)
+
+
+def test_closure_refusal_texts_are_unchanged():
+    """The closures' three refusals, word for word: over the cap in numpy
+    and one product at a time, an identity that fixes no generator, and
+    no generators at all."""
+    texts = []
+    for build in [
+        lambda: cli.build_group({"generators": ["(1 2)", "(1 2 3 4 5 6 7 8)"], "degree": 8},
+                                cap=100),
+        lambda: groups.quaternion8(cap=4),
+        lambda: groups.enumerate_from_generators([(1, 0, 2)], perm_compose, (1, 2, 0)),
+        lambda: cli.build_group({"generators": [], "degree": 3}),
+        lambda: groups.enumerate_from_generators([], perm_compose, (0, 1, 2)),
+    ]:
+        with pytest.raises(SpecError) as info:
+            build()
+        texts.append(str(info.value))
+    assert texts == [
+        "closure exceeded cap 100 (tag generators)",
+        "closure exceeded cap 4 (tag quaternion8)",
+        "the identity does not fix every generator",
+        "generator list is empty",
+        "generator list is empty",
+    ]
+
+
+@pytest.mark.parametrize("generators, most", [
+    (["(1 2)", "(1 2 3 4 5 6 7)"], 25e6),        # S7, order 5040
+    (["(1 2)", "(1 2 3 4 5 6 7 8)"], 64e6),      # S8, refused at the order cap
+], ids=["S7", "S8-refused"])
+def test_generators_spec_at_the_degree_cap_peaks_below_the_tuple_closure(generators, most):
+    """A generators spec of degree DEGREE_CAP keeps each element as one
+    2 KB int16 row and forms candidates in bounded blocks.  The closure of
+    Python tuples peaked at 42 MB building S7 and at 162 MB before it
+    refused S8; the bounds here are well under both."""
+    spec = {"generators": generators, "degree": groups.DEGREE_CAP}
+    tracemalloc.start()
+    try:
+        try:
+            cli.build_group(spec)
+        except SpecError as exc:
+            assert str(exc) == "closure exceeded cap 20000 (tag generators)"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= most
+
+
+def test_row_element_id_refuses_non_permutations():
+    g = groups.symmetric(4)
+    assert g.element_id((1, 0, 2, 3)) == g.element_id("(1 2)")
+    assert g.element_id((0, 1, 2, 3)) == 0
+    for what in [(1, 0, 2), (1, 1, 2, 3), (0, 1, 2, 4), ("a", 1, 2, 3), [1, 0, 2, 3]]:
+        with pytest.raises(SpecError, match="no element matching"):
+            g.element_id(what)
+    with pytest.raises(SpecError, match="no element matching"):
+        groups.dihedral(2).element_id((1, 0, 3, 2, 4))
 
 
 @pytest.mark.parametrize("name", list(CLOSURE_BUILDERS))
@@ -727,7 +806,7 @@ def test_affine_walks_without_table_match_the_tuple_closure(name, closure_case):
     else:
         a, b = np.random.default_rng(11).integers(0, G.order, size=(2, 2000))
     for i, j, k in zip(a.tolist(), b.tolist(), G.mul(a, b).tolist()):
-        assert groups.perm_compose(_denoted(G, i), _denoted(G, j)) == _denoted(G, k), (i, j)
+        assert perm_compose(_denoted(G, i), _denoted(G, j)) == _denoted(G, k), (i, j)
 
 
 @pytest.mark.parametrize("family, n, cycles", [
@@ -804,9 +883,9 @@ def test_groups_defines_no_new_public_function():
               if inspect.isfunction(f) and f.__module__ == groups.__name__
               and not name.startswith("_")}
     assert public == {
-        "perm_compose", "perm_label", "parse_cycles", "enumerate_from_generators",
+        "perm_label", "parse_cycles", "enumerate_from_generators",
         "cyclic", "symmetric", "alternating", "dihedral", "quaternion8",
-        "clifford_mul", "clifford", "direct_product", "construct_family",
+        "clifford", "direct_product", "construct_family",
         "construct_semidirect_with_involution", "subgroup_closure", "check_subgroup",
     }
 
@@ -828,6 +907,7 @@ def test_family_order_over_the_cap_is_refused_up_front(family, n, order, monkeyp
     def no_closure(*args, **kwargs):
         raise AssertionError("closure started")
     monkeypatch.setattr(groups, "enumerate_from_generators", no_closure)
+    monkeypatch.setattr(groups, "_close_rows", no_closure)
     with pytest.raises(SpecError, match=rf"^{family}\({n}\) has order .* > cap {order - 1}$"):
         groups.construct_family(family, n, cap=order - 1)
     # n alone decides: no n-point tuple, n! or 2^(n+1) is formed (2^(10^9+1)

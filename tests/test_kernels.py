@@ -218,10 +218,11 @@ def test_a_grid_past_int32_is_refused_before_any_state():
 
 
 def test_pair_scan_peak_memory_per_state():
-    """The D397 scan holds the labels, `prev` and two work arrays as int32,
-    plus the intp copy of an index array that `take` and `ufunc.at` make:
-    24 bytes per state, against 41 with the moves stacked as flat int64
-    index arrays."""
+    """The D397 scan holds the labels and two work arrays as int32, `prev`
+    as intp (the index of every compress jump and of the hook, so neither
+    copies an int32 index to intp) and a bool comparison: 21 bytes per
+    state, against 24 with `prev` int32 and 41 with the moves stacked as
+    flat int64 index arrays."""
     G = groups.dihedral(397)
     tau = morphisms.tau_inverse(G)
     conjugacy.conjugacy_classes(G)
@@ -231,7 +232,7 @@ def test_pair_scan_peak_memory_per_state():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 28 * G.order**2
+    assert peak <= 22 * G.order**2
 
 
 class _CountedMinimum:

@@ -162,10 +162,7 @@ def test_generator_images_missing_generator():
 def test_generator_images_identity_generator_needs_identity_image():
     # an identity generator is no move of the search tree, so its given
     # image is checked against what its word gives
-    s3 = groups.enumerate_from_generators(
-        [(0, 1, 2), (1, 0, 2), (1, 2, 0)], groups.perm_compose, (0, 1, 2), groups.perm_label,
-        meta={"degree": 3},
-    )
+    s3 = groups._permutation_group([(0, 1, 2), (1, 0, 2), (1, 2, 0)], 3)
     assert s3.generators[0] == 0
     pairs = {s: int(s3.inverse[s]) for s in s3.generators}
     assert np.array_equal(morphisms.tau_from_generator_images(s3, pairs).images, s3.inverse)
@@ -186,10 +183,7 @@ def test_generator_images_conflicting_are_refused():
     assert _bfs_generator_images(s3, pairs) is None
     # a generator and its inverse, both given: the tree moves by each one's
     # own image, and validation refuses images that are not each other's inverse
-    z5 = groups.enumerate_from_generators(
-        [(1, 2, 3, 4, 0), (4, 0, 1, 2, 3)], groups.perm_compose, tuple(range(5)),
-        groups.perm_label,
-    )
+    z5 = groups._permutation_group([(1, 2, 3, 4, 0), (4, 0, 1, 2, 3)], 5)
     c, c_inv = z5.generators
     assert z5.inverse[c] == c_inv
     images = morphisms.tau_from_generator_images(z5, {c: c, c_inv: c_inv}).images
@@ -309,10 +303,7 @@ def _assert_matches_oracle(G, images):
 
 def _s4_wr_z2():
     gens = ["(1 2)", "(1 2 3 4)", "(1 5)(2 6)(3 7)(4 8)"]
-    return groups.enumerate_from_generators(
-        [groups.parse_cycles(c, 8) for c in gens], groups.perm_compose,
-        tuple(range(8)), groups.perm_label, meta={"degree": 8},
-    )
+    return groups._permutation_group([groups.parse_cycles(c, 8) for c in gens], 8)
 
 
 def _random_maps(G, seed, count):

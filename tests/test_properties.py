@@ -90,9 +90,7 @@ def test_twisted_burnside_on_random_regular_actions(seed):
 def test_closure_of_random_permutations_is_a_group(degree, seed):
     rng = np.random.default_rng(seed)
     gens = [tuple(int(x) for x in rng.permutation(degree)) for _ in range(2)]
-    g = groups.enumerate_from_generators(
-        gens, groups.perm_compose, tuple(range(degree)), groups.perm_label, cap=10000
-    )
+    g = groups._permutation_group(gens, degree, cap=10000)
     verify_group_axioms(g)
     assert g.order <= 5040
 
