@@ -9,10 +9,12 @@ squared from the last) gives each element a shallow Cayley word, and a
 product walks one word, one gather per letter: 7 letters at most on Z20000
 and D10000, 6 on D1000, 18 on S7.  No multiplication table is kept.
 
-Permutation groups and the signed-subset (Clifford) family close in numpy,
-one breadth-first level at a time, with their elements as rows of an array.
-The affine families (cyclic, dihedral) and Q8 close one product at a time:
-their levels hold a few elements each, too few to pay for array calls.
+Every family but the cyclic one closes by one loop, ``_close``: a
+breadth-first search one level at a time, each new element taking the next
+id in order of first hit.  A family supplies only the products of a level:
+permutation groups and the signed-subset (Clifford) family as rows of an
+array, keyed by their bytes, and the dihedral family and Q8 as pairs.  A
+cyclic group needs no search: the rotation by a has id a.
 """
 
 from __future__ import annotations
@@ -305,55 +307,32 @@ def parse_cycles(text: str, degree: int) -> tuple:
 # Cayley closure
 # ---------------------------------------------------------------------------
 
-def enumerate_from_generators(
-    generators: Sequence,
-    compose: Callable,
-    identity,
-    label: Callable = str,
-    family_tag: str = "generators",
-    cap: int = ORDER_CAP,
-    meta: dict | None = None,
-) -> GroupTable:
-    """Close a set of concrete elements under composition into a GroupTable.
+def _close(identity, products: Callable, block: int, tag: str, cap: int):
+    """Close under right multiplication by k generators, one breadth-first
+    level at a time, from the key ``identity``.
 
-    Elements must be hashable and compose associatively.  The closure runs
-    breadth-first from ``identity``, so the identity is id 0; an identity
-    that does not fix every generator on both sides raises SpecError.
+    ``products(level)`` gives the keys of the products x*s for a list of
+    keys x, element-major and generator-minor.  A level is formed at most
+    ``block`` elements at a time.  Each new key takes the next id in order
+    of first hit, so element i is expanded in id order and the identity is
+    id 0.  Returns (key -> id, inserted in id order; the (k, order)
+    right-multiplication columns).
     """
-    seeds = list(dict.fromkeys(generators))  # repeats dropped, order kept
-    if not seeds:
-        raise SpecError("generator list is empty")
-    if not all(compose(identity, g) == g == compose(g, identity) for g in seeds):
-        raise SpecError("the identity does not fix every generator")
-
-    index: dict = {identity: 0}
-    elements: list = [identity]
-    # breadth-first: element i is expanded by every generator exactly once,
-    # in discovery order, so right_by[s][i] = id of elements[i] * seeds[s]
-    right_by: list[list[int]] = [[] for _ in seeds]
-    for x in elements:  # the list grows as elements are found
-        for s, gen in enumerate(seeds):
-            c = compose(x, gen)
-            j = index.get(c)
-            if j is None:
-                j = len(elements)
-                if j >= cap:
-                    raise SpecError(
-                        f"closure exceeded cap {cap} (tag {family_tag})"
-                    )
-                index[c] = j
-                elements.append(c)
-            right_by[s].append(j)
-    return GroupTable(
-        len(elements),
-        lambda a: label(elements[a]),
-        [index[g] for g in seeds],
-        family_tag,
-        np.array(right_by, dtype=np.int64),
-        elements=elements,
-        element_index=index,
-        meta=meta,
-    )
+    index = {identity: 0}
+    right: list[int] = []
+    level = [identity]
+    while level:
+        new: list = []
+        for lo in range(0, len(level), block):
+            keys = products(level[lo:lo + block])
+            fresh = [key for key in dict.fromkeys(keys) if key not in index]
+            if len(index) + len(fresh) > cap:
+                raise SpecError(f"closure exceeded cap {cap} (tag {tag})")
+            index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+            new += fresh
+            right += map(index.__getitem__, keys)
+        level = new
+    return index, np.array(right, dtype=np.int64).reshape(len(index), -1).T
 
 
 # bytes of candidate rows formed at once: a degree-1000 permutation row is
@@ -363,36 +342,22 @@ _BLOCK_BYTES = 1 << 22
 
 def _close_rows(identity: np.ndarray, gens: np.ndarray, right_mul: Callable,
                 tag: str, cap: int):
-    """Close rows under right multiplication, one breadth-first level at a
-    time: the search of enumerate_from_generators, with elements as rows.
+    """Close rows under right multiplication, each row keyed by its bytes.
 
     ``right_mul(x)`` gives, for rows x of shape (m, w), the (m, k, w)
     products x*s by the k generators ``gens``, element-major and
-    generator-minor.  Candidates are told apart exactly, by their bytes,
-    and each new row takes the next id in order of first hit, so the ids,
-    columns and generator ids are those of the one-at-a-time search.
-    Returns (rows by id, the (k, order) right-multiplication columns,
-    generator ids, row bytes -> id).
+    generator-minor.  Returns (rows by id, the (k, order) right-multiplication
+    columns, generator ids, row bytes -> id).
     """
     void = np.dtype((np.void, identity.nbytes))
-    index = {identity.tobytes(): 0}
-    right = []
-    frontier = identity[None]
+
+    def products(level):
+        x = np.frombuffer(b"".join(level), identity.dtype).reshape(-1, identity.size)
+        return right_mul(x).view(void).ravel().tolist()
+
     block = max(1, _BLOCK_BYTES // (len(gens) * identity.nbytes))
-    while len(frontier):
-        new: list[bytes] = []
-        for lo in range(0, len(frontier), block):
-            keys = right_mul(frontier[lo:lo + block]).view(void).ravel().tolist()
-            fresh = [key for key in dict.fromkeys(keys) if key not in index]
-            if len(index) + len(fresh) > cap:
-                raise SpecError(f"closure exceeded cap {cap} (tag {tag})")
-            index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
-            new += fresh
-            right.append(np.fromiter(map(index.__getitem__, keys), np.int64, len(keys)))
-        frontier = np.frombuffer(b"".join(new), identity.dtype).reshape(-1, identity.size)
-    # the index holds each row's bytes once, inserted in id order
+    index, columns = _close(identity.tobytes(), products, block, tag, cap)
     rows = np.frombuffer(b"".join(index), identity.dtype).reshape(len(index), identity.size)
-    columns = np.concatenate(right).reshape(-1, len(gens)).T
     return rows, columns, [index[g.tobytes()] for g in gens], index
 
 
@@ -434,7 +399,13 @@ def cyclic(n: int, cap: int = ORDER_CAP) -> GroupTable:
         raise SpecError(f"cyclic({n}): n must be at least 1")
     if n > cap:
         raise SpecError(f"cyclic({n}) has order {n} > cap {cap}")
-    return _affine_group([(1 % n, 0)], n, f"cyclic({n})", cap)
+    # the search from the rotation 1 meets rotation a at step a, so a is
+    # its id and x*1 = x+1: no closure is needed
+    elements = [(a, 0) for a in range(n)]
+    return GroupTable(n, lambda a: perm_label(_affine_perm((a, 0), n)), [1 % n],
+                      f"cyclic({n})", (np.arange(n) + 1) % n, elements=elements,
+                      element_index=_AffineIndex(zip(elements, range(n)), n),
+                      meta={"degree": n})
 
 
 def symmetric(n: int, cap: int = ORDER_CAP) -> GroupTable:
@@ -484,7 +455,15 @@ def dihedral(n: int, cap: int = ORDER_CAP) -> GroupTable:
         a = (1, 0, 2, 3)
         b = (0, 1, 3, 2)
         return _permutation_group([a, b], 4, "dihedral(2)", cap)
-    return _affine_group([(1, 0), (0, 1)], n, f"dihedral({n})", cap)
+    gens = [(1, 0), (0, 1)]
+    index, columns = _close(
+        (0, 0), lambda level: [_affine_compose(x, s, n) for x in level for s in gens],
+        cap, f"dihedral({n})", cap)
+    elements = list(index)
+    return GroupTable(len(elements), lambda a: perm_label(_affine_perm(elements[a], n)),
+                      [index[s] for s in gens], f"dihedral({n})", columns,
+                      elements=elements, element_index=_AffineIndex(index, n),
+                      meta={"degree": n})
 
 
 def _product_over(lo: int, hi: int, cap: int) -> bool:
@@ -517,7 +496,7 @@ def _affine_perm(x: tuple, n: int) -> tuple:
 class _AffineIndex(dict):
     """Pair -> id, looked up by the n-point permutation a pair denotes."""
 
-    def __init__(self, index: dict, n: int):
+    def __init__(self, index: dict | Iterable[tuple], n: int):
         super().__init__(index)
         self.n = n
 
@@ -529,20 +508,6 @@ class _AffineIndex(dict):
             if _affine_perm(pair, n) == perm:
                 return super().__getitem__(pair)
         raise KeyError(perm)
-
-
-def _affine_group(gens: list, n: int, tag: str, cap: int) -> GroupTable:
-    g = enumerate_from_generators(
-        gens,
-        lambda p, q: _affine_compose(p, q, n),
-        (0, 0),
-        lambda x: perm_label(_affine_perm(x, n)),
-        tag,
-        cap,
-        meta={"degree": n},
-    )
-    g._element_index = _AffineIndex(g._element_index, n)
-    return g
 
 
 _QUAT_BASIS = [
@@ -564,9 +529,14 @@ def _quat_label(a):
 
 
 def quaternion8(cap: int = ORDER_CAP) -> GroupTable:
-    return enumerate_from_generators(
-        [(1, 1), (1, 2)], _quat_mul, (1, 0), _quat_label, "quaternion8", cap
-    )
+    gens = [(1, 1), (1, 2)]
+    index, columns = _close(
+        (1, 0), lambda level: [_quat_mul(x, s) for x in level for s in gens],
+        cap, "quaternion8", cap)
+    elements = list(index)
+    return GroupTable(len(elements), lambda a: _quat_label(elements[a]),
+                      [index[s] for s in gens], "quaternion8", columns,
+                      elements=elements, element_index=index)
 
 
 def _clifford_label(code: int, n: int) -> str:
@@ -676,14 +646,8 @@ def construct_semidirect_with_involution(
         return "h" if a == n else f"h*{N.label(a - n)}"
 
     h = n
-    g = GroupTable(
-        order,
-        label_of,
-        list(N.generators) + [h],
-        f"semidirect({N.family_tag})",
-        np.array(columns),
-        meta={"h": h},
-    )
+    g = GroupTable(order, label_of, list(N.generators) + [h],
+                   f"semidirect({N.family_tag})", np.array(columns))
     if g.mul(h, h) != 0:
         raise SpecError("semidirect relation h*h = 1 failed")
     if not np.array_equal(g.mul(g.mul(h, ids), h), N.inverse[tau.images]):

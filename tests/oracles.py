@@ -294,7 +294,7 @@ def clifford_theory_check(
     table_n = compute_character_table(N, seed)
     table_g = compute_character_table(G, seed)
     n = N.order
-    h = G.meta["h"]
+    h = n  # the pair (1, 1)
     conj_g = table_g.conj
     conj_n = table_n.conj
     embedding = np.arange(n, dtype=np.int64)

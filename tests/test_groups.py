@@ -33,41 +33,18 @@ def test_closure_trivial_group():
     assert g.order == 1
 
 
-def test_closure_signed_subsets_order_eight():
-    # gamma_1, gamma_2 and the central sign generate all 8 signed subsets
-    gens = [(1, 0b01), (1, 0b10), (-1, 0)]
-    g = groups.enumerate_from_generators(gens, clifford_mul, (1, 0), str)
-    assert g.order == 8
-
-
 def test_closure_cap():
     with pytest.raises(SpecError, match="> cap 1000"):
         groups.symmetric(8, cap=1000)
 
 
 def test_non_group_detected():
-    # a non-invertible transformation closes into a monoid with no identity
-    def compose(a, b):
-        return tuple(a[x] for x in b)
-
+    # right multiplication that merges two elements: a monoid, not a group
     with pytest.raises(SpecError, match="not a bijection"):
-        groups.enumerate_from_generators([(1, 2, 2)], compose, (0, 1, 2), str)
-    # a constant map and the identity: a monoid with no inverses
+        groups.GroupTable(3, str, [1], "monoid", np.array([[1, 2, 2]]))
+    # a constant column beside a bijective one: no inverses
     with pytest.raises(SpecError, match="not a bijection"):
-        groups.enumerate_from_generators([(0, 0), (0, 1)], compose, (0, 1), str)
-
-
-def test_wrong_identity_is_refused():
-    with pytest.raises(SpecError, match="identity does not fix every generator"):
-        groups.enumerate_from_generators(
-            [(1, 0, 2), (1, 2, 0)], perm_compose, (1, 2, 0), groups.perm_label
-        )
-    # a left identity of the generators that is not a right one
-    def left_zero(a, b):
-        return b
-
-    with pytest.raises(SpecError, match="identity does not fix every generator"):
-        groups.enumerate_from_generators([1, 2], left_zero, 0)
+        groups.GroupTable(3, str, [1, 2], "monoid", np.array([[1, 2, 0], [0, 0, 0]]))
 
 
 @pytest.mark.parametrize("name", battery_names())
@@ -200,7 +177,7 @@ def test_semidirect_relations_z4():
     z4 = groups.cyclic(4)
     tau = morphisms.tau_inverse(z4)
     g = groups.construct_semidirect_with_involution(z4, tau)
-    h = g.meta["h"]
+    h = z4.order  # the pair (1, 1)
     assert g.mul(h, h) == 0
     for n in range(4):
         assert g.mul(g.mul(h, n), h) == z4.inverse[tau.images[n]]
@@ -546,17 +523,14 @@ def test_closure_from_the_identity_matches_the_identity_search(case):
 
 
 def test_closure_refusal_texts_are_unchanged():
-    """The closures' three refusals, word for word: over the cap in numpy
-    and one product at a time, an identity that fixes no generator, and
-    no generators at all."""
+    """The closure's refusals, word for word: over the cap with rows and
+    with pairs, and no generators at all."""
     texts = []
     for build in [
         lambda: cli.build_group({"generators": ["(1 2)", "(1 2 3 4 5 6 7 8)"], "degree": 8},
                                 cap=100),
         lambda: groups.quaternion8(cap=4),
-        lambda: groups.enumerate_from_generators([(1, 0, 2)], perm_compose, (1, 2, 0)),
         lambda: cli.build_group({"generators": [], "degree": 3}),
-        lambda: groups.enumerate_from_generators([], perm_compose, (0, 1, 2)),
     ]:
         with pytest.raises(SpecError) as info:
             build()
@@ -564,10 +538,46 @@ def test_closure_refusal_texts_are_unchanged():
     assert texts == [
         "closure exceeded cap 100 (tag generators)",
         "closure exceeded cap 4 (tag quaternion8)",
-        "the identity does not fix every generator",
-        "generator list is empty",
         "generator list is empty",
     ]
+
+
+BLOCKED_BUILDERS = {
+    "S6": lambda: groups.symmetric(6),
+    "A6": lambda: groups.alternating(6),
+    "CL7": lambda: groups.clifford(7),
+    "S4wrZ2": CLOSURE_BUILDERS["S4wrZ2"],
+    # its largest level, 554 rows, fits in one 4 MB block unpatched
+    "S7-degree-cap": lambda: cli.build_group(
+        {"generators": ["(1 2)", "(1 2 3 4 5 6 7)"], "degree": groups.DEGREE_CAP}),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCKED_BUILDERS))
+def test_block_boundaries_do_not_move_ids(name, monkeypatch):
+    """With one element per block, every level of more than one element
+    is formed across blocks; ids, labels and inverses stay those of a
+    build with whole levels in one block."""
+    whole = BLOCKED_BUILDERS[name]()
+    monkeypatch.setattr(groups, "_BLOCK_BYTES", 1)
+    split = BLOCKED_BUILDERS[name]()
+    assert split.order == whole.order
+    assert split.generators == whole.generators
+    assert split.labels == whole.labels
+    assert np.array_equal(split.inverse, whole.inverse)
+
+
+def test_cap_inside_a_block_is_refused_word_for_word(monkeypatch):
+    """S4 from two generators, one element (two products) per block: every
+    cap below 24 is refused with the same text, wherever in a block the
+    order passes it, and 24 builds."""
+    monkeypatch.setattr(groups, "_BLOCK_BYTES", 1)
+    spec = {"generators": ["(1 2)", "(1 2 3 4)"], "degree": 4}
+    for cap in range(1, 24):
+        with pytest.raises(SpecError) as info:
+            cli.build_group(spec, cap=cap)
+        assert str(info.value) == f"closure exceeded cap {cap} (tag generators)"
+    assert cli.build_group(spec, cap=24).order == 24
 
 
 @pytest.mark.parametrize("generators, most", [
@@ -762,12 +772,14 @@ def test_only_groups_reads_the_table():
     multiplies through GroupTable.mul and walks G only through
     GroupTable.along_words: no module but groups.py reads the search tree,
     no breadth-first loop over G is left elsewhere, and no module reads
-    per-class member lists off a ConjugacyData."""
+    per-class member lists off a ConjugacyData.  One closure is left:
+    no function of groups.py but _close assigns first-hit ids."""
     import ast
     from pathlib import Path
 
     gone = {"require_dense", "_compose", "_inverse_by_powers", "clifford_inverse",
-            "_fill_table", "DENSE_CAP", "require_involutory"}
+            "_fill_table", "DENSE_CAP", "require_involutory",
+            "enumerate_from_generators", "_affine_group"}
     internals = {"_cayley_words", "_walk", "_undo", "_undo_at", "_moves", "_half",
                  "_step", "_parent", "_depth"}
     # class members are read off class_of; the only `.classes` left is the
@@ -788,6 +800,36 @@ def test_only_groups_reads_the_table():
             if path.name in ("morphisms.py", "conjugacy.py"):
                 assert not (isinstance(node, ast.While)
                             and "frontier" in ast.unparse(node.test)), (path.name, node.lineno)
+    closers = {fn.name for fn in ast.walk(ast.parse(Path(groups.__file__).read_text()))
+               if isinstance(fn, ast.FunctionDef) and _assigns_first_hit_ids(fn)}
+    assert closers == {"_close"}
+
+
+def _assigns_first_hit_ids(fn) -> bool:
+    """Whether a function numbers keys in order of first hit: dict.fromkeys
+    over keys it forms itself (deduplicating an argument, such as a
+    generator list, is not a closure), `index[key] = len(...)` (directly or
+    through a name bound to a len), or `index.update(zip(keys, range(...)))`."""
+    import ast
+
+    params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+    assigns = [node for node in ast.walk(fn) if isinstance(node, ast.Assign)]
+    lengths = {ast.unparse(target) for node in assigns for target in node.targets
+               if ast.unparse(node.value).startswith("len(")}
+    for node in assigns:
+        if isinstance(node.targets[0], ast.Subscript) and (
+                ast.unparse(node.value).startswith("len(") or ast.unparse(node.value) in lengths):
+            return True
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "dict.fromkeys":
+            if not (isinstance(node.args[0], ast.Name) and node.args[0].id in params):
+                return True
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "update" and node.args \
+                and ast.unparse(node.args[0]).startswith("zip(") \
+                and "range(" in ast.unparse(node.args[0]):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -883,8 +925,7 @@ def test_groups_defines_no_new_public_function():
               if inspect.isfunction(f) and f.__module__ == groups.__name__
               and not name.startswith("_")}
     assert public == {
-        "perm_label", "parse_cycles", "enumerate_from_generators",
-        "cyclic", "symmetric", "alternating", "dihedral", "quaternion8",
+        "perm_label", "parse_cycles", "cyclic", "symmetric", "alternating", "dihedral", "quaternion8",
         "clifford", "direct_product", "construct_family",
         "construct_semidirect_with_involution", "subgroup_closure", "check_subgroup",
     }
@@ -906,8 +947,7 @@ def test_family_order_over_the_cap_is_refused_up_front(family, n, order, monkeyp
     # one past the order: no closure may start
     def no_closure(*args, **kwargs):
         raise AssertionError("closure started")
-    monkeypatch.setattr(groups, "enumerate_from_generators", no_closure)
-    monkeypatch.setattr(groups, "_close_rows", no_closure)
+    monkeypatch.setattr(groups, "_close", no_closure)
     with pytest.raises(SpecError, match=rf"^{family}\({n}\) has order .* > cap {order - 1}$"):
         groups.construct_family(family, n, cap=order - 1)
     # n alone decides: no n-point tuple, n! or 2^(n+1) is formed (2^(10^9+1)
