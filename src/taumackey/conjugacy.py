@@ -90,7 +90,17 @@ def simultaneous_conjugation_scan(
     G: GroupTable, n: int, tau: GroupMap, pair_budget: int = PAIR_BUDGET
 ) -> PairOrbitScan:
     """Orbits of G conjugating G^n componentwise (n = 1 or 2), and how many
-    are fixed by applying tau in every coordinate."""
+    are fixed by applying tau in every coordinate.
+
+    For n = 2 the orbits are counted by class blocks, never on the |G|^2
+    grid.  The orbits of the pairs whose first coordinate lies in the class
+    of x_C match, by (x_C, y) <-> y, the orbits of the centralizer C(x_C)
+    conjugating G; classes whose representatives have the same centralizer
+    share one labelling of those.  With k classes and b distinct
+    centralizers, the route forms |G|*k <= |G|^2 conjugates, and no kernel
+    call labels more than b*|G| states.  The pair budget still bounds |G|^2,
+    so a skip means the same on every route.
+    """
     conj = conjugacy_classes(G)
     if n == 1:
         invariant = int(conj.tau_invariant_classes(tau).sum())
@@ -100,13 +110,86 @@ def simultaneous_conjugation_scan(
         raise BudgetExceeded(
             f"|G|^2 = {size} exceeds the pair budget {pair_budget}"
         )
-    cmaps = G.generator_conj_maps()
-    labels = orbit_labels(np.stack([cmaps, cmaps], axis=1))
-    reps = orbit_representatives(labels)
-    a, b = np.divmod(reps, G.order)
-    tau_pairs = tau.images[a] * G.order + tau.images[b]
-    invariant = int(np.sum(labels[tau_pairs] == reps))
-    return PairOrbitScan(2, len(reps), invariant)
+    order, k, reps = G.order, conj.class_count, conj.representatives
+    # out[g, C] = g^-1 * x_C * g: each generator's map x -> s^-1*x*s moves
+    # every representative one edge down the Cayley search tree
+    out = G.along_words(reps, np.argsort(G.generator_conj_maps(), axis=1), lambda o, v: v[o])
+    # The conjugates of x_C lie in its class, and the g fixing it are
+    # |G|/|C| many, so they are |C| many: they fill the class.  (int32
+    # class ids halve the (|G|, k) gather.)
+    if not (conj.class_of.astype(np.int32)[out] == np.arange(k)).all():
+        raise MathCheckError("a conjugate of a class representative lies outside its class")
+    member = np.ascontiguousarray((out == reps).T)  # row C: the centralizer of x_C
+    if not np.array_equal(member.sum(axis=1), order // conj.class_sizes):
+        raise MathCheckError("centralizer orders disagree with the class sizes")
+    # one block per distinct centralizer, numbered in order of first class
+    blocks: dict = {}
+    block_of = np.array([blocks.setdefault(key, len(blocks)) for key in
+                         member.view(np.dtype((np.void, order))).ravel().tolist()])
+    gens = _spanning_generators(G, member[np.unique(block_of, return_index=True)[1]])
+    # block j's state j*|G| + y moves to j*|G| + s^-1*y*s for each of its
+    # generators s; with R the column x -> x*s, that is R[inverse[R[inverse[y]]]]
+    b, depth = gens.shape
+    ids, offset = np.arange(order), np.arange(b)[:, None] * order
+    distinct, which = np.unique(gens, return_inverse=True)
+    right = G.mul(ids, distinct[:, None])
+    moves = np.take_along_axis(right, G.inverse[right[:, G.inverse]], axis=1)
+    moves = moves[which.reshape(b, depth)] + offset[:, :, None]
+    labels = orbit_labels(moves.transpose(1, 0, 2).reshape(depth, b * order)).ravel()
+    heads = [np.flatnonzero(row) for row in labels.reshape(b, order) == offset + ids]
+    orbits = np.array([len(h) for h in heads])
+    # tau maps the orbit of (x_C, y) to that of (tau(x_C), tau(y)), so only
+    # a class holding tau(x_C) can hold a fixed orbit.  There tau(x_C) =
+    # g^-1 * x_C * g for the first such g read off ``out``, the image is the
+    # orbit of (x_C, g*tau(y)*g^-1), and the orbit is fixed iff that
+    # conjugate labels like y, its orbit's minimum.  Which orbits are fixed
+    # depends on the block and g alone, so each such pair is checked once.
+    fixed = np.flatnonzero(conj.tau_invariant_classes(tau))
+    first = (out == tau.images[reps]).argmax(axis=0)[fixed]
+    pairs, weight = np.unique(block_of[fixed] * order + first, return_counts=True)
+    j, g = np.divmod(pairs, order)
+    counts = orbits[j]
+    y = np.concatenate([heads[i] for i in j])
+    at = np.repeat(j * order, counts)
+    g_inv = G.inverse[np.repeat(g, counts)]
+    # g*t*g^-1 = (t^-1*g^-1)^-1 * g^-1: both products walk g's Cayley word,
+    # which is short, as g is the first hit in id order
+    image = G.mul(G.inverse[G.mul(G.inverse[tau.images[y]], g_inv)], g_inv)
+    invariant = int((labels[at + image] == at + y) @ np.repeat(weight, counts))
+    return PairOrbitScan(2, int(orbits[block_of].sum()), invariant)
+
+
+def _spanning_generators(G: GroupTable, member: np.ndarray) -> np.ndarray:
+    """For each row of ``member``, a mask of a subgroup of G, generators
+    that span it, as an array of ids with one row per mask, padded with the
+    identity.
+
+    The rows are spanned together, one round at a time.  In each round
+    every row not yet spanned adds its smallest member outside its span,
+    which at least doubles the span, so there are at most log2|G| rounds.
+    Then one kernel call labels G under right multiplication by the
+    generators of every such row, row i's states offset by i*|G|; the span
+    is the orbit of the identity.  A row leaves the rounds once its span
+    holds every member, and a span that holds a non-member is refused.
+    """
+    rows, order = member.shape
+    ids = np.arange(order)
+    gens = np.zeros((rows, 0), dtype=np.int64)
+    open_ = np.arange(rows)
+    spanned = ids == 0
+    while (rest := member[open_] & ~spanned).any():
+        left = rest.any(axis=1)
+        open_, rest = open_[left], rest[left]
+        gens = np.concatenate([gens, np.zeros((rows, 1), dtype=np.int64)], axis=1)
+        gens[open_, -1] = rest.argmax(axis=1)
+        distinct, which = np.unique(gens[open_], return_inverse=True)
+        offset = np.arange(len(open_))[:, None] * order
+        moves = G.mul(ids, distinct[:, None])[which.reshape(len(open_), -1)] + offset[:, :, None]
+        labels = orbit_labels(moves.transpose(1, 0, 2).reshape(gens.shape[1], -1))
+        spanned = labels.reshape(-1, order) == offset
+        if (spanned & ~member[open_]).any():
+            raise MathCheckError("a centralizer's generators span outside it")
+    return gens
 
 
 @dataclass

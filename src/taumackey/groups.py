@@ -56,6 +56,7 @@ class GroupTable:
         self.order = order
         self._label_of = label_of
         self._labels: list[str] | None = None
+        self._label_ids: dict[str, int] | None = None
         self.generators = generators
         self.family_tag = family_tag
         self.elements = elements
@@ -162,7 +163,9 @@ class GroupTable:
         by a generator's inverse gets the inverse permutation, and a
         shortcut move the square v[v] of its half's value v.  Returns out with
         out[0] = start and out[p*m] = step(out[p], value of m) for each edge
-        p -> p*m of the search tree.
+        p -> p*m of the search tree.  The edges of one level and one move are
+        stepped at once: ``step`` gets their out[p] stacked along a new first
+        axis, and must act on each of them alike.
         """
         gens = self.generators
         by_move = [values[gens.index(m)] if m in gens
@@ -173,10 +176,11 @@ class GroupTable:
         start = np.asarray(start)
         out = np.empty((self.order, *start.shape), dtype=start.dtype)
         out[0] = start
-        walk = np.argsort(self._depth, kind="stable")[1:]  # level by level
-        for j, p, m in zip(walk.tolist(), self._parent[walk].tolist(),
-                           self._step[walk].tolist()):
-            out[j] = step(out[p], by_move[m])
+        # every element but the root, level by level and move by move
+        key = self._depth * (len(by_move) + 1) + self._step
+        walk = np.argsort(key, kind="stable")[1:]
+        for nodes in np.split(walk, np.flatnonzero(np.diff(key[walk])) + 1) if walk.size else []:
+            out[nodes] = step(out[self._parent[nodes]], by_move[self._step[nodes[0]]])
         return out
 
     # -- arithmetic ---------------------------------------------------------
@@ -233,9 +237,11 @@ class GroupTable:
         if isinstance(what, str) and self.meta.get("degree"):
             key = parse_cycles(what, self.meta["degree"])
         elif isinstance(what, str):
+            if self._label_ids is None:  # built once; a repeated label keeps its first id
+                self._label_ids = {label: i for i, label in reversed(list(enumerate(self.labels)))}
             try:
-                return self.labels.index(what)
-            except ValueError:
+                return self._label_ids[what]
+            except KeyError:
                 raise SpecError(f"no element matching {what!r}") from None
         try:
             return self._element_index[key]

@@ -4,7 +4,8 @@ Each one computes a quantity of the library by a second route and asserts
 the two agree: group axioms, subgroups as groups of their own, the laws of
 permutations and signed subsets one product at a time, induction and
 restriction with Frobenius reciprocity, the index-two branching of Clifford
-theory, and the twisted Burnside count.  Class functions are arrays of
+theory, the twisted Burnside count, and the pair-orbit scan on the whole
+|G|^2 grid.  Class functions are arrays of
 class values, indexed like ``conjugacy_classes(group).representatives``.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from taumackey._kernels import orbit_labels, orbit_representatives
 from taumackey.characters import INT_TOL, CharacterTable, compute_character_table
-from taumackey.conjugacy import conjugacy_classes
+from taumackey.conjugacy import PairOrbitScan, conjugacy_classes
 from taumackey.errors import MathCheckError, SpecError
 from taumackey.groups import (
     GroupTable,
@@ -186,7 +187,7 @@ def twisted_orbit_count(
     # word, then the average of the match counts.  The words follow one
     # search tree, so perm(g*s) = perm(g) after the image of s is checked
     # for every g and s: that proves the images define an action.
-    perms = G.along_words(points, moves, lambda perm, m: perm[m])
+    perms = G.along_words(points, moves, lambda perm, m: perm[..., m])
     ids = np.arange(G.order)
     for s, m in zip(gens, moves):
         if not np.array_equal(perms[G.mul(ids, s)], perms[:, m]):
@@ -205,6 +206,19 @@ def twisted_orbit_count(
             f"averaged fixed-orbit count {averaged} != enumerated count {fixed}"
         )
     return TwistedOrbitCount(fixed, averaged, len(reps), match_sum)
+
+
+def full_pair_scan(G: GroupTable, tau: GroupMap) -> PairOrbitScan:
+    """The orbits of G conjugating G x G, and how many tau fixes, labelled
+    on the whole |G|^2 grid: state a*|G| + b is the pair (a, b), and each
+    generator moves both coordinates by its conjugation map."""
+    cmaps = G.generator_conj_maps()
+    labels = orbit_labels(np.stack([cmaps, cmaps], axis=1))
+    reps = orbit_representatives(labels)
+    a, b = np.divmod(reps, G.order)
+    tau_pairs = tau.images[a] * G.order + tau.images[b]
+    invariant = int(np.sum(labels[tau_pairs] == reps))
+    return PairOrbitScan(2, len(reps), invariant)
 
 
 # ---------------------------------------------------------------------------

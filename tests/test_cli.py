@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from taumackey import characters, cli, conjugacy, criteria, errors, gelfand, groups
@@ -920,6 +921,80 @@ def test_fs_exits_2_when_the_count_expansion_fails(monkeypatch, capsys):
                "twisted square-root counts do not expand in the rows (residual 3)"}
     assert cli.main(["fs", "--group", json.dumps(job["group"]), "--tau", "inverse"]) == 2
     assert json.loads(capsys.readouterr().out)["payload"] == failure
+    aggregate, code, _ = cli.run_batch({"jobs": [job]}, 1)
+    assert code == 2
+    assert aggregate["jobs"][0]["payload"] == failure
+
+
+def _bend_classes(monkeypatch, field):
+    """Q8's classes as the scan reads them, with i moved into the class of
+    j, or with the class of i given size 1.  Both pass the checks that run
+    before the scan: i and j have no square roots, so the twisted counts
+    stay constant on the bent classes, and the bent power sums still bound
+    the twisted ones."""
+    real = conjugacy.conjugacy_classes
+
+    def bent(G):
+        conj = real(G)
+        i, j = G.element_id("i"), G.element_id("j")
+        if field == "class_of":
+            class_of = conj.class_of.copy()
+            class_of[i] = class_of[j]
+            return dataclasses.replace(conj, class_of=class_of)
+        sizes = conj.class_sizes.copy()
+        sizes[conj.class_of[i]] = 1
+        return dataclasses.replace(conj, class_sizes=sizes)
+
+    monkeypatch.setattr(conjugacy, "conjugacy_classes", bent)
+
+
+def _swap_conjugates(monkeypatch):
+    """The conjugates g^-1*x_C*g of rows i and j of Q8 swapped: each class
+    still holds every column's entries, and each centralizer count stands,
+    but the members of the centralizer of i are now 1, -1, -i and j."""
+    real = groups.GroupTable.along_words
+
+    def swapped(G, start, values, step):
+        out = real(G, start, values, step)
+        if np.ndim(start) == 1:
+            i, j = G.element_id("i"), G.element_id("j")
+            out[[i, j]] = out[[j, i]]
+        return out
+
+    monkeypatch.setattr(groups.GroupTable, "along_words", swapped)
+
+
+def _miscount_orbits(monkeypatch):
+    real = conjugacy.simultaneous_conjugation_scan
+
+    def miscounted(*args):
+        scan = real(*args)
+        return dataclasses.replace(scan, orbit_count=scan.orbit_count + 1)
+
+    monkeypatch.setattr(conjugacy, "simultaneous_conjugation_scan", miscounted)
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda mp: _bend_classes(mp, "class_of"),
+     "a conjugate of a class representative lies outside its class"),
+    (lambda mp: _bend_classes(mp, "class_sizes"),
+     "centralizer orders disagree with the class sizes"),
+    (_swap_conjugates, "a centralizer's generators span outside it"),
+    (_miscount_orbits,
+     "power sums disagree with the orbit scan: 224 vs 8*29, 224 vs 8*28"),
+])
+def test_power_sums_exit_2_when_the_pair_scan_is_corrupted(corrupt, message, monkeypatch,
+                                                           capsys):
+    """Each cross-check of the pair scan, and the scan's agreement with the
+    power sums, fires on one corrupted input: exit 2 with its message, as
+    one command and as a batch job."""
+    corrupt(monkeypatch)
+    group = {"family": "quaternion8"}
+    failure = {"cross_check_failure": message}
+    assert cli.main(["power-sums", "--group", json.dumps(group), "--tau", "inverse",
+                     "--n", "2"]) == 2
+    assert json.loads(capsys.readouterr().out)["payload"] == failure
+    job = {"command": "power-sums", "group": group, "tau": "inverse", "n": 2}
     aggregate, code, _ = cli.run_batch({"jobs": [job]}, 1)
     assert code == 2
     assert aggregate["jobs"][0]["payload"] == failure

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from taumackey import conjugacy, groups, morphisms
+from taumackey import cli, conjugacy, groups, morphisms
 from taumackey.errors import BudgetExceeded, SpecError
 
 from battery import available_taus, battery_names, get_group
-from oracles import mul_table, twisted_orbit_count
+from oracles import full_pair_scan, mul_table, twisted_orbit_count
 
 
 def test_s3_classes():
@@ -196,7 +199,7 @@ def test_twisted_orbit_count_matches_bfs_oracle():
         alpha = np.concatenate([t[:, a] + n, t[:, b]])
         perms = _bfs_action_perms(g, gi, 2 * n)
         moves = np.stack([gi[s] for s in g.generators])
-        assert np.array_equal(g.along_words(np.arange(2 * n), moves, lambda p, m: p[m]),
+        assert np.array_equal(g.along_words(np.arange(2 * n), moves, lambda p, m: p[..., m]),
                               perms)
         match_sum = int((perms == alpha).sum())
         out = twisted_orbit_count(g, 2 * n, gi, alpha)
@@ -259,3 +262,86 @@ def test_power_sum_inequality_battery(name):
         for n in (1, 2, 3):
             rep = conjugacy.power_sum_report(g, tau, n)
             assert rep.sum_twisted_square_pow <= rep.sum_centralizer_pow
+
+
+# --- pair scans by class blocks against the full grid ---------------------------
+
+def _semidirect():
+    z4 = groups.cyclic(4)
+    return groups.construct_semidirect_with_involution(z4, morphisms.tau_identity(z4))
+
+
+PAIR_CASES = {
+    "D1000": lambda: groups.dihedral(1000),
+    "D397": lambda: groups.dihedral(397),
+    "S6": lambda: groups.symmetric(6),
+    "A6xZ2": lambda: groups.direct_product(groups.alternating(6), groups.cyclic(2)),
+    "S4xS4": lambda: groups.direct_product(groups.symmetric(4), groups.symmetric(4)),
+    "CL7": lambda: groups.clifford(7),
+    "Q8": groups.quaternion8,
+    "S4": lambda: groups.symmetric(4),
+    "semidirect": _semidirect,
+    "Z12": lambda: groups.cyclic(12),
+    "trivial": lambda: groups.cyclic(1),
+}
+
+
+@pytest.mark.parametrize("name", PAIR_CASES)
+def test_pair_scan_matches_the_full_grid_scan(name):
+    """Every twist of the battery's choice, on groups with many classes
+    sharing few centralizers (D1000), many distinct centralizers (CL7, whose
+    non-real classes tau = inverse sends to other classes), one centralizer
+    (Z12), and one element."""
+    g = PAIR_CASES[name]()
+    for _, tau in available_taus(g):
+        assert conjugacy.simultaneous_conjugation_scan(g, 2, tau) == full_pair_scan(g, tau)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.lists(st.permutations(range(6)), min_size=1, max_size=3),
+       st.integers(0, 10**6))
+def test_pair_scan_matches_the_full_grid_scan_on_random_groups(degree, perms, seed):
+    """Groups generated by permutations of at most 6 points, with inversion
+    and an inner twist by a random element whose square is central."""
+    gens = [tuple(int(p) for p in perm if p < degree) for perm in perms]
+    g = groups._permutation_group(gens, degree)
+    taus = [morphisms.tau_inverse(g)]
+    t = mul_table(g)
+    center = np.flatnonzero((t == t.T).all(axis=1))
+    candidates = [x for x in range(g.order) if np.isin(t[x, x], center)]
+    taus.append(morphisms.tau_inner(g, candidates[seed % len(candidates)]))
+    for tau in taus:
+        assert conjugacy.simultaneous_conjugation_scan(g, 2, tau) == full_pair_scan(g, tau)
+
+
+def test_pair_scan_memory_stays_below_the_grid():
+    """The scan on D1000 (4M pairs) holds arrays of |G|*k = 2000*503 entries
+    at most; a |G|^2-long array of labels alone would take 16 MB."""
+    g = groups.dihedral(1000)
+    tau = morphisms.tau_inverse(g)
+    conjugacy.conjugacy_classes(g)
+    g.generator_conj_maps()
+    tracemalloc.start()
+    try:
+        conjugacy.simultaneous_conjugation_scan(g, 2, tau)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("command,group,size", [
+    ("power-sums", {"family": "symmetric", "n": 7}, 5040**2),
+    ("power-sums", {"family": "clifford", "n": 10}, 2048**2),
+    ("power-sums", {"family": "clifford", "n": 11}, 4096**2),
+    ("simply-reducible", {"product": [{"family": "alternating", "n": 5},
+                                      {"family": "alternating", "n": 5}]}, 3600**2),
+])
+def test_scans_over_the_pair_budget_still_skip(command, group, size):
+    job = {"command": command, "group": group,
+           "tau": "clifford" if group.get("family") == "clifford" else "inverse"}
+    report, code = cli.run_job({**job, "n": 2} if command == "power-sums" else job, 1)
+    assert code == 0
+    payload = report["payload"]
+    check = payload["verified_against_orbits" if command == "power-sums" else "mackey_cosets"]
+    assert check == {"skipped": f"|G|^2 = {size} exceeds the pair budget 4000000"}

@@ -209,6 +209,18 @@ def test_perm_label_roundtrip():
         assert s4.element_id(s4.labels[i]) == i
 
 
+@pytest.mark.parametrize("name", ["Q8", "CL5", "A5xZ2"])
+def test_label_lookup_gives_the_first_id_of_the_label(name):
+    """Groups without a degree resolve labels through a dict built once;
+    every label resolves to the id a search of the label list finds."""
+    g = get_group(name)
+    assert not g.meta.get("degree")
+    assert [g.element_id(label) for label in g.labels] == \
+        [g.labels.index(label) for label in g.labels] == list(range(g.order))
+    with pytest.raises(SpecError, match="no element matching 'x'"):
+        g.element_id("x")
+
+
 def test_subgroup_closure_and_table():
     s4 = get_group("S4")
     ids = groups.subgroup_closure(
@@ -752,7 +764,7 @@ def test_along_words_evaluates_parents_first(name):
         dist[frontier] = dist.max() + 1
     assert np.array_equal(g.along_words(np.int64(0), rows, lambda d, _: d + 1), dist)
     # the left regular representation evaluated along the words is the table
-    assert np.array_equal(g.along_words(np.arange(g.order), rows, lambda r, m: r[m]),
+    assert np.array_equal(g.along_words(np.arange(g.order), rows, lambda r, m: r[..., m]),
                           mul_table(g))
 
 
