@@ -4,11 +4,13 @@ The table is computed by the class-algebra method: the exact integer
 class-multiplication coefficients are counted from k*|G| products (one
 x^-1 * r_m per element x and class representative r_m, after a proof that
 every class is closed under conjugation) and kept as their at most k*|G|
-nonzero cells, a random real linear combination of the class matrices is
-formed from those cells by one weighted count and diagonalized, and
-eigenvectors are normalized into central characters.  Floats enter only at
-the eigen stage; every quantity that must be an integer (degrees,
-multiplicities, indicators) is rounded with its residual asserted.
+nonzero cells, their symmetry under inversion is proved on the integers, a
+random combination of the class matrices with r_i' = conj(r_i) is formed
+from those cells by weighted counts, made Hermitian by a diagonal
+similarity and diagonalized by the Hermitian solver, and eigenvectors are
+normalized into central characters.  Floats enter only at the eigen stage;
+every quantity that must be an integer (degrees, multiplicities,
+indicators) is rounded with its residual asserted.
 """
 
 from __future__ import annotations
@@ -65,7 +67,9 @@ def _class_matrices(G: GroupTable, conj: ConjugacyData) -> tuple[np.ndarray, np.
     (class of x, class of x^-1 * r_m, m) gives every nonzero constant.
     Returns (cells, counts): the ascending flat indices (i*k + j)*k + m of
     the nonzero A[i, j, m] and their int64 values, at most k*|G| of each
-    (D397: 79,402 of k^3 = 8,000,000); the k^3 array is never formed.
+    (D397: 79,402 of k^3 = 8,000,000); the k^3 array is never formed.  The
+    indices are int32 while k^3 fits, which sorts three times faster than
+    int64.
 
     Reading one representative per class is sound only if every class is
     closed under conjugation; then conjugating r_m by any g permutes each
@@ -77,17 +81,50 @@ def _class_matrices(G: GroupTable, conj: ConjugacyData) -> tuple[np.ndarray, np.
     if any((class_of[c] != class_of).any() for c in G.generator_conj_maps()):
         raise MathCheckError("class products are not constant on classes")
     k = conj.class_count
+    index = class_of.astype(np.int32 if k**3 <= 2**31 else np.int64)
     prods = G.mul(G.inverse[:, None], conj.representatives)   # (|G|, k)
-    flat = (class_of[:, None] * k + class_of[prods]) * k + np.arange(k)
+    flat = (index[:, None] * k + index[prods]) * k + np.arange(k, dtype=index.dtype)
     return np.unique(flat, return_counts=True)
 
 
-def _class_combination(cells: np.ndarray, counts: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _inverse_symmetry(G: GroupTable, conj: ConjugacyData, cells: np.ndarray,
+                      counts: np.ndarray, i: np.ndarray, jm: np.ndarray) -> np.ndarray:
+    """Prove |C_m| * a_ijm = |C_j| * a_i'mj exactly for every cell, with i' the
+    class of the inverses of C_i, and return i'.  The cells come as returned
+    by _class_matrices and split as (i, j*k + m).
+
+    Then S^-1 * A_i * S = A_i'^T with S = diag(class sizes), so for
+    coefficients with r_i' = conj(r_i), S^-1/2 * (sum_i r_i A_i) * S^1/2 is
+    Hermitian.  The Hermitian solver reads one triangle only, so the identity
+    is checked on the integer cells first: each cell (i, j, m) is mirrored to
+    (i', m, j), the mirrored cells must be exactly the cells, and the counts
+    must match, as integers, cell by mirrored cell."""
+    k = conj.class_count
+    inverse_class = conj.class_of[G.inverse[conj.representatives]].astype(cells.dtype)
+    j, m = np.divmod(jm, k)
+    mirrored = (inverse_class[i] * k + m) * k + j
+    order = np.argsort(mirrored)      # cell s is the mirror of cell order[s]
+    sizes = conj.class_sizes
+    if (
+        (inverse_class[inverse_class] != np.arange(k)).any()
+        or not np.array_equal(mirrored[order], cells)
+        or not np.array_equal(sizes[j] * counts[order], sizes[m] * counts)
+    ):
+        raise MathCheckError("class constants break |C_m|*a_ijm = |C_j|*a_i'mj")
+    return inverse_class
+
+
+def _class_combination(i: np.ndarray, jm: np.ndarray, counts: np.ndarray,
+                       r: np.ndarray) -> np.ndarray:
     """M = sum_i r_i * A_i, the (k, k) matrix M[j, m] = sum_i r_i * A[i, j, m],
-    from the nonzero cells of A: one weighted count over the (j, m) part."""
+    from the nonzero cells of A split as (i, j*k + m): one weighted count for
+    the real part of r and one more for its imaginary part, if that is not
+    zero (a bincount takes real weights only).  M is real when r is."""
     k = len(r)
-    first, rest = np.divmod(cells, k * k)
-    return np.bincount(rest, weights=r[first] * counts, minlength=k * k).reshape(k, k)
+    M = np.bincount(jm, weights=r.real[i] * counts, minlength=k * k)
+    if r.imag.any():
+        M = M + 1j * np.bincount(jm, weights=r.imag[i] * counts, minlength=k * k)
+    return M.reshape(k, k)
 
 
 def compute_character_table(
@@ -101,16 +138,21 @@ def compute_character_table(
     if k > class_cap:
         raise BudgetExceeded(f"class count {k} exceeds the cap {class_cap}")
     cells, counts = _class_matrices(G, conj)
+    i, jm = np.divmod(cells, k * k)
+    inverse_class = _inverse_symmetry(G, conj, cells, counts, i, jm)
     sizes = conj.class_sizes.astype(float)
+    root = np.sqrt(sizes)
     rng = np.random.default_rng(seed)
     last_problem = "no attempt made"
-    upper_i, upper_j = np.triu_indices(k, 1)     # every pair of eigenvalues
     for _ in range(MAX_EIG_RETRIES):
-        r = rng.standard_normal(k)
-        M = _class_combination(cells, counts, r)
-        eigvals, eigvecs = np.linalg.eig(M)
+        # r_i' = conj(r_i): real wherever every class is its own inverse class
+        x, y = rng.standard_normal((2, k))
+        r = (x + x[inverse_class]) / 2 + 1j * (y - y[inverse_class]) / 2
+        M = _class_combination(i, jm, counts, r)
+        eigvals, v = np.linalg.eigh(M / root[:, None] * root)   # ascending
+        eigvecs = root[:, None] * v
         scale = max(1.0, float(np.abs(eigvals).max()))
-        gap = np.abs(eigvals[upper_i] - eigvals[upper_j]).min() if k > 1 else np.inf
+        gap = np.diff(eigvals).min() if k > 1 else np.inf
         if gap < EIG_GAP * scale:
             last_problem = f"eigenvalue gap {gap:.3g}"
             continue
@@ -307,13 +349,23 @@ def self_conjugate_census(table: CharacterTable, tau: GroupMap) -> SelfConjugate
 # ---------------------------------------------------------------------------
 
 def _rounded_pairs(values: np.ndarray) -> list:
-    """Rows of [re, im] pairs, each part round(x, 12) of a Python float
-    (np.round gives other values on some entries).  Each distinct bit
-    pattern is rounded once, so -0.0 stays apart from 0.0."""
+    """Rows of [re, im] pairs, each part round(x, 12) of a Python float to
+    the last bit and the sign of zero.  With y = x * 1e12 (one rounding),
+    np.rint(y) / 1e12 is that value unless the exact x * 10^12 may lie on
+    the other side of a half-integer than y does, or y is too large for
+    rint to matter; only those parts are rounded one Python float at a
+    time."""
     parts = np.stack([values.real, values.imag], axis=-1)
-    bits, where = np.unique(parts.view(np.int64), return_inverse=True)
-    rounded = np.array([round(x, 12) for x in bits.view(np.float64).tolist()], dtype=object)
-    return rounded[where.reshape(parts.shape)].tolist()
+    y = parts * 1e12
+    rounded = np.rint(y) / 1e12
+    near_half = np.abs(y - np.floor(y) - 0.5) <= np.spacing(np.abs(y))
+    for at in zip(*np.nonzero(near_half | (np.abs(y) >= 2.0**52))):
+        rounded[at] = round(float(parts[at]), 12)
+    # one Python float per distinct bit pattern (-0.0 apart from 0.0): a
+    # table repeats most of its values, and every imaginary part of a real one
+    bits, where = np.unique(rounded.view(np.int64), return_inverse=True)
+    shared = np.array(bits.view(np.float64).tolist(), dtype=object)
+    return shared[where.reshape(parts.shape)].tolist()
 
 
 def table_to_jsonable(table: CharacterTable) -> dict:

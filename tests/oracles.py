@@ -4,9 +4,10 @@ Each one computes a quantity of the library by a second route and asserts
 the two agree: group axioms, subgroups as groups of their own, the laws of
 permutations and signed subsets one product at a time, induction and
 restriction with Frobenius reciprocity, the index-two branching of Clifford
-theory, the twisted Burnside count, and the pair-orbit scan on the whole
-|G|^2 grid.  Class functions are arrays of
-class values, indexed like ``conjugacy_classes(group).representatives``.
+theory, the twisted Burnside count, the pair-orbit scan on the whole
+|G|^2 grid, and the character table from a general eigensolver.  Class
+functions are arrays of class values, indexed like
+``conjugacy_classes(group).representatives``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from taumackey import DEFAULT_SEED, characters
 from taumackey._kernels import orbit_labels, orbit_representatives
 from taumackey.characters import INT_TOL, CharacterTable, compute_character_table
 from taumackey.conjugacy import PairOrbitScan, conjugacy_classes
@@ -219,6 +221,42 @@ def full_pair_scan(G: GroupTable, tau: GroupMap) -> PairOrbitScan:
     tau_pairs = tau.images[a] * G.order + tau.images[b]
     invariant = int(np.sum(labels[tau_pairs] == reps))
     return PairOrbitScan(2, len(reps), invariant)
+
+
+# ---------------------------------------------------------------------------
+# character tables
+# ---------------------------------------------------------------------------
+
+def eig_character_table(G: GroupTable, seed: int | None = None) -> CharacterTable:
+    """The table from the general non-symmetric eigensolver: M = sum_i r_i A_i
+    for a real random r, diagonalized by np.linalg.eig without the similarity
+    that makes it Hermitian; the eigenvalues may be complex, so the gap is
+    taken over every pair.  Rows come in the library's order."""
+    rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
+    conj = conjugacy_classes(G)
+    k = conj.class_count
+    cells, counts = characters._class_matrices(G, conj)
+    i, jm = np.divmod(cells, k * k)
+    sizes = conj.class_sizes.astype(float)
+    upper_i, upper_j = np.triu_indices(k, 1)
+    for _ in range(characters.MAX_EIG_RETRIES):
+        M = characters._class_combination(i, jm, counts, rng.standard_normal(k))
+        eigvals, eigvecs = np.linalg.eig(M)
+        scale = max(1.0, float(np.abs(eigvals).max()))
+        if k > 1 and np.abs(eigvals[upper_i] - eigvals[upper_j]).min() < characters.EIG_GAP * scale:
+            continue
+        omegas = eigvecs / eigvecs[0]
+        degs = np.sqrt(G.order / np.sum(np.abs(omegas) ** 2 / sizes[:, None], axis=0))
+        X = (degs[None, :] * omegas / sizes[:, None]).T
+        degrees = np.round(degs.real).astype(np.int64)
+        assert np.abs(degs - degrees).max() <= INT_TOL
+        gram = (X * conj.class_sizes) @ X.conj().T / G.order
+        orth = float(np.abs(gram - np.eye(k)).max())
+        keys = -np.round(np.stack([X.real, X.imag], axis=2), 6).reshape(k, 2 * k)
+        order = np.lexsort((*keys.T[::-1], degrees))
+        return CharacterTable(G, conj, X[order], degrees[order], orth,
+                              float(np.abs(degs - degrees).max()))
+    raise AssertionError("no eigenvalue gap")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from taumackey.errors import BudgetExceeded, MathCheckError, SpecError
 from battery import BATTERY_BUILDERS, available_taus, battery_names, get_group
 from oracles import (
     clifford_theory_check,
+    eig_character_table,
     find_row,
     induced_character,
     mul_table,
@@ -388,6 +390,7 @@ def test_indicator_invariant_under_row_twist():
 # ---------------------------------------------------------------------------
 
 NOT_CONSTANT = "class products are not constant on classes"
+INVERSE_SYMMETRY = "class constants break |C_m|*a_ijm = |C_j|*a_i'mj"
 
 
 def _members(conj):
@@ -415,11 +418,12 @@ def _class_matrices_oracle(G, conj):
 
 def _dense(G, conj):
     """The sparse class constants as the k x k x k array they stand for,
-    after checking their layout: ascending distinct cells, positive int64
-    counts, at most k*|G| of them."""
+    after checking their layout: ascending distinct cells, int32 while k^3
+    fits, positive int64 counts, at most k*|G| of them."""
     cells, counts = characters._class_matrices(G, conj)
     k = conj.class_count
-    assert cells.dtype == counts.dtype == np.int64
+    assert cells.dtype == (np.int32 if k**3 <= 2**31 else np.int64)
+    assert counts.dtype == np.int64
     assert (np.diff(cells) > 0).all() and (counts > 0).all()
     assert len(cells) == len(counts) <= k * G.order
     assert 0 <= cells[0] and cells[-1] < k**3
@@ -547,12 +551,12 @@ def test_class_matrices_refuse_every_wrong_partition():
     assert all(isinstance(o, str) and o == NOT_CONSTANT for o in outcomes)
 
 
-def _tensordot_combination(cells, counts, r):
+def _tensordot_combination(i, jm, counts, r):
     """The dense path: the k x k x k array filled from the cells and
     contracted with r."""
     k = len(r)
-    A = np.zeros(k**3)
-    A[cells] = counts
+    A = np.zeros((k, k * k))
+    A[i, jm] = counts
     return np.tensordot(r, A.reshape(k, k, k), axes=(0, 0))
 
 
@@ -565,18 +569,46 @@ _LARGE_BUILDERS = {
 }
 
 
-@pytest.mark.parametrize("name", battery_names() + ["D397", "S7"])
-def test_class_combination_matches_the_dense_tensordot(name):
-    G = get_group(name) if name in BATTERY_BUILDERS else _LARGE_BUILDERS[name]()
+def _split_cells(G):
     conj = conjugacy.conjugacy_classes(G)
     cells, counts = characters._class_matrices(G, conj)
+    return conj, cells, counts, *np.divmod(cells, conj.class_count**2)
+
+
+@pytest.mark.parametrize("name", battery_names() + ["D397", "S7", "CL7"])
+def test_class_combination_matches_the_dense_tensordot(name):
+    """Real coefficients, and the Hermitian ones the table draws,
+    r_i' = conj(r_i) with i' the class of inverses (complex on CL7 and Z5;
+    Q8's classes are all real); then S^-1/2 * M * S^1/2 is Hermitian, with
+    S = diag(class sizes)."""
+    G = get_group(name) if name in BATTERY_BUILDERS else _LARGE_BUILDERS[name]()
+    conj, _, counts, i, jm = _split_cells(G)
+    k = conj.class_count
+    inverse_class = conj.class_of[G.inverse[conj.representatives]]
+    root = np.sqrt(conj.class_sizes)
     rng = np.random.default_rng(characters.DEFAULT_SEED)
     for _ in range(3):
-        r = rng.standard_normal(conj.class_count)
-        M = characters._class_combination(cells, counts, r)
-        want = _tensordot_combination(cells, counts, r)
-        assert M.shape == want.shape == (conj.class_count,) * 2
-        assert np.abs(M - want).max() <= 1e-12 * np.abs(want).max()
+        x, y = rng.standard_normal((2, k))
+        hermitian = (x + x[inverse_class]) / 2 + 1j * (y - y[inverse_class]) / 2
+        for r in (x, hermitian):
+            M = characters._class_combination(i, jm, counts, r)
+            want = _tensordot_combination(i, jm, counts, r)
+            assert M.shape == want.shape == (k, k)
+            assert np.abs(M - want).max() <= 1e-12 * np.abs(want).max()
+        H = M / root[:, None] * root
+        assert np.abs(H - H.conj().T).max() <= 1e-12 * np.abs(H).max()
+    if name in ("CL7", "Z5"):
+        assert (inverse_class != np.arange(k)).any()
+
+
+def test_hermitian_coefficients_of_real_classes_are_real():
+    """Every class of D397 is its own inverse class, so the drawn
+    combination is real and the real symmetric solver runs."""
+    G = _LARGE_BUILDERS["D397"]()
+    conj, _, counts, i, jm = _split_cells(G)
+    assert (conj.class_of[G.inverse[conj.representatives]] == np.arange(200)).all()
+    r = np.random.default_rng(1).standard_normal(200) + 0j
+    assert characters._class_combination(i, jm, counts, r).dtype == np.float64
 
 
 @pytest.mark.parametrize("name", list(_LARGE_BUILDERS))
@@ -591,12 +623,69 @@ def test_table_rows_keep_the_dense_path_order(name, monkeypatch):
     assert np.abs(sparse.values - dense.values).max() < 1e-9
 
 
-@pytest.mark.parametrize("name", ["D300", "D397", "CL7"])
+@pytest.mark.parametrize("name", list(_LARGE_BUILDERS) + battery_names())
+def test_table_rows_match_the_general_eigensolver(name):
+    """The Hermitian route gives the degrees, the row order and, within
+    1e-9, the entries of the general non-symmetric eig route."""
+    G = get_group(name) if name in BATTERY_BUILDERS else _LARGE_BUILDERS[name]()
+    got = characters.compute_character_table(G)
+    want = eig_character_table(G)
+    assert np.array_equal(got.degrees, want.degrees)
+    assert np.abs(got.values - want.values).max() < 1e-9
+    assert got.orthogonality_residual <= max(want.orthogonality_residual, 1e-14)
+
+
+@pytest.mark.parametrize("name", ["S4", "Z5", "CL3"])
+def test_inverse_symmetry_refuses_a_count_off_by_one(name):
+    """Each count raised by one is refused unless its cell (i, j, m) is its
+    own mirror (i' = i and j = m), where the identity says nothing."""
+    G = get_group(name)
+    conj, cells, counts, i, jm = _split_cells(G)
+    inverse_class = characters._inverse_symmetry(G, conj, cells, counts, i, jm)
+    j, m = np.divmod(jm, conj.class_count)
+    own_mirror = (inverse_class[i] == i) & (j == m)
+    assert not own_mirror.all()
+    for at in range(len(counts)):
+        bent = counts.copy()
+        bent[at] += 1
+        if own_mirror[at]:
+            characters._inverse_symmetry(G, conj, cells, bent, i, jm)
+            continue
+        with pytest.raises(MathCheckError, match=f"^{re.escape(INVERSE_SYMMETRY)}$"):
+            characters._inverse_symmetry(G, conj, cells, bent, i, jm)
+
+
+def test_trivial_group_table_is_one():
+    """k = 1: no eigenvalue pair, so no gap to check."""
+    t = characters.compute_character_table(groups.cyclic(1))
+    assert t.values.tolist() == [[1]] and t.degrees.tolist() == [1]
+
+
+# decimal ties and their neighbours, tiny negatives and -0.0
+PLANTED = [0.5e-12, -0.5e-12, 2.5e-12, -2.5e-12, 3.5e-12, -3.5e-12, 0.1234567890125,
+           -0.1234567890125, -1e-13, -4e-13, -0.0, 0.0, 1 / 8192, 1.0, -2.0, 4503.6,
+           2.0**52 / 1e12, 2.0**53]
+
+
+def _planted_ties():
+    """Z3's table with its values replaced by the planted ties, 2,000 more
+    decimal ties n + 1/2 over 1e12 with both float neighbours, and 20,000
+    values spread over 17 decades."""
+    rng = np.random.default_rng(0)
+    spread = rng.standard_normal(20_000) * 10.0 ** rng.integers(-14, 3, 20_000)
+    ties = (rng.integers(-10**9, 10**9, 2_000) + 0.5) / 1e12
+    parts = np.concatenate([PLANTED, spread, ties, np.nextafter(ties, 1),
+                            np.nextafter(ties, -1)])
+    return dataclasses.replace(table("Z3"), values=(parts[0::2] + 1j * parts[1::2])[None])
+
+
+@pytest.mark.parametrize("name", ["D300", "D397", "CL7", "planted ties"])
 def test_report_rows_round_each_value_as_a_python_float(name):
-    """The rows read from whole-array lists are the per-scalar expression
+    """The rows rounded in numpy are the per-scalar expression
     round(float(v.real), 12), round(float(v.imag), 12) to the last bit and
     the sign of zero; np.round gives other values on some entries."""
-    t = characters.compute_character_table(_LARGE_BUILDERS[name]())
+    t = (_planted_ties() if name == "planted ties"
+         else characters.compute_character_table(_LARGE_BUILDERS[name]()))
     want = [[[round(float(v.real), 12), round(float(v.imag), 12)] for v in row]
             for row in t.values]
     assert json.dumps(characters.table_to_jsonable(t)["rows"]) == json.dumps(want)

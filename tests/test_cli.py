@@ -926,6 +926,49 @@ def test_fs_exits_2_when_the_count_expansion_fails(monkeypatch, capsys):
     assert aggregate["jobs"][0]["payload"] == failure
 
 
+def test_char_table_exits_2_when_a_class_constant_is_bent(monkeypatch, capsys):
+    """One count of S4's class constants raised by one, in a cell (i, j, m)
+    with j != m: the closure proof before the count still holds, and the
+    inverse symmetry |C_m|*a_ijm = |C_j|*a_i'mj refuses it, as one command
+    and as a batch job, while the other jobs of the batch exit 0."""
+    real = characters._class_matrices
+
+    def bent(G, conj):
+        cells, counts = real(G, conj)
+        if G.order == 24:
+            k = conj.class_count
+            counts = counts.copy()
+            counts[np.flatnonzero(cells // k % k != cells % k)[0]] += 1
+        return cells, counts
+
+    monkeypatch.setattr(characters, "_class_matrices", bent)
+    S4 = {"family": "symmetric", "n": 4}
+    failure = {"cross_check_failure": "class constants break |C_m|*a_ijm = |C_j|*a_i'mj"}
+    assert cli.main(["char-table", "--group", json.dumps(S4)]) == 2
+    assert json.loads(capsys.readouterr().out)["payload"] == failure
+    jobs = [{"command": "char-table", "group": S3}, {"command": "char-table", "group": S4},
+            {"command": "fs", "group": S4, "tau": "inverse"},
+            {"command": "simply-reducible", "group": S3, "tau": "inverse"}]
+    aggregate, code, _ = cli.run_batch({"jobs": jobs}, 1)
+    assert code == 2
+    payloads = [job["payload"] for job in aggregate["jobs"]]
+    assert payloads[1:3] == [failure, failure]
+    for payload in payloads[::3]:      # exit 0: neither a failure nor an error
+        assert not {"cross_check_failure", "error", "internal_error"} & set(payload)
+
+
+def test_char_table_exits_2_when_no_combination_has_an_eigenvalue_gap(monkeypatch, capsys):
+    monkeypatch.setattr(characters, "_class_combination",
+                        lambda i, jm, counts, r: np.zeros((len(r), len(r))))
+    failure = {"cross_check_failure": "no usable eigenbasis after 20 random combinations: "
+                                      "eigenvalue gap 0"}
+    assert cli.main(["char-table", "--group", json.dumps(S3)]) == 2
+    assert json.loads(capsys.readouterr().out)["payload"] == failure
+    aggregate, code, _ = cli.run_batch({"jobs": [{"command": "char-table", "group": S3}]}, 1)
+    assert code == 2
+    assert aggregate["jobs"][0]["payload"] == failure
+
+
 def _bend_classes(monkeypatch, field):
     """Q8's classes as the scan reads them, with i moved into the class of
     j, or with the class of i given size 1.  Both pass the checks that run
