@@ -9,12 +9,15 @@ squared from the last) gives each element a shallow Cayley word, and a
 product walks one word, one gather per letter: 7 letters at most on Z20000
 and D10000, 6 on D1000, 18 on S7.  No multiplication table is kept.
 
-Every family but the cyclic one closes by one loop, ``_close``: a
-breadth-first search one level at a time, each new element taking the next
-id in order of first hit.  A family supplies only the products of a level:
-permutation groups and the signed-subset (Clifford) family as rows of an
-array, keyed by their bytes, and the dihedral family and Q8 as pairs.  A
-cyclic group needs no search: the rotation by a has id a.
+Every family searched for its elements closes by one loop, ``_close``: a
+breadth-first search one level at a time over rows of an array, keyed by
+their bytes, each new row taking the next id in order of first hit.  A
+family supplies only the rows' products: permutation groups and Q8 (as the
+left-regular permutations of its eight elements) take x*s as the row x[s],
+and the signed-subset (Clifford) family flips bits of one-code rows.  The
+cyclic and dihedral families need no search: their ids are the search's
+order in closed form, the rotation by a at id a, and an n-gon symmetry at
+its rank by level and slot of first hit.
 """
 
 from __future__ import annotations
@@ -313,24 +316,33 @@ def parse_cycles(text: str, degree: int) -> tuple:
 # Cayley closure
 # ---------------------------------------------------------------------------
 
-def _close(identity, products: Callable, block: int, tag: str, cap: int):
-    """Close under right multiplication by k generators, one breadth-first
-    level at a time, from the key ``identity``.
+# bytes of candidate rows formed at once: a degree-1000 permutation row is
+# 2 KB, so a whole level of candidates could take hundreds of megabytes
+_BLOCK_BYTES = 1 << 22
 
-    ``products(level)`` gives the keys of the products x*s for a list of
-    keys x, element-major and generator-minor.  A level is formed at most
-    ``block`` elements at a time.  Each new key takes the next id in order
-    of first hit, so element i is expanded in id order and the identity is
-    id 0.  Returns (key -> id, inserted in id order; the (k, order)
-    right-multiplication columns).
+
+def _close(identity: np.ndarray, gens: np.ndarray, right_mul: Callable, tag: str, cap: int):
+    """Close rows under right multiplication by k generators, one
+    breadth-first level at a time, from the row ``identity``.
+
+    ``right_mul(x)`` gives, for rows x of shape (m, w), the (m, k, w)
+    products x*s by the k generators ``gens``, element-major and
+    generator-minor.  Each row is keyed by its bytes.  A level's candidates
+    are formed at most ``_BLOCK_BYTES`` at a time.  Each new row takes the
+    next id in order of first hit, so element i is expanded in id order and
+    the identity is id 0.  Returns (rows by id, the (k, order)
+    right-multiplication columns, generator ids, row bytes -> id).
     """
-    index = {identity: 0}
+    void = np.dtype((np.void, identity.nbytes))
+    block = max(1, _BLOCK_BYTES // (len(gens) * identity.nbytes))
+    index = {identity.tobytes(): 0}
     right: list[int] = []
-    level = [identity]
+    level = list(index)
     while level:
         new: list = []
         for lo in range(0, len(level), block):
-            keys = products(level[lo:lo + block])
+            x = np.frombuffer(b"".join(level[lo:lo + block]), identity.dtype)
+            keys = right_mul(x.reshape(-1, identity.size)).view(void).ravel().tolist()
             fresh = [key for key in dict.fromkeys(keys) if key not in index]
             if len(index) + len(fresh) > cap:
                 raise SpecError(f"closure exceeded cap {cap} (tag {tag})")
@@ -338,32 +350,8 @@ def _close(identity, products: Callable, block: int, tag: str, cap: int):
             new += fresh
             right += map(index.__getitem__, keys)
         level = new
-    return index, np.array(right, dtype=np.int64).reshape(len(index), -1).T
-
-
-# bytes of candidate rows formed at once: a degree-1000 permutation row is
-# 2 KB, so a whole level of candidates could take hundreds of megabytes
-_BLOCK_BYTES = 1 << 22
-
-
-def _close_rows(identity: np.ndarray, gens: np.ndarray, right_mul: Callable,
-                tag: str, cap: int):
-    """Close rows under right multiplication, each row keyed by its bytes.
-
-    ``right_mul(x)`` gives, for rows x of shape (m, w), the (m, k, w)
-    products x*s by the k generators ``gens``, element-major and
-    generator-minor.  Returns (rows by id, the (k, order) right-multiplication
-    columns, generator ids, row bytes -> id).
-    """
-    void = np.dtype((np.void, identity.nbytes))
-
-    def products(level):
-        x = np.frombuffer(b"".join(level), identity.dtype).reshape(-1, identity.size)
-        return right_mul(x).view(void).ravel().tolist()
-
-    block = max(1, _BLOCK_BYTES // (len(gens) * identity.nbytes))
-    index, columns = _close(identity.tobytes(), products, block, tag, cap)
     rows = np.frombuffer(b"".join(index), identity.dtype).reshape(len(index), identity.size)
+    columns = np.array(right, dtype=np.int64).reshape(len(index), -1).T
     return rows, columns, [index[g.tobytes()] for g in gens], index
 
 
@@ -376,7 +364,7 @@ def _permutation_group(perms: Sequence[tuple], degree: int, tag: str = "generato
     if not seeds:
         raise SpecError("generator list is empty")
     gens = np.array(seeds, dtype=np.int16)
-    rows, columns, gen_ids, index = _close_rows(
+    rows, columns, gen_ids, index = _close(
         np.arange(degree, dtype=np.int16), gens, lambda x: x.take(gens, axis=1), tag, cap)
     return GroupTable(len(rows), lambda a: perm_label(rows[a].tolist()), gen_ids, tag,
                       columns, elements=rows, element_index=_RowIndex(index, degree),
@@ -461,14 +449,23 @@ def dihedral(n: int, cap: int = ORDER_CAP) -> GroupTable:
         a = (1, 0, 2, 3)
         b = (0, 1, 3, 2)
         return _permutation_group([a, b], 4, "dihedral(2)", cap)
-    gens = [(1, 0), (0, 1)]
-    index, columns = _close(
-        (0, 0), lambda level: [_affine_compose(x, s, n) for x in level for s in gens],
-        cap, f"dihedral({n})", cap)
-    elements = list(index)
-    return GroupTable(len(elements), lambda a: perm_label(_affine_perm(elements[a], n)),
-                      [index[s] for s in gens], f"dihedral({n})", columns,
-                      elements=elements, element_index=_AffineIndex(index, n),
+    # the search from the identity by r = (1, 0), then s = (0, 1), meets
+    # level L at (L, 0), (L-1, 1), (n-L+1, 1), (n-L+2, 0) in that order; a
+    # pair's id is its rank by 4*level + slot at its first hit
+    a = np.arange(n)
+    rotation = np.where(2 * a <= n + 2, 4 * a, 4 * (n - a + 2) + 3)
+    reflection = np.where(2 * a <= n, 4 * a + 5, 4 * (n - a + 1) + 2)
+    codes = np.argsort(np.concatenate([rotation, reflection]))  # a + n*b by id
+    id_of = np.empty(2 * n, dtype=np.int64)
+    id_of[codes] = np.arange(2 * n)
+    b, a = np.divmod(codes, n)
+    # x*r = (a -+ 1, b) and x*s = (a, 1 - b)
+    columns = id_of[np.stack([(a + 1 - 2 * b) % n + n * b, a + n * (1 - b)])]
+    elements = list(zip(a.tolist(), b.tolist()))
+    return GroupTable(2 * n, lambda x: perm_label(_affine_perm(elements[x], n)),
+                      [int(id_of[1]), int(id_of[n])], f"dihedral({n})", columns,
+                      elements=elements,
+                      element_index=_AffineIndex(zip(elements, range(2 * n)), n),
                       meta={"degree": n})
 
 
@@ -484,14 +481,8 @@ def _product_over(lo: int, hi: int, cap: int) -> bool:
 
 # The cyclic and dihedral families as affine maps of Z/n: the pair (a, b)
 # is i -> (-1)^b * i + a mod n, so the rotation is (1, 0) and the reflection
-# i -> -i is (0, 1).  A product costs O(1) instead of an n-point tuple; the
-# permutation is formed only to label an element or to look one up.
-
-def _affine_compose(p: tuple, q: tuple, n: int) -> tuple:
-    """The pair of p*q, read as permutations compose: (p*q)(i) = p(q(i))."""
-    (a1, b1), (a2, b2) = p, q
-    return ((a1 - a2 if b1 else a1 + a2) % n, b1 ^ b2)
-
+# i -> -i is (0, 1).  The permutation is formed only to label an element or
+# to look one up.
 
 def _affine_perm(x: tuple, n: int) -> tuple:
     a, b = x
@@ -516,33 +507,19 @@ class _AffineIndex(dict):
         raise KeyError(perm)
 
 
-_QUAT_BASIS = [
-    [(1, 0), (1, 1), (1, 2), (1, 3)],
-    [(1, 1), (-1, 0), (1, 3), (-1, 2)],
-    [(1, 2), (-1, 3), (-1, 0), (1, 1)],
-    [(1, 3), (1, 2), (-1, 1), (-1, 0)],
-]
-_QUAT_LABELS = ["1", "i", "j", "k"]
-
-
-def _quat_mul(a, b):
-    s, k = _QUAT_BASIS[a[1]][b[1]]
-    return (a[0] * b[0] * s, k)
-
-
-def _quat_label(a):
-    return ("-" if a[0] < 0 else "") + _QUAT_LABELS[a[1]]
+# Q8's elements 1, -1, i, -i, j, -j, k, -k by code 0..7
+_QUAT_LABELS = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
 
 
 def quaternion8(cap: int = ORDER_CAP) -> GroupTable:
-    gens = [(1, 1), (1, 2)]
-    index, columns = _close(
-        (1, 0), lambda level: [_quat_mul(x, s) for x in level for s in gens],
-        cap, "quaternion8", cap)
-    elements = list(index)
-    return GroupTable(len(elements), lambda a: _quat_label(elements[a]),
-                      [index[s] for s in gens], "quaternion8", columns,
-                      elements=elements, element_index=index)
+    """Q8 closed as the left-regular permutations of its eight codes: the
+    row of x sends code c to x*c, so row[0] is x's own code, and x*s is the
+    row x[s].  The generators are i and j."""
+    gens = np.array([[2, 3, 1, 0, 6, 7, 5, 4], [4, 5, 7, 6, 1, 0, 2, 3]], dtype=np.int16)
+    rows, columns, gen_ids, _ = _close(
+        np.arange(8, dtype=np.int16), gens, lambda x: x.take(gens, axis=1), "quaternion8", cap)
+    return GroupTable(len(rows), lambda a: _QUAT_LABELS[rows[a, 0]], gen_ids, "quaternion8",
+                      columns, elements=rows)
 
 
 def _clifford_label(code: int, n: int) -> str:
@@ -577,7 +554,7 @@ def clifford(n: int, cap: int = ORDER_CAP) -> GroupTable:
         return np.concatenate([by_g, x ^ 1], axis=1)[:, :, None]
 
     gens = np.array([2 << i for i in range(n)] + [1], dtype=np.int64)[:, None]
-    rows, columns, gen_ids, _ = _close_rows(
+    rows, columns, gen_ids, _ = _close(
         np.zeros(1, dtype=np.int64), gens, right_mul, f"clifford({n})", cap)
     codes = rows[:, 0]
     return GroupTable(len(codes), lambda a: _clifford_label(int(codes[a]), n), gen_ids,

@@ -2,11 +2,12 @@
 
 Each one computes a quantity of the library by a second route and asserts
 the two agree: group axioms, subgroups as groups of their own, the laws of
-permutations and signed subsets one product at a time, induction and
+permutations, signed subsets, affine pairs and quaternions one product at a
+time and the tuple closure the builds are held to, induction and
 restriction with Frobenius reciprocity, the index-two branching of Clifford
-theory, the twisted Burnside count, the pair-orbit scan on the whole
-|G|^2 grid, and the character table from a general eigensolver.  Class
-functions are arrays of class values, indexed like
+theory, the twisted Burnside count, the pair-orbit scan on the whole |G|^2
+grid, and the character table from a general eigensolver.  Class functions
+are arrays of class values, indexed like
 ``conjugacy_classes(group).representatives``.
 """
 
@@ -141,6 +142,48 @@ def clifford_mul(x: tuple, y: tuple) -> tuple:
     (s1, a), (s2, b) = x, y
     s = s1 * s2 * (-1) ** (subset_inversions(a, b) & 1)
     return (s, a ^ b)
+
+
+def affine_compose(p: tuple, q: tuple, n: int) -> tuple:
+    """The affine pair of p*q, with (a, b) the map i -> (-1)^b * i + a of
+    Z/n, read as permutations compose: (p*q)(i) = p(q(i))."""
+    (a1, b1), (a2, b2) = p, q
+    return ((a1 - a2 if b1 else a1 + a2) % n, b1 ^ b2)
+
+
+# Q8 as pairs (sign, k) of a signed basis element 1, i, j, k; the product of
+# basis elements a and b is QUAT_BASIS[a][b]
+QUAT_BASIS = [
+    [(1, 0), (1, 1), (1, 2), (1, 3)],
+    [(1, 1), (-1, 0), (1, 3), (-1, 2)],
+    [(1, 2), (-1, 3), (-1, 0), (1, 1)],
+    [(1, 3), (1, 2), (-1, 1), (-1, 0)],
+]
+
+
+def quat_mul(x: tuple, y: tuple) -> tuple:
+    s, k = QUAT_BASIS[x[1]][y[1]]
+    return (x[0] * y[0] * s, k)
+
+
+def quat_label(x: tuple) -> str:
+    return ("-" if x[0] < 0 else "") + "1ijk"[x[1]]
+
+
+def tuple_closure(identity: tuple, gens: list, compose) -> tuple[list, np.ndarray]:
+    """The breadth-first closure of tuples from ``identity`` under right
+    multiplication by ``gens``, one element and generator at a time, each
+    new element taking the next id in order of first hit.  Returns
+    (elements by id, the (k, order) columns x -> x*s)."""
+    elements, index, right = [identity], {identity: 0}, []
+    for x in elements:          # the list grows as it is read, in id order
+        for s in gens:
+            y = compose(x, s)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+            right.append(index[y])
+    return elements, np.array(right, dtype=np.int64).reshape(len(elements), -1).T
 
 
 # ---------------------------------------------------------------------------

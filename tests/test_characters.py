@@ -655,6 +655,31 @@ def test_inverse_symmetry_refuses_a_count_off_by_one(name):
             characters._inverse_symmetry(G, conj, cells, bent, i, jm)
 
 
+NO_EIGENBASIS = "no usable eigenbasis after 20 random combinations: degree residual "
+
+
+@pytest.mark.parametrize("name", ["S4", "Q8", "D5", "CL3"])
+def test_self_mirror_cell_bent_is_refused_by_the_degrees(name, monkeypatch):
+    """A count in a cell that is its own mirror (i' = i and j = m) passes the
+    inverse symmetry, which reads |C_j|*a = |C_j|*a there.  Raised or lowered
+    by one (a listed count is at least 1, so it stays >= 0), it is refused
+    downstream: no combination of the bent constants gives central
+    characters with integral degrees."""
+    G = get_group(name)
+    conj, cells, counts, i, jm = _split_cells(G)
+    j, m = np.divmod(jm, conj.class_count)
+    inverse_class = conj.class_of[G.inverse[conj.representatives]]
+    own_mirror = np.flatnonzero((inverse_class[i] == i) & (j == m))
+    assert own_mirror.size and counts.min() >= 1
+    for at in own_mirror:
+        for step in (1, -1):
+            bent = counts.copy()
+            bent[at] += step
+            monkeypatch.setattr(characters, "_class_matrices", lambda G, conj: (cells, bent))
+            with pytest.raises(MathCheckError, match=f"^{re.escape(NO_EIGENBASIS)}"):
+                characters.compute_character_table(G)
+
+
 def test_trivial_group_table_is_one():
     """k = 1: no eigenvalue pair, so no gap to check."""
     t = characters.compute_character_table(groups.cyclic(1))

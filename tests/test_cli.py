@@ -957,6 +957,35 @@ def test_char_table_exits_2_when_a_class_constant_is_bent(monkeypatch, capsys):
         assert not {"cross_check_failure", "error", "internal_error"} & set(payload)
 
 
+def test_char_table_exits_2_when_a_self_mirror_constant_is_bent(monkeypatch):
+    """One count of D5's class constants raised by one, in a cell (i, j, m)
+    with i' = i and j = m, which the inverse symmetry cannot see: the
+    degree check refuses it, and the batch job exits 2 while its
+    neighbouring job exits 0."""
+    real = characters._class_matrices
+
+    def bent(G, conj):
+        cells, counts = real(G, conj)
+        if G.order == 10:
+            k = conj.class_count
+            i, j, m = cells // (k * k), cells // k % k, cells % k
+            inverse_class = conj.class_of[G.inverse[conj.representatives]]
+            counts = counts.copy()
+            counts[np.flatnonzero((inverse_class[i] == i) & (j == m))[0]] += 1
+        return cells, counts
+
+    monkeypatch.setattr(characters, "_class_matrices", bent)
+    D5 = {"family": "dihedral", "n": 5}
+    jobs = [{"command": "char-table", "group": D5}, {"command": "char-table", "group": S3}]
+    aggregate, code, _ = cli.run_batch({"jobs": jobs}, 1)
+    assert code == 2
+    failure, neighbour = (job["payload"] for job in aggregate["jobs"])
+    assert failure["cross_check_failure"].startswith(
+        "no usable eigenbasis after 20 random combinations: degree residual ")
+    assert not {"cross_check_failure", "error", "internal_error"} & set(neighbour)
+    assert [cli._run_isolated(job, 1, cli.Budgets())["exit_code"] for job in jobs] == [2, 0]
+
+
 def test_char_table_exits_2_when_no_combination_has_an_eigenvalue_gap(monkeypatch, capsys):
     monkeypatch.setattr(characters, "_class_combination",
                         lambda i, jm, counts, r: np.zeros((len(r), len(r))))

@@ -13,11 +13,15 @@ from taumackey.errors import SpecError
 from battery import BATTERY_BUILDERS, battery_names, get_group
 from oracles import (
     LIGHT_CAP,
+    affine_compose,
     clifford_mul,
     mul_table,
     perm_compose,
+    quat_label,
+    quat_mul,
     subgroup_table,
     subset_inversions,
+    tuple_closure,
     verify_group_axioms,
 )
 
@@ -397,15 +401,14 @@ def _inverse_from_table(table):
 def _denoted(G, x: int):
     """The concrete element id x denotes, as a tuple: the n-point
     permutation of an affine pair or of a permutation row, the pair (sign,
-    subset) of a signed-subset code, else the closure's own element."""
+    subset) of a signed-subset code, else Q8's pair (sign, basis element)
+    of the code its left-regular row sends 1 to."""
     if isinstance(G._element_index, groups._AffineIndex):
         return groups._affine_perm(G.elements[x], G.meta["degree"])
     if "degree" in G.meta:
         return tuple(G.elements[x].tolist())
-    if "clifford_n" in G.meta:
-        code = int(G.elements[x])
-        return (-1 if code & 1 else 1, code >> 1)
-    return G.elements[x]
+    code = int(G.elements[x] if "clifford_n" in G.meta else G.elements[x][0])
+    return (-1 if code & 1 else 1, code >> 1)
 
 
 def _closure_inputs(G):
@@ -421,7 +424,7 @@ def _closure_inputs(G):
             s, a = x
             return groups._clifford_label(2 * a + (s < 0), G.meta["clifford_n"])
         return seeds, clifford_mul, label
-    return seeds, groups._quat_mul, groups._quat_label
+    return seeds, quat_mul, quat_label
 
 
 # the cyclic and dihedral families built as affine pairs (D1 and D2 stay
@@ -535,8 +538,8 @@ def test_closure_from_the_identity_matches_the_identity_search(case):
 
 
 def test_closure_refusal_texts_are_unchanged():
-    """The closure's refusals, word for word: over the cap with rows and
-    with pairs, and no generators at all."""
+    """The closure's refusals, word for word: over the cap for a
+    generators spec and for Q8, and no generators at all."""
     texts = []
     for build in [
         lambda: cli.build_group({"generators": ["(1 2)", "(1 2 3 4 5 6 7 8)"], "degree": 8},
@@ -791,7 +794,8 @@ def test_only_groups_reads_the_table():
 
     gone = {"require_dense", "_compose", "_inverse_by_powers", "clifford_inverse",
             "_fill_table", "DENSE_CAP", "require_involutory",
-            "enumerate_from_generators", "_affine_group"}
+            "enumerate_from_generators", "_affine_group", "_close_rows", "_affine_compose",
+            "_quat_mul", "_quat_label", "_QUAT_BASIS"}
     internals = {"_cayley_words", "_walk", "_undo", "_undo_at", "_moves", "_half",
                  "_step", "_parent", "_depth"}
     # class members are read off class_of; the only `.classes` left is the
@@ -863,6 +867,27 @@ def test_affine_walks_without_table_match_the_tuple_closure(name, closure_case):
         assert perm_compose(_denoted(G, i), _denoted(G, j)) == _denoted(G, k), (i, j)
 
 
+def test_dihedral_closed_form_numbers_as_the_pair_search():
+    """The closed-form ids of D_n are the first-hit ids of the breadth-first
+    search of affine pairs from the identity by r = (1, 0), then s = (0, 1):
+    the same pair at each id, the same generator ids, both columns and the
+    inverses.  The n include even and odd ones, where the two search fronts
+    meet in different slots."""
+    gens = [(1, 0), (0, 1)]
+    for n in [*range(3, 301), 997, 1000, 1001, 10000]:
+        elements, columns = tuple_closure((0, 0), gens, lambda p, q: affine_compose(p, q, n))
+        g = groups.dihedral(n)
+        assert g.elements == elements, n
+        index = {x: i for i, x in enumerate(elements)}
+        assert g.generators == [index[s] for s in gens], n
+        for s, col in zip(g.generators, columns):
+            assert np.array_equal(g.right_mul_map(s), col), n
+        # (a, 0)^-1 = (-a, 0) and every reflection (a, 1) is its own inverse
+        inverse = [((-a if b == 0 else a) % n, b) for a, b in elements]
+        assert all(affine_compose(x, y, n) == (0, 0) for x, y in zip(elements, inverse))
+        assert g.inverse.tolist() == [index[y] for y in inverse], n
+
+
 @pytest.mark.parametrize("family, n, cycles", [
     ("dihedral", 7, "(1 2)"),          # a transposition
     ("dihedral", 8, "(1 2 3)"),        # a 3-cycle
@@ -899,7 +924,7 @@ def test_affine_families_build_at_the_order_cap(affine_at_the_cap):
         x, y = rng.integers(0, g.order, size=(2, 500))
         products = g.mul(x, y)
         for i, j, k in zip(x.tolist(), y.tolist(), products.tolist()):
-            assert groups._affine_compose(g.elements[i], g.elements[j], n) == g.elements[k]
+            assert affine_compose(g.elements[i], g.elements[j], n) == g.elements[k]
         assert g._labels is None  # nothing built every label
 
 
@@ -956,10 +981,15 @@ def test_groups_defines_no_new_public_function():
 ])
 def test_family_order_over_the_cap_is_refused_up_front(family, n, order, monkeypatch):
     assert groups.construct_family(family, n, cap=order).order == order
-    # one past the order: no closure may start
+    # one past the order: no closure may start and no group may be built
+    # (the cyclic and dihedral families build without a closure)
     def no_closure(*args, **kwargs):
         raise AssertionError("closure started")
+
+    def no_group(*args, **kwargs):
+        raise AssertionError("group built")
     monkeypatch.setattr(groups, "_close", no_closure)
+    monkeypatch.setattr(groups, "GroupTable", no_group)
     with pytest.raises(SpecError, match=rf"^{family}\({n}\) has order .* > cap {order - 1}$"):
         groups.construct_family(family, n, cap=order - 1)
     # n alone decides: no n-point tuple, n! or 2^(n+1) is formed (2^(10^9+1)
