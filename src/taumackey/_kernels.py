@@ -1,12 +1,12 @@
 """The hot orbit-labeling kernel.
 
-Every orbit scan in the package (conjugacy classes, the class blocks of
-the simultaneous-conjugation scan and their spans, coset spaces) reduces
-to one primitive: label each state of a grid {0..n-1}^d (d = 1 or 2,
-state ids row-major) with the minimum state id in its orbit under the
-group generated by some moves, each move one permutation of {0..n-1} per
-coordinate.  Only the coset-space pair scan, `gelfand.orbit_analysis`,
-passes d = 2.
+Every orbit scan in the package (conjugacy classes, subgroups and their
+spans, the class blocks of the simultaneous-conjugation scan, coset
+spaces) reduces to one primitive: label each state of a grid
+{0..n-1}^d (d = 1 or 2, state ids row-major) with the minimum state id
+in its orbit under the group generated by some moves, each move one
+permutation of {0..n-1} per coordinate.  Only the coset-space pair scan,
+`gelfand.orbit_analysis`, passes d = 2.
 """
 
 from __future__ import annotations

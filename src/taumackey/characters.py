@@ -253,14 +253,6 @@ def _round_indicators(raw: np.ndarray, what: str) -> np.ndarray:
     return rounded
 
 
-def fs_indicators(table: CharacterTable) -> np.ndarray:
-    """Classical indicators (1/|G|) sum of chi(g^2): 1 real, 0 complex,
-    -1 quaternionic."""
-    ids = np.arange(table.group.order)
-    raw = _indicator_from_targets(table, table.group.mul(ids, ids))
-    return _round_indicators(raw, "Frobenius-Schur indicator")
-
-
 @dataclass
 class TwistedIndicators:
     values: np.ndarray        # int per row

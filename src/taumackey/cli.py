@@ -179,13 +179,12 @@ def build_sigma(G: groups.GroupTable, spec) -> morphisms.GroupMap:
 
 def build_subgroup(G: groups.GroupTable, spec) -> np.ndarray:
     """Subgroup specification: {"generators": [...]} |
-    {"centralizer_of_sigma": sigma-spec}."""
+    {"centralizer_of_sigma": sigma-spec}; returns the subgroup's generator
+    ids."""
     if _form(spec, "generators"):
-        ids = [G.element_id(s) for s in _generator_list(spec)]
-        return groups.subgroup_closure(G, ids)
+        return np.array([G.element_id(s) for s in _generator_list(spec)], dtype=np.int64)
     if _form(spec, "centralizer_of_sigma"):
-        sigma = build_sigma(G, spec["centralizer_of_sigma"])
-        return np.flatnonzero(sigma.images == np.arange(G.order)).astype(np.int64)
+        return gelfand.fixed_subgroup(build_sigma(G, spec["centralizer_of_sigma"]))[1]
     raise SpecError(f"bad subgroup spec: {spec!r}")
 
 
@@ -265,9 +264,7 @@ def _cmd_fs(job, seed, budgets):
         "count_expansion": _identity(True, tw.expansion_residual),
     }
     if np.array_equal(tau.images, G.inverse):
-        payload["classical_indicators"] = [
-            int(x) for x in characters.fs_indicators(table)
-        ]
+        payload["classical_indicators"] = [int(x) for x in tw.values]
     return payload, 0
 
 
@@ -298,10 +295,11 @@ def _cmd_power_sums(job, seed, budgets):
 def _cmd_gelfand(job, seed, budgets):
     G = build_group(job["group"], budgets.order)
     tau = build_tau(G, job.get("tau"))
-    K = build_subgroup(G, job["subgroup"])
+    gens = build_subgroup(G, job["subgroup"])
+    K = groups.subgroup_closure(G, gens)
     gelfand.check_pair_budget(G.order // len(K), budgets.pairs)
     table = characters.compute_character_table(G, seed, budgets.classes)
-    space = gelfand.build_coset_space(G, K)
+    space = gelfand.build_coset_space(G, gens)
     rep = gelfand.gelfand_criteria_report(space, tau, table, budgets.pairs)
     payload = {
         "order": G.order,
@@ -564,11 +562,18 @@ def _run_isolated(job, seed: int, budgets: Budgets, cache_path: Path | None = No
 
 
 def _read_cached(path: Path) -> dict | None:
-    """A cached job outcome, or None when the entry is missing or torn."""
+    """A cached job outcome, or None when the entry is missing, torn or not
+    an outcome: an object of exactly a report object and an exit code 0, 1
+    or 2."""
     try:
-        return json.loads(path.read_text())
+        outcome = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
+    if (isinstance(outcome, dict) and outcome.keys() == {"report", "exit_code"}
+            and isinstance(outcome["report"], dict)
+            and type(outcome["exit_code"]) is int and outcome["exit_code"] in (0, 1, 2)):
+        return outcome
+    return None
 
 
 def _write_cached(path: Path, text: str) -> None:
@@ -588,8 +593,8 @@ def run_batch(
 ) -> tuple[dict, int, dict]:
     """Run every job in a manifest in order; per-job reports are cached by a
     content hash of (spec, seed, budgets, version, package source), and an
-    entry that cannot be read counts as a miss.  Returns (aggregate,
-    worst_exit_code, cache_stats)."""
+    entry that cannot be read as an outcome counts as a miss and is
+    rewritten.  Returns (aggregate, worst_exit_code, cache_stats)."""
     budgets = budgets or Budgets()
     jobs = manifest.get("jobs") if isinstance(manifest, dict) else None
     if not isinstance(jobs, list):

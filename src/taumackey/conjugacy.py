@@ -10,7 +10,7 @@ import numpy as np
 from . import PAIR_BUDGET
 from ._kernels import orbit_labels, orbit_representatives
 from .errors import BudgetExceeded, MathCheckError, SpecError
-from .groups import GroupTable
+from .groups import GroupTable, spanning_generators
 from .morphisms import GroupMap
 
 # Python's default int-to-str limit; the exact power sums must print within it.
@@ -126,7 +126,10 @@ def simultaneous_conjugation_scan(
     blocks: dict = {}
     block_of = np.array([blocks.setdefault(key, len(blocks)) for key in
                          member.view(np.dtype((np.void, order))).ravel().tolist()])
-    gens = _spanning_generators(G, member[np.unique(block_of, return_index=True)[1]])
+    centralizers = member[np.unique(block_of, return_index=True)[1]]
+    gens, spans = spanning_generators(G, centralizers)
+    if (spans & ~centralizers).any():
+        raise MathCheckError("a centralizer's generators span outside it")
     # block j's state j*|G| + y moves to j*|G| + s^-1*y*s for each of its
     # generators s; with R the column x -> x*s, that is R[inverse[R[inverse[y]]]]
     b, depth = gens.shape
@@ -157,39 +160,6 @@ def simultaneous_conjugation_scan(
     image = G.mul(G.inverse[G.mul(G.inverse[tau.images[y]], g_inv)], g_inv)
     invariant = int((labels[at + image] == at + y) @ np.repeat(weight, counts))
     return PairOrbitScan(2, int(orbits[block_of].sum()), invariant)
-
-
-def _spanning_generators(G: GroupTable, member: np.ndarray) -> np.ndarray:
-    """For each row of ``member``, a mask of a subgroup of G, generators
-    that span it, as an array of ids with one row per mask, padded with the
-    identity.
-
-    The rows are spanned together, one round at a time.  In each round
-    every row not yet spanned adds its smallest member outside its span,
-    which at least doubles the span, so there are at most log2|G| rounds.
-    Then one kernel call labels G under right multiplication by the
-    generators of every such row, row i's states offset by i*|G|; the span
-    is the orbit of the identity.  A row leaves the rounds once its span
-    holds every member, and a span that holds a non-member is refused.
-    """
-    rows, order = member.shape
-    ids = np.arange(order)
-    gens = np.zeros((rows, 0), dtype=np.int64)
-    open_ = np.arange(rows)
-    spanned = ids == 0
-    while (rest := member[open_] & ~spanned).any():
-        left = rest.any(axis=1)
-        open_, rest = open_[left], rest[left]
-        gens = np.concatenate([gens, np.zeros((rows, 1), dtype=np.int64)], axis=1)
-        gens[open_, -1] = rest.argmax(axis=1)
-        distinct, which = np.unique(gens[open_], return_inverse=True)
-        offset = np.arange(len(open_))[:, None] * order
-        moves = G.mul(ids, distinct[:, None])[which.reshape(len(open_), -1)] + offset[:, :, None]
-        labels = orbit_labels(moves.transpose(1, 0, 2).reshape(gens.shape[1], -1))
-        spanned = labels.reshape(-1, order) == offset
-        if (spanned & ~member[open_]).any():
-            raise MathCheckError("a centralizer's generators span outside it")
-    return gens
 
 
 @dataclass

@@ -19,7 +19,7 @@ from .characters import (
 )
 from .conjugacy import conjugacy_classes
 from .errors import BudgetExceeded, MathCheckError, SpecError
-from .groups import GroupTable, check_subgroup
+from .groups import GroupTable, spanning_generators
 from .morphisms import GroupMap
 
 
@@ -31,7 +31,7 @@ class CosetSpace:
 
     group: GroupTable
     subgroup: np.ndarray       # sorted element ids of K
-    generators: np.ndarray     # K's generators, from check_subgroup
+    generators: np.ndarray     # the ids K was given by; K is their span
     size: int                  # |X| = |G| / |K|
     reps: np.ndarray           # minimal element id per point
     point_of: np.ndarray       # element id -> its coset's point
@@ -43,21 +43,24 @@ class CosetSpace:
         return self.point_of[self.group.mul(np.asarray(g)[..., None], self.reps)]
 
 
-def build_coset_space(G: GroupTable, subgroup_ids) -> CosetSpace:
-    """The cosets xK are the orbits of x -> x*k, k a generator of K, so one
-    kernel call labels each with its minimal element, as conjugacy_classes
-    labels the classes.
+def build_coset_space(G: GroupTable, generators) -> CosetSpace:
+    """The space of K = <generators>.  The cosets xK are the orbits of
+    x -> x*s, s a generator, so one kernel call labels each with its
+    minimal element, as conjugacy_classes labels the classes, and K is the
+    identity's coset.  By Lagrange every coset has |K| elements, which is
+    asserted on the labels.
 
     The permutation character is the induced trivial character (Isaacs
     5.1-5.2): g fixes |C_G(g)| * |g^G n K| / |K| cosets, one count of K's
     classes in G; each quotient is asserted exact.
     """
-    K, gens = check_subgroup(G, subgroup_ids)
+    gens = np.array([int(g) for g in generators], dtype=np.int64)
     labels = orbit_labels(G.mul(np.arange(G.order), gens[:, None]))
     reps = orbit_representatives(labels)
     point_of = np.searchsorted(reps, labels)
-    if not np.array_equal(np.flatnonzero(point_of == 0), K):
-        raise MathCheckError("stabilizer of the base point is not K")
+    K = np.flatnonzero(labels == 0)
+    if not (np.bincount(point_of) == len(K)).all():
+        raise MathCheckError("a coset of K does not have |K| elements")
     k_orbits = orbit_labels(point_of[G.mul(gens[:, None], reps)])
     conj = conjugacy_classes(G)
     meets = np.bincount(conj.class_of[K], minlength=conj.class_count)
@@ -393,6 +396,18 @@ class TwistedSquareConjugacy:
     rank: int | None
 
 
+def fixed_subgroup(sigma: GroupMap) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted ids, generators) of the subgroup of points an automorphism
+    fixes, spanned once.  The fixed points of an automorphism always form a
+    subgroup, so a span that leaves them is a failed cross-check."""
+    G = sigma.group
+    fixed = sigma.images == np.arange(G.order)
+    gens, spans = spanning_generators(G, fixed[None])
+    if (spans & ~fixed).any():
+        raise MathCheckError("the fixed points' generators span outside them")
+    return np.flatnonzero(fixed), gens[0]
+
+
 def condition_star(
     G: GroupTable, sigma: GroupMap, seed: int | None = None, class_cap: int = CLASS_CAP
 ) -> TwistedSquareConjugacy:
@@ -404,10 +419,8 @@ def condition_star(
         raise SpecError("need a validated automorphism")
     if sigma.group is not G:
         raise SpecError("automorphism lives on a different group")
-    n = G.order
-    ids = np.arange(n)
-    K, gens = check_subgroup(G, np.flatnonzero(sigma.images == ids))
-    omega = np.unique(G.mul(ids, sigma.images[G.inverse]))
+    K, gens = fixed_subgroup(sigma)
+    omega = np.unique(G.mul(np.arange(G.order), sigma.images[G.inverse]))
     conj = conjugacy_classes(G)
     in_g = len(np.unique(conj.class_of[omega]))
     labels = orbit_labels(G.conj_map(gens[:, None]))
@@ -421,7 +434,7 @@ def condition_star(
     rank = None
     if sigma.involutory:
         table = compute_character_table(G, seed, class_cap)
-        space = build_coset_space(G, K)
+        space = build_coset_space(G, gens)
         mults = table.decompose(space.permutation_character, "permutation character")
         gelfand = bool((mults <= 1).all())
         rank = len(orbit_representatives(space.k_orbit_labels))

@@ -18,6 +18,11 @@ and the signed-subset (Clifford) family flips bits of one-code rows.  The
 cyclic and dihedral families need no search: their ids are the search's
 order in closed form, the rotation by a at id a, and an n-gon symmetry at
 its rank by level and slot of first hit.
+
+Subgroups are orbits of the kernel, never searched level by level: the
+subgroup generated by some ids is the identity's orbit under right
+multiplication by them, and ``spanning_generators`` finds generators for
+many id sets at once, one kernel call per doubling round.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from . import ORDER_CAP
+from ._kernels import orbit_labels
 from .errors import SpecError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -643,43 +649,41 @@ def construct_semidirect_with_involution(
 # ---------------------------------------------------------------------------
 
 def subgroup_closure(G: GroupTable, gen_ids: Iterable[int]) -> np.ndarray:
-    """Sorted ids of the subgroup generated by gen_ids."""
+    """Sorted ids of the subgroup generated by gen_ids: the identity's orbit
+    under x -> x*s, s a generator, labelled by one kernel call."""
     gens = np.array([int(g) for g in gen_ids], dtype=np.int64)
-    seen = np.zeros(G.order, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        new = np.unique(G.mul(frontier[:, None], gens))
-        frontier = new[~seen[new]]
-        seen[frontier] = True
-    return np.flatnonzero(seen)
+    return np.flatnonzero(orbit_labels(G.mul(np.arange(G.order), gens[:, None])) == 0)
 
 
-def check_subgroup(G: GroupTable, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Validate that ids form a subgroup K; returns (sorted ids, generators).
+def spanning_generators(G: GroupTable, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Generators for each row of ``member``, a boolean mask of ids, and
+    their spans: (generators, one row per mask padded with the identity,
+    and the spans as masks of the same shape).
 
-    Each generator is the smallest member not yet in the span of the ones
-    before it, so each at least doubles the span: at most log2|K| of them,
-    found in about |K|*log|K| products.  The set is refused as soon as the
-    span leaves it, and a span that reaches every member proves it a
-    subgroup.
+    The rows are spanned together, one round at a time.  In each round
+    every row whose span misses a member adds its smallest such member.
+    A subgroup H and an element g outside it give a span holding H and Hg,
+    so each round at least doubles the span, and there are at most log2|G|
+    rounds.  Each round is one kernel call: it labels G under right
+    multiplication by the generators of every open row, row i's states
+    offset by i*|G|, and a span is the identity's orbit.  At the end every
+    span holds its row, and equals it exactly when the row is a subgroup;
+    a span that holds a non-member is for the caller to refuse.
     """
-    ids = np.unique(np.asarray(ids, dtype=np.int64))
-    if len(ids) == 0 or ids[0] != 0:
-        raise SpecError("subgroup must contain the identity (id 0)")
-    member = np.zeros(G.order, dtype=bool)
-    member[ids] = True
-    spanned = np.zeros(G.order, dtype=bool)
-    spanned[0] = True
-    gens = np.zeros(0, dtype=np.int64)
-    while (rest := ids[~spanned[ids]]).size:
-        gens = np.append(gens, rest[0])
-        # the span is closed under the earlier generators: multiply it by the
-        # new one, then every element it adds by all of them
-        found = G.mul(ids[spanned[ids]], gens[-1])
-        while (found := np.unique(found[~spanned[found]])).size:
-            if not member[found].all():
-                raise SpecError("set is not closed under multiplication")
-            spanned[found] = True
-            found = G.mul(found[:, None], gens).ravel()
-    return ids, gens
+    rows, order = member.shape
+    ids = np.arange(order)
+    gens = np.zeros((rows, 0), dtype=np.int64)
+    spans = np.zeros(member.shape, dtype=bool)
+    spans[:, 0] = True
+    open_ = np.arange(rows)
+    while (rest := member[open_] & ~spans[open_]).any():
+        left = rest.any(axis=1)
+        open_, rest = open_[left], rest[left]
+        gens = np.concatenate([gens, np.zeros((rows, 1), dtype=np.int64)], axis=1)
+        gens[open_, -1] = rest.argmax(axis=1)
+        distinct, which = np.unique(gens[open_], return_inverse=True)
+        offset = np.arange(len(open_))[:, None] * order
+        moves = G.mul(ids, distinct[:, None])[which.reshape(len(open_), -1)] + offset[:, :, None]
+        labels = orbit_labels(moves.transpose(1, 0, 2).reshape(gens.shape[1], -1))
+        spans[open_] = labels.reshape(-1, order) == offset
+    return gens, spans

@@ -46,7 +46,7 @@ def test_criterion_02_real_characters_but_not_simply_reducible():
     g = groups.direct_product(groups.alternating(5), groups.cyclic(2))
     tau = morphisms.tau_inverse(g)
     table = characters.compute_character_table(g)
-    assert (characters.fs_indicators(table) == 1).all()
+    assert (characters.twisted_fs_indicators(table, tau).values == 1).all()
     v = criteria.simply_reducible_verdict(table, tau)
     assert v.agree and not v.definition
     assert "tensor" in v.witnesses and v.witnesses["tensor"]["multiplicity"] >= 2

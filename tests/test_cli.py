@@ -96,10 +96,12 @@ def test_group_spec_variants():
 
 def test_subgroup_spec_variants():
     g = cli.build_group({"family": "symmetric", "n": 4})
-    ids = cli.build_subgroup(g, {"generators": ["(1 2)", "(1 2 3)"]})
-    assert len(ids) == 6
-    ids2 = cli.build_subgroup(g, {"centralizer_of_sigma": {"inner": "(1 2)(3 4)"}})
-    assert len(ids2) == 8
+    gens = cli.build_subgroup(g, {"generators": ["(1 2)", "(1 2 3)"]})
+    assert gens.tolist() == [g.element_id("(1 2)"), g.element_id("(1 2 3)")]
+    assert len(groups.subgroup_closure(g, gens)) == 6
+    gens2 = cli.build_subgroup(g, {"centralizer_of_sigma": {"inner": "(1 2)(3 4)"}})
+    fixed = np.flatnonzero(g.conj_map(g.element_id("(1 2)(3 4)")) == np.arange(g.order))
+    assert np.array_equal(groups.subgroup_closure(g, gens2), fixed) and len(fixed) == 8
 
 
 @pytest.mark.parametrize("job", [
@@ -182,6 +184,33 @@ def test_batch_torn_cache_entry_is_a_miss(tmp_path, capsys):
     assert rerun.read_text() == cold.read_text()
     assert torn.read_text() == full  # rewritten in full, no temp file left
     assert sorted(cache.iterdir()) == entries
+
+
+@pytest.mark.parametrize("entry", [1, [], {"exit_code": 0}, {"report": {}, "exit_code": "x"}],
+                         ids=["number", "list", "no-report", "string-code"])
+def test_batch_cache_entry_that_is_not_an_outcome_is_a_miss(entry, tmp_path, capsys):
+    """Well-formed JSON that is not {"report": object, "exit_code": 0|1|2}
+    is recomputed and rewritten, never served."""
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"jobs": [
+        {"command": "fs", "group": {"family": "dihedral", "n": 4}},
+        {"command": "power-sums", "group": {"family": "symmetric", "n": 3},
+         "tau": "inverse", "n": 2},
+    ]}))
+    uncached, rerun, cache = tmp_path / "uncached.json", tmp_path / "rerun.json", tmp_path / "c"
+    assert cli.main(["batch", str(manifest), "--cache-dir", "", "--out", str(uncached)]) == 0
+    assert cli.main(["batch", str(manifest), "--cache-dir", str(cache),
+                     "--out", str(rerun)]) == 0
+    bad = sorted(cache.iterdir())[0]
+    full = bad.read_text()
+    bad.write_text(json.dumps(entry))
+    capsys.readouterr()
+    assert cli.main(["batch", str(manifest), "--cache-dir", str(cache),
+                     "--out", str(rerun)]) == 0
+    assert "1 cache hits" in capsys.readouterr().err
+    assert rerun.read_text() == uncached.read_text()
+    assert bad.read_text() == full
+
 
 def test_main_end_to_end(tmp_path, capsys):
     out = tmp_path / "r.json"
@@ -1070,6 +1099,68 @@ def test_power_sums_exit_2_when_the_pair_scan_is_corrupted(corrupt, message, mon
     aggregate, code, _ = cli.run_batch({"jobs": [job]}, 1)
     assert code == 2
     assert aggregate["jobs"][0]["payload"] == failure
+
+
+def _split_a_coset(monkeypatch):
+    """The coset labels of S3, from the one kernel call of a gelfand job
+    whose moves act on the six elements, with the largest element that is
+    not its coset's minimum moved to a coset of its own."""
+    real = gelfand.orbit_labels
+
+    def split(moves):
+        labels = real(moves)
+        if np.ndim(moves) == 2 and np.shape(moves)[1] == 6:
+            x = np.flatnonzero(labels != np.arange(6)).max()
+            labels[x] = x
+        return labels
+
+    monkeypatch.setattr(gelfand, "orbit_labels", split)
+
+
+def _leak_fixed_span(monkeypatch):
+    """The span of the fixed points' generators given as all of G."""
+    real = gelfand.spanning_generators
+
+    def leaky(G, member):
+        gens, spans = real(G, member)
+        spans[:] = True
+        return gens, spans
+
+    monkeypatch.setattr(gelfand, "spanning_generators", leaky)
+
+
+FIXED_SPAN_LEAKS = "the fixed points' generators span outside them"
+
+
+@pytest.mark.parametrize("corrupt,job,message", [
+    (_split_a_coset, {"command": "gelfand", "group": S3, "tau": "inverse",
+                      "subgroup": {"generators": ["(1 2)"]}},
+     "a coset of K does not have |K| elements"),
+    (_leak_fixed_span, {"command": "gelfand", "group": S3, "tau": "inverse",
+                        "subgroup": {"centralizer_of_sigma": {"inner": "(1 2)"}}},
+     FIXED_SPAN_LEAKS),
+    (_leak_fixed_span, {"command": "condition-star", "group": S3, "sigma": {"inner": "(1 2)"}},
+     FIXED_SPAN_LEAKS),
+], ids=["coset-sizes", "centralizer-span", "condition-star-span"])
+def test_subgroup_checks_exit_2_when_the_kernel_is_corrupted(corrupt, job, message,
+                                                             monkeypatch, capsys):
+    """The coset-size check and the fixed-point span check each fire on one
+    corrupted input: exit 2 with its message, as one command and as a batch
+    job beside a pair scan that spans its centralizers and exits 0."""
+    corrupt(monkeypatch)
+    failure = {"cross_check_failure": message}
+    args = [job["command"]]
+    for key, value in job.items():
+        if key != "command":
+            args += [f"--{key}", json.dumps(value)]
+    assert cli.main(args) == 2
+    assert json.loads(capsys.readouterr().out)["payload"] == failure
+    neighbour = {"command": "power-sums", "group": {"family": "quaternion8"}, "tau": "inverse",
+                 "n": 2}
+    aggregate, code, _ = cli.run_batch({"jobs": [job, neighbour]}, 1)
+    assert code == 2
+    assert aggregate["jobs"][0]["payload"] == failure
+    assert cli.run_job(neighbour, 1) == (aggregate["jobs"][1], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,13 @@ from battery import BATTERY_BUILDERS, battery_names, get_group
 from oracles import (
     LIGHT_CAP,
     affine_compose,
+    check_subgroup,
     clifford_mul,
     mul_table,
     perm_compose,
     quat_label,
     quat_mul,
+    subgroup_closure as oracle_closure,
     subgroup_table,
     subset_inversions,
     tuple_closure,
@@ -240,12 +242,37 @@ def test_subgroup_closure_and_table():
             assert emb[sub.mul(a, b)] == s4.mul(int(emb[a]), int(emb[b]))
 
 
+@pytest.mark.parametrize("name", battery_names())
+def test_subgroup_closure_matches_the_level_search(name):
+    """The identity's orbit under the generators is the subgroup the
+    breadth-first closure finds, for seeded sets of none to three ids."""
+    G = get_group(name)
+    rng = np.random.default_rng(7)
+    for size in [0, 1, 1, 2, 2, 3]:
+        gens = rng.integers(0, G.order, size=size)
+        assert np.array_equal(groups.subgroup_closure(G, gens), oracle_closure(G, gens))
+
+
+def spans_of(G, ids):
+    """The span routine on one set: (generators, span, refused), refused
+    when the span leaves the set, as every caller refuses."""
+    member = np.zeros(G.order, dtype=bool)
+    member[np.asarray(ids, dtype=np.int64)] = True
+    gens, spans = groups.spanning_generators(G, member[None])
+    return gens[0], spans[0], bool((spans & ~member).any())
+
+
 def test_not_a_subgroup():
     s3 = get_group("S3")
+    r, r2 = s3.element_id("(1 2 3)"), s3.element_id("(1 3 2)")
+    _, span, refused = spans_of(s3, [0, r])
+    assert refused and span[r2]
+    _, span, refused = spans_of(s3, [s3.element_id("(1 2)")])
+    assert refused and span[0]
     with pytest.raises(SpecError, match="not closed under multiplication"):
-        groups.check_subgroup(s3, [0, s3.element_id("(1 2 3)")])
+        check_subgroup(s3, [0, r])
     with pytest.raises(SpecError, match="must contain the identity"):
-        groups.check_subgroup(s3, [s3.element_id("(1 2)")])
+        check_subgroup(s3, [s3.element_id("(1 2)")])
 
 
 def closure_oracle_refusal(G, ids):
@@ -263,22 +290,25 @@ def closure_oracle_refusal(G, ids):
 
 
 def check_subgroup_against_oracle(G, ids):
-    """check_subgroup refuses exactly when the oracle does, with its text;
-    otherwise its generators are the greedy picks and span exactly the ids.
-    Returns whether the set was accepted."""
+    """The span routine refuses exactly when the greedy check and the |K|^2
+    check do, and its span is the closure of its generators.  On a
+    subgroup its generators are the greedy check's picks and span exactly
+    the ids.  Returns whether the set was accepted."""
     expected = closure_oracle_refusal(G, ids)
+    gens, span, refused = spans_of(G, ids)
+    assert gens.dtype == np.int64
+    assert np.array_equal(np.flatnonzero(span), oracle_closure(G, gens))
+    assert refused == (expected is not None)
     if expected is not None:
         with pytest.raises(SpecError) as info:
-            groups.check_subgroup(G, ids)
+            check_subgroup(G, ids)
         assert str(info.value) == expected
         return False
-    K, gens = groups.check_subgroup(G, ids)
-    assert np.array_equal(K, np.unique(ids)) and gens.dtype == np.int64
-    assert np.array_equal(groups.subgroup_closure(G, gens), K)
+    K, greedy = check_subgroup(G, ids)
+    assert np.array_equal(gens, greedy) and np.array_equal(np.flatnonzero(span), K)
     assert 2 ** len(gens) <= len(K)
     for i, g in enumerate(gens):
-        span = groups.subgroup_closure(G, gens[:i])
-        assert g == K[~np.isin(K, span)].min()
+        assert g == K[~np.isin(K, oracle_closure(G, gens[:i]))].min()
     # the subgroup's own table, built from the generators' columns, is G's
     sub, emb = subgroup_table(G, K)
     assert np.array_equal(emb, K) and sub.generators == np.searchsorted(K, gens).tolist()
@@ -320,15 +350,50 @@ def test_check_subgroup_on_seeded_s4_subsets():
 
 
 def test_check_subgroup_refuses_the_empty_set():
+    gens, span, refused = spans_of(get_group("S3"), [])
+    assert refused and gens.tolist() == [] and np.flatnonzero(span).tolist() == [0]
     with pytest.raises(SpecError, match="identity"):
-        groups.check_subgroup(get_group("S3"), [])
+        check_subgroup(get_group("S3"), [])
 
 
 def test_check_subgroup_trivial_subgroup_has_no_generators():
-    K, gens = groups.check_subgroup(get_group("S4"), [0])
-    assert K.tolist() == [0] and gens.tolist() == []
+    gens, span, refused = spans_of(get_group("S4"), [0])
+    assert not refused and gens.tolist() == [] and np.flatnonzero(span).tolist() == [0]
     sub, emb = subgroup_table(get_group("S4"), [0])
     assert sub.order == 1 and sub.generators == [] and emb.tolist() == [0]
+
+
+def test_spans_of_many_sets_are_padded_with_the_identity():
+    """Rows spanned together get the generators each would get alone, the
+    shorter rows padded with the identity."""
+    s4 = get_group("S4")
+    sets = list(_s4_subsets(40, 9))
+    member = np.zeros((len(sets), s4.order), dtype=bool)
+    for row, ids in zip(member, sets):
+        row[np.asarray(ids, dtype=np.int64)] = True
+    gens, spans = groups.spanning_generators(s4, member)
+    for ids, row, span in zip(sets, gens, spans):
+        alone, span_alone, _ = spans_of(s4, ids)
+        assert np.array_equal(span, span_alone)
+        assert np.array_equal(row[:len(alone)], alone) and not row[len(alone):].any()
+
+
+def test_subgroup_closure_is_one_kernel_call_and_a_span_takes_log_rounds(monkeypatch):
+    """The rotations of D10000: one kernel call labels their closure, which
+    a breadth-first loop reached in one round per Cayley-graph level, and
+    the span routine takes at most ceil(log2 |G|) rounds, one call each."""
+    G = groups.dihedral(10000)
+    calls = []
+    real = groups.orbit_labels
+    monkeypatch.setattr(groups, "orbit_labels", lambda moves: calls.append(1) or real(moves))
+    K = groups.subgroup_closure(G, [G.generators[0]])  # r, the rotation by one
+    assert len(calls) == 1 and len(K) == 10000
+    member = np.zeros(G.order, dtype=bool)
+    member[K] = True
+    calls.clear()
+    gens, spans = groups.spanning_generators(G, member[None])
+    assert np.array_equal(spans[0], member)
+    assert 1 <= len(calls) <= int(np.ceil(np.log2(G.order)))
 
 
 def test_identity_always_id_zero():
@@ -964,7 +1029,7 @@ def test_groups_defines_no_new_public_function():
     assert public == {
         "perm_label", "parse_cycles", "cyclic", "symmetric", "alternating", "dihedral", "quaternion8",
         "clifford", "direct_product", "construct_family",
-        "construct_semidirect_with_involution", "subgroup_closure", "check_subgroup",
+        "construct_semidirect_with_involution", "subgroup_closure", "spanning_generators",
     }
 
 
