@@ -295,15 +295,13 @@ def _cmd_power_sums(job, seed, budgets):
 def _cmd_gelfand(job, seed, budgets):
     G = build_group(job["group"], budgets.order)
     tau = build_tau(G, job.get("tau"))
-    gens = build_subgroup(G, job["subgroup"])
-    K = groups.subgroup_closure(G, gens)
-    gelfand.check_pair_budget(G.order // len(K), budgets.pairs)
+    space = gelfand.build_coset_space(G, build_subgroup(G, job["subgroup"]))
+    gelfand.check_pair_budget(space.size, budgets.pairs)
     table = characters.compute_character_table(G, seed, budgets.classes)
-    space = gelfand.build_coset_space(G, gens)
     rep = gelfand.gelfand_criteria_report(space, tau, table, budgets.pairs)
     payload = {
         "order": G.order,
-        "subgroup_order": len(K),
+        "subgroup_order": len(space.subgroup),
         "points": space.size,
         "gelfand": rep.gelfand,
         "rank": rep.rank,

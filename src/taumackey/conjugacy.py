@@ -131,12 +131,11 @@ def simultaneous_conjugation_scan(
     if (spans & ~centralizers).any():
         raise MathCheckError("a centralizer's generators span outside it")
     # block j's state j*|G| + y moves to j*|G| + s^-1*y*s for each of its
-    # generators s; with R the column x -> x*s, that is R[inverse[R[inverse[y]]]]
+    # generators s
     b, depth = gens.shape
     ids, offset = np.arange(order), np.arange(b)[:, None] * order
     distinct, which = np.unique(gens, return_inverse=True)
-    right = G.mul(ids, distinct[:, None])
-    moves = np.take_along_axis(right, G.inverse[right[:, G.inverse]], axis=1)
+    moves = G.conj_map(G.inverse[distinct][:, None])
     moves = moves[which.reshape(b, depth)] + offset[:, :, None]
     labels = orbit_labels(moves.transpose(1, 0, 2).reshape(depth, b * order)).ravel()
     heads = [np.flatnonzero(row) for row in labels.reshape(b, order) == offset + ids]

@@ -19,15 +19,23 @@ cyclic and dihedral families need no search: their ids are the search's
 order in closed form, the rotation by a at id a, and an n-gon symmetry at
 its rank by level and slot of first hit.
 
+``GroupTable.element_id`` is the one lookup of an id, a label, or in a
+permutation group a cycle string or a tuple of its points.  A family gives
+it ``find``, from a permutation to an id: the searched families read the
+closure's index of row bytes, and the cyclic and dihedral families decode
+p(0) and p(1) into the one pair p can be.
+
 Subgroups are orbits of the kernel, never searched level by level: the
-subgroup generated by some ids is the identity's orbit under right
-multiplication by them, and ``spanning_generators`` finds generators for
-many id sets at once, one kernel call per doubling round.
+subgroup generated by some ids is the identity's coset under right
+multiplication by them (``gelfand.build_coset_space``), and
+``spanning_generators`` finds generators for many id sets at once, one
+kernel call per doubling round.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+import numbers
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -53,14 +61,16 @@ class GroupTable:
         generators: list[int],
         family_tag: str,
         columns: np.ndarray,
-        elements: list | np.ndarray | None = None,
-        element_index: dict | None = None,
+        elements: np.ndarray | None = None,
+        find: Callable[[tuple], int | None] | None = None,
         meta: dict | None = None,
     ):
         """``columns[i]`` is the permutation x -> x*generators[i] of all ids.
 
         These columns are all that is kept of the law: the Cayley search
-        tree is built from them, and every product walks its words.
+        tree is built from them, and every product walks its words.  A
+        permutation group (one with ``meta["degree"]``) gives ``find``, the
+        id of a permutation tuple of its points, or None if it is no member.
         """
         self.order = order
         self._label_of = label_of
@@ -69,7 +79,7 @@ class GroupTable:
         self.generators = generators
         self.family_tag = family_tag
         self.elements = elements
-        self._element_index = element_index
+        self._find = find
         self.meta = meta or {}
         self._caches: dict = {}
         columns = np.asarray(columns, dtype=np.int64).reshape(len(generators), order)
@@ -205,8 +215,10 @@ class GroupTable:
 
     def conj_map(self, s: int) -> np.ndarray:
         """The permutation x -> s*x*s^-1 of all element ids (a row per s
-        when s is a column of ids)."""
-        return self.mul(self.mul(s, np.arange(self.order)), self.inverse[s])
+        when s is a column of ids).  With R the column x -> x*s^-1, that is
+        R[inverse[R[inverse]]], so only s's own word is walked."""
+        right = self._walk(np.arange(self.order), s)
+        return np.take_along_axis(right, self.inverse[right[..., self.inverse]], axis=-1)
 
     def generator_conj_maps(self) -> np.ndarray:
         key = "generator_conj_maps"
@@ -228,34 +240,34 @@ class GroupTable:
         return self._labels
 
     def element_id(self, what) -> int:
-        """Resolve a label, concrete element, or cycle-notation string to an id.
+        """Resolve an id, a label, a cycle-notation string or a permutation
+        tuple to an id.
 
         Permutation groups (those with a degree) label by cycle notation, so
-        a string is parsed, never looked up in the label list.  A boolean,
-        or anything else that is not an element of the group, raises
-        SpecError.
+        a string is parsed, never looked up in the label list, and ``find``
+        looks up the permutation, a tuple of real numbers that sorts to
+        0..degree-1.  A boolean, or anything else that names no element of
+        the group, raises SpecError.
         """
-        if isinstance(what, bool):
-            raise SpecError(f"no element matching {what!r}")
-        if isinstance(what, (int, np.integer)):
+        if isinstance(what, (int, np.integer)) and not isinstance(what, bool):
             i = int(what)
             if not 0 <= i < self.order:
                 raise SpecError(f"element id {i} out of range for order {self.order}")
             return i
-        key = what
-        if isinstance(what, str) and self.meta.get("degree"):
-            key = parse_cycles(what, self.meta["degree"])
+        degree, found = self.meta.get("degree"), None
+        if isinstance(what, str) and degree:
+            found = self._find(parse_cycles(what, degree))
         elif isinstance(what, str):
             if self._label_ids is None:  # built once; a repeated label keeps its first id
                 self._label_ids = {label: i for i, label in reversed(list(enumerate(self.labels)))}
-            try:
-                return self._label_ids[what]
-            except KeyError:
-                raise SpecError(f"no element matching {what!r}") from None
-        try:
-            return self._element_index[key]
-        except (KeyError, TypeError):  # no concrete elements, or unhashable
-            raise SpecError(f"no element matching {what!r}") from None
+            found = self._label_ids.get(what)
+        elif isinstance(what, tuple) and degree and len(what) == degree \
+                and all(issubclass(t, numbers.Real) for t in set(map(type, what))) \
+                and sorted(what) == list(range(degree)):
+            found = self._find(what)
+        if found is None:
+            raise SpecError(f"no element matching {what!r}")
+        return found
 
     def is_abelian(self) -> bool:
         """Whether conjugation by every generator fixes every element."""
@@ -364,8 +376,9 @@ def _close(identity: np.ndarray, gens: np.ndarray, right_mul: Callable, tag: str
 def _permutation_group(perms: Sequence[tuple], degree: int, tag: str = "generators",
                        cap: int = ORDER_CAP) -> GroupTable:
     """The group generated by permutation tuples of 0..degree-1, closed as
-    int16 rows: x*s is the row x[s], as (x*s)(i) = x(s(i)).  Labels and
-    lookups read the rows, so no element becomes a tuple of Python ints."""
+    int16 rows: x*s is the row x[s], as (x*s)(i) = x(s(i)).  Labels read
+    the rows and lookups the closure's index of row bytes, so no element
+    becomes a tuple of Python ints."""
     seeds = list(dict.fromkeys(perms))  # repeats dropped, order kept
     if not seeds:
         raise SpecError("generator list is empty")
@@ -373,21 +386,9 @@ def _permutation_group(perms: Sequence[tuple], degree: int, tag: str = "generato
     rows, columns, gen_ids, index = _close(
         np.arange(degree, dtype=np.int16), gens, lambda x: x.take(gens, axis=1), tag, cap)
     return GroupTable(len(rows), lambda a: perm_label(rows[a].tolist()), gen_ids, tag,
-                      columns, elements=rows, element_index=_RowIndex(index, degree),
+                      columns, elements=rows,
+                      find=lambda perm: index.get(np.array(perm, dtype=np.int16).tobytes()),
                       meta={"degree": degree})
-
-
-class _RowIndex(dict):
-    """Row bytes -> id, looked up by the permutation tuple a row denotes."""
-
-    def __init__(self, index: dict, n: int):
-        super().__init__(index)
-        self.n = n
-
-    def __getitem__(self, perm):
-        if isinstance(perm, tuple) and sorted(perm) == list(range(self.n)):
-            return super().__getitem__(np.array(perm, dtype=np.int16).tobytes())
-        raise KeyError(perm)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +402,8 @@ def cyclic(n: int, cap: int = ORDER_CAP) -> GroupTable:
         raise SpecError(f"cyclic({n}) has order {n} > cap {cap}")
     # the search from the rotation 1 meets rotation a at step a, so a is
     # its id and x*1 = x+1: no closure is needed
-    elements = [(a, 0) for a in range(n)]
     return GroupTable(n, lambda a: perm_label(_affine_perm((a, 0), n)), [1 % n],
-                      f"cyclic({n})", (np.arange(n) + 1) % n, elements=elements,
-                      element_index=_AffineIndex(zip(elements, range(n)), n),
+                      f"cyclic({n})", (np.arange(n) + 1) % n, find=_affine_find(n, range(n)),
                       meta={"degree": n})
 
 
@@ -413,13 +412,9 @@ def symmetric(n: int, cap: int = ORDER_CAP) -> GroupTable:
         raise SpecError(f"symmetric({n}): n must be at least 1")
     if _product_over(2, n, cap):
         raise SpecError(f"symmetric({n}) has order {n}! > cap {cap}")
-    if n == 1:
-        g = cyclic(1)
-        g.family_tag = "symmetric(1)"
-        return g
-    swap = (1, 0) + tuple(range(2, n))
-    cycle = tuple(range(1, n)) + (0,)
-    gens = [swap] if n == 2 else [swap, cycle]
+    # a transposition and the n-cycle; for n <= 2 the n-cycle alone
+    cycle = (*range(1, n), 0)
+    gens = [(1, 0, *range(2, n)), cycle] if n > 2 else [cycle]
     return _permutation_group(gens, n, f"symmetric({n})", cap)
 
 
@@ -428,16 +423,13 @@ def alternating(n: int, cap: int = ORDER_CAP) -> GroupTable:
         raise SpecError(f"alternating({n}): n must be at least 1")
     if _product_over(3, n, cap):
         raise SpecError(f"alternating({n}) has order {n}!/2 > cap {cap}")
-    if n <= 2:
-        g = cyclic(1)
-        g.family_tag = f"alternating({n})"
-        return g
+    # the 3-cycles (1 2 k); for n <= 2 the identity
     gens = []
     for k in range(2, n):
         p = list(range(n))
         p[0], p[1], p[k] = p[1], p[k], p[0]
         gens.append(tuple(p))
-    return _permutation_group(gens, n, f"alternating({n})", cap)
+    return _permutation_group(gens or [tuple(range(n))], n, f"alternating({n})", cap)
 
 
 def dihedral(n: int, cap: int = ORDER_CAP) -> GroupTable:
@@ -446,15 +438,11 @@ def dihedral(n: int, cap: int = ORDER_CAP) -> GroupTable:
         raise SpecError(f"dihedral({n}): n must be at least 1")
     if 2 * n > cap:
         raise SpecError(f"dihedral({n}) has order {2 * n} > cap {cap}")
-    if n == 1:
-        g = symmetric(2)
-        g.family_tag = "dihedral(1)"
-        return g
-    if n == 2:
-        # 2-gon symmetries degenerate as permutations; use two disjoint swaps
-        a = (1, 0, 2, 3)
-        b = (0, 1, 3, 2)
-        return _permutation_group([a, b], 4, "dihedral(2)", cap)
+    if n <= 2:
+        # the symmetries of the 1-gon and 2-gon degenerate as permutations
+        # of its points: one swap of two points, or two disjoint swaps
+        gens = [(1, 0)] if n == 1 else [(1, 0, 2, 3), (0, 1, 3, 2)]
+        return _permutation_group(gens, 2 * n, f"dihedral({n})", cap)
     # the search from the identity by r = (1, 0), then s = (0, 1), meets
     # level L at (L, 0), (L-1, 1), (n-L+1, 1), (n-L+2, 0) in that order; a
     # pair's id is its rank by 4*level + slot at its first hit
@@ -467,22 +455,17 @@ def dihedral(n: int, cap: int = ORDER_CAP) -> GroupTable:
     b, a = np.divmod(codes, n)
     # x*r = (a -+ 1, b) and x*s = (a, 1 - b)
     columns = id_of[np.stack([(a + 1 - 2 * b) % n + n * b, a + n * (1 - b)])]
-    elements = list(zip(a.tolist(), b.tolist()))
-    return GroupTable(2 * n, lambda x: perm_label(_affine_perm(elements[x], n)),
+    return GroupTable(2 * n, lambda x: perm_label(_affine_perm((int(a[x]), int(b[x])), n)),
                       [int(id_of[1]), int(id_of[n])], f"dihedral({n})", columns,
-                      elements=elements,
-                      element_index=_AffineIndex(zip(elements, range(2 * n)), n),
-                      meta={"degree": n})
+                      find=_affine_find(n, id_of), meta={"degree": n})
 
 
 def _product_over(lo: int, hi: int, cap: int) -> bool:
-    """Whether lo * (lo+1) * ... * hi > cap, stopping once it is."""
-    product = 1
-    for k in range(lo, hi + 1):
-        product *= k
-        if product > cap:
-            return True
-    return False
+    """Whether lo * (lo+1) * ... * hi > cap, 1 > cap if lo > hi, stopping once it is."""
+    product, k = 1, lo
+    while product <= cap and k <= hi:
+        product, k = product * k, k + 1
+    return product > cap
 
 
 # The cyclic and dihedral families as affine maps of Z/n: the pair (a, b)
@@ -492,25 +475,20 @@ def _product_over(lo: int, hi: int, cap: int) -> bool:
 
 def _affine_perm(x: tuple, n: int) -> tuple:
     a, b = x
-    sign = -1 if b else 1
-    return tuple((sign * i + a) % n for i in range(n))
+    return (*range(a, -1, -1), *range(n - 1, a, -1)) if b else (*range(a, n), *range(a))
 
 
-class _AffineIndex(dict):
-    """Pair -> id, looked up by the n-point permutation a pair denotes."""
-
-    def __init__(self, index: dict | Iterable[tuple], n: int):
-        super().__init__(index)
-        self.n = n
-
-    def __getitem__(self, perm):
-        n = self.n
-        if isinstance(perm, tuple) and len(perm) == n and perm[0] in range(n):
-            # p(0) = a and p(1) = (-1)^b + a; for n <= 2 only b = 0 is a member
-            pair = (perm[0], int(n > 2 and perm[1] != (perm[0] + 1) % n))
-            if _affine_perm(pair, n) == perm:
-                return super().__getitem__(pair)
-        raise KeyError(perm)
+def _affine_find(n: int, id_of) -> Callable[[tuple], int | None]:
+    """Look an n-point permutation p up as the one pair it can be, (p(0), b
+    with p(1) = (-1)^b + p(0)); ``id_of[a + n*b]`` is the id of (a, b), and
+    the cyclic family, whose ``id_of`` has n entries, has b = 0 only."""
+    def find(perm):
+        a = int(perm[0])
+        b = int(len(id_of) > n and perm[1] != (a + 1) % n)
+        if _affine_perm((a, b), n) == perm:
+            return int(id_of[a + n * b])
+        return None
+    return find
 
 
 # Q8's elements 1, -1, i, -i, j, -j, k, -k by code 0..7
@@ -639,7 +617,7 @@ def construct_semidirect_with_involution(
                    f"semidirect({N.family_tag})", np.array(columns))
     if g.mul(h, h) != 0:
         raise SpecError("semidirect relation h*h = 1 failed")
-    if not np.array_equal(g.mul(g.mul(h, ids), h), N.inverse[tau.images]):
+    if not np.array_equal(g.conj_map(h)[:n], N.inverse[tau.images]):
         raise SpecError("semidirect relation h*n*h = tau(n)^-1 failed")
     return g
 
@@ -647,13 +625,6 @@ def construct_semidirect_with_involution(
 # ---------------------------------------------------------------------------
 # subgroups
 # ---------------------------------------------------------------------------
-
-def subgroup_closure(G: GroupTable, gen_ids: Iterable[int]) -> np.ndarray:
-    """Sorted ids of the subgroup generated by gen_ids: the identity's orbit
-    under x -> x*s, s a generator, labelled by one kernel call."""
-    gens = np.array([int(g) for g in gen_ids], dtype=np.int64)
-    return np.flatnonzero(orbit_labels(G.mul(np.arange(G.order), gens[:, None])) == 0)
-
 
 def spanning_generators(G: GroupTable, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Generators for each row of ``member``, a boolean mask of ids, and

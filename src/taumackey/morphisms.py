@@ -77,7 +77,7 @@ def tau_inner(G: GroupTable, g0: int) -> GroupMap:
     """g -> g0 * g^-1 * g0^-1; involutory only when g0^2 is central, so the
     involution is checked rather than assumed."""
     g0 = int(g0)
-    images = G.mul(G.mul(g0, G.inverse), G.inverse[g0])
+    images = G.conj_map(g0)[G.inverse]
     m = validate(G, images, "anti-automorphism")
     if not m.involutory:
         raise SpecError(

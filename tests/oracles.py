@@ -37,6 +37,12 @@ ASSOC_SEED = 0
 # groups
 # ---------------------------------------------------------------------------
 
+def conj_map(G: GroupTable, s) -> np.ndarray:
+    """x -> s*x*s^-1 as two products, s*x and then (s*x)*s^-1: the first
+    walks every element's word, where GroupTable.conj_map walks s's."""
+    return G.mul(G.mul(s, np.arange(G.order)), G.inverse[s])
+
+
 def mul_table(G: GroupTable) -> np.ndarray:
     """The order x order table of G.mul, for tests that read products by
     row and column."""
@@ -51,7 +57,7 @@ def retraced(G: GroupTable) -> GroupTable:
     gens = [int(G.inverse[s]) for s in reversed(G.generators)]
     columns = G.mul(np.arange(G.order)[None, :], np.array(gens, dtype=np.int64)[:, None])
     return GroupTable(G.order, G.label, gens, G.family_tag, columns, elements=G.elements,
-                      element_index=G._element_index, meta=G.meta)
+                      find=G._find, meta=G.meta)
 
 
 def verify_group_axioms(G: GroupTable) -> dict:

@@ -20,8 +20,8 @@ from taumackey import (
 )
 
 from battery import CENSUS_BATTERY, available_taus, battery_names, get_group, symmetry_conditions
-from oracles import (clifford_theory_check, induced_character, mul_table, subgroup_table,
-                     twisted_orbit_count)
+from oracles import (clifford_theory_check, induced_character, mul_table, subgroup_closure,
+                     subgroup_table, twisted_orbit_count)
 
 
 # -- 1: known simply reducible groups, three-way agreement, under a second ----
@@ -123,7 +123,7 @@ def test_criterion_06_census_three_ways(name):
 
 def _space(big, gens):
     g = get_group(big)
-    ids = groups.subgroup_closure(g, [g.element_id(s) for s in gens])
+    ids = subgroup_closure(g, [g.element_id(s) for s in gens])
     return gelfand.build_coset_space(g, ids)
 
 
@@ -219,7 +219,7 @@ def test_criterion_10_reciprocity_on_cyclic_subgroups(name):
     conj = conjugacy.conjugacy_classes(g)
     seen = set()
     for rep in conj.representatives:
-        ids = groups.subgroup_closure(g, [int(rep)])
+        ids = subgroup_closure(g, [int(rep)])
         key = ids.tobytes()
         if key in seen:
             continue

@@ -19,6 +19,7 @@ from oracles import (
     mul_table,
     restricted_character,
     retraced,
+    subgroup_closure,
     subgroup_table,
 )
 
@@ -194,7 +195,7 @@ def test_count_expansion_fails_loudly_on_a_doctored_table(name):
 def test_induced_character_a3_to_s3():
     s3 = get_group("S3")
     t = table("S3")
-    ids = groups.subgroup_closure(s3, [s3.element_id("(1 2 3)")])
+    ids = subgroup_closure(s3, [s3.element_id("(1 2 3)")])
     sub, emb = subgroup_table(s3, ids)
     tk = characters.compute_character_table(sub)
     ind = induced_character(t, sub, emb, tk.values[1])
@@ -204,7 +205,7 @@ def test_induced_character_a3_to_s3():
 def test_induced_trivial_is_permutation_character():
     s3 = get_group("S3")
     t = table("S3")
-    ids = groups.subgroup_closure(s3, [s3.element_id("(1 2 3)")])
+    ids = subgroup_closure(s3, [s3.element_id("(1 2 3)")])
     sub, emb = subgroup_table(s3, ids)
     ind = induced_character(t, sub, emb, np.ones(3))
     assert t.decompose(ind).tolist() == [1, 1, 0]
@@ -225,7 +226,7 @@ def test_induction_refuses_an_embedding_that_splits_a_class():
     """Reciprocity restricts through the embedding: one that sends conjugate
     elements of K = S3 into different classes of S4 fails it."""
     s4 = get_group("S4")
-    ids = groups.subgroup_closure(s4, [s4.element_id("(1 2)"), s4.element_id("(1 2 3)")])
+    ids = subgroup_closure(s4, [s4.element_id("(1 2)"), s4.element_id("(1 2 3)")])
     sub, emb = subgroup_table(s4, ids)
     a, b = (int(np.flatnonzero(emb == s4.element_id(c))[0]) for c in ("(1 2)", "(1 2 3)"))
     bent = emb.copy()
@@ -245,7 +246,7 @@ def test_induction_commutes_with_twist_on_invariant_subgroup():
     s4 = get_group("S4")
     t = table("S4")
     tau = morphisms.tau_inverse(s4)
-    ids = groups.subgroup_closure(s4, [s4.element_id("(1 2 3 4)")])
+    ids = subgroup_closure(s4, [s4.element_id("(1 2 3 4)")])
     assert np.array_equal(np.sort(tau.images[ids]), ids)  # tau-invariant
     sub, emb = subgroup_table(s4, ids)
     tk = characters.compute_character_table(sub)
@@ -264,7 +265,7 @@ def test_indicator_propagates_to_multiplicity_free_restrictions():
     # self-conjugate, so constituents inherit the indicator of the big row
     s4, s3 = get_group("S4"), get_group("S3")
     t4 = table("S4")
-    ids = groups.subgroup_closure(s4, [s4.element_id("(1 2)"), s4.element_id("(1 2 3)")])
+    ids = subgroup_closure(s4, [s4.element_id("(1 2)"), s4.element_id("(1 2 3)")])
     sub, emb = subgroup_table(s4, ids)
     tk = characters.compute_character_table(sub)
     fs_big = fs_indicators(t4)

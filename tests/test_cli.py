@@ -12,6 +12,8 @@ import pytest
 from taumackey import characters, cli, conjugacy, criteria, errors, gelfand, groups
 from taumackey.errors import SpecError
 
+from oracles import subgroup_closure
+
 
 def test_run_job_simply_reducible_q8():
     report, code = cli.run_job(
@@ -98,10 +100,10 @@ def test_subgroup_spec_variants():
     g = cli.build_group({"family": "symmetric", "n": 4})
     gens = cli.build_subgroup(g, {"generators": ["(1 2)", "(1 2 3)"]})
     assert gens.tolist() == [g.element_id("(1 2)"), g.element_id("(1 2 3)")]
-    assert len(groups.subgroup_closure(g, gens)) == 6
+    assert len(subgroup_closure(g, gens)) == 6
     gens2 = cli.build_subgroup(g, {"centralizer_of_sigma": {"inner": "(1 2)(3 4)"}})
     fixed = np.flatnonzero(g.conj_map(g.element_id("(1 2)(3 4)")) == np.arange(g.order))
-    assert np.array_equal(groups.subgroup_closure(g, gens2), fixed) and len(fixed) == 8
+    assert np.array_equal(subgroup_closure(g, gens2), fixed) and len(fixed) == 8
 
 
 @pytest.mark.parametrize("job", [
@@ -559,11 +561,23 @@ def test_batch_refuses_non_involutory_generator_images_and_runs_the_others(table
     assert table_calls == []
 
 
-def test_gelfand_refuses_on_the_class_cap_before_coset_work(monkeypatch, capsys):
-    def no_coset_space(*args):
-        raise AssertionError("build_coset_space ran before the class cap")
+@pytest.mark.parametrize("family, n, order", [
+    ("symmetric", 1, "1!"), ("alternating", 1, "1!/2"), ("alternating", 2, "2!/2")])
+def test_order_budget_zero_refuses_the_trivial_families(family, n, order, capsys):
+    args = ["char-table", "--group", json.dumps({"family": family, "n": n}),
+            "--budget-order", "0"]
+    assert cli.main(args) == 1
+    assert capsys.readouterr() == ("", f"error: {family}({n}) has order {order} > cap 0\n")
 
-    monkeypatch.setattr(gelfand, "build_coset_space", no_coset_space)
+
+def test_gelfand_refuses_on_the_class_cap_before_coset_work(monkeypatch, capsys):
+    """The coset space itself comes first, as it gives |X| for the pair
+    budget; the work on it, the orbits of X x X, waits for the class cap."""
+    def no_coset_work(*args):
+        raise AssertionError("the coset space was analysed before the class cap")
+
+    monkeypatch.setattr(gelfand, "gelfand_criteria_report", no_coset_work)
+    monkeypatch.setattr(gelfand, "orbit_analysis", no_coset_work)
     # |X|^2 = 4096^2 is within this pair budget, so the class cap refuses
     args = ["gelfand", "--group", json.dumps({"family": "dihedral", "n": 2048}),
             "--subgroup", json.dumps({"generators": []}), "--tau", "inverse",
@@ -578,8 +592,8 @@ def test_gelfand_refuses_on_the_class_cap_before_coset_work(monkeypatch, capsys)
 ], ids=["S7", "D2048"])
 def test_gelfand_refuses_on_the_pair_budget_before_the_table(group, pairs, table_calls,
                                                             capsys):
-    """|X| = |G| / |K| is known once K is built: a trivial K is refused
-    before any character table or coset space."""
+    """|X| is known once the coset space is built: a trivial K is refused
+    before any character table."""
     args = ["gelfand", "--group", json.dumps(group),
             "--subgroup", json.dumps({"generators": []}), "--tau", "inverse"]
     assert cli.main(args) == 1

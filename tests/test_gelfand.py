@@ -11,7 +11,7 @@ from taumackey.conjugacy import conjugacy_classes
 from taumackey.errors import BudgetExceeded, MathCheckError, SpecError
 
 from battery import BATTERY_BUILDERS, battery_names, get_group, symmetry_conditions
-from oracles import induced_character, mul_table, retraced, subgroup_table
+from oracles import induced_character, mul_table, retraced, subgroup_closure, subgroup_table
 
 
 def coset_oracle(G, K):
@@ -40,7 +40,7 @@ def oracle_fixed_points(G, action):
 
 def space_in(big, gen_labels):
     g = get_group(big)
-    ids = groups.subgroup_closure(g, [g.element_id(s) for s in gen_labels])
+    ids = subgroup_closure(g, [g.element_id(s) for s in gen_labels])
     return gelfand.build_coset_space(g, ids)
 
 
@@ -182,7 +182,7 @@ def symmetry_cases(name):
         pairs = [(a, b) for a in range(n) for b in range(a, n)]
     subgroups = {}
     for a, b in pairs:
-        ids = groups.subgroup_closure(G, [a, b])
+        ids = subgroup_closure(G, [a, b])
         subgroups.setdefault(ids.tobytes(), ids)
     weak_seen = set()
     moved_false = 0
@@ -362,7 +362,7 @@ def test_condition_star_requires_automorphism():
 
 def test_coset_space_data_is_computed_once_per_space(monkeypatch):
     G = get_group("S4")
-    K = groups.subgroup_closure(G, [G.element_id("(1 2)"), G.element_id("(1 2 3)")])
+    K = subgroup_closure(G, [G.element_id("(1 2)"), G.element_id("(1 2 3)")])
     tau = morphisms.tau_inverse(G)
     table = characters.compute_character_table(G)
     kernel_calls = []
@@ -391,6 +391,28 @@ def test_coset_space_data_is_computed_once_per_space(monkeypatch):
     _, _, action = coset_oracle(G, K)
     assert np.array_equal(labels, orbit_labels(action[K]))
     assert np.array_equal(perm, oracle_fixed_points(G, action))
+
+
+def test_gelfand_job_labels_the_cosets_once(monkeypatch):
+    """One `gelfand` job makes the kernel calls of its coset space and
+    nothing more: the cosets give |K| and |X| for the pair budget, so no
+    other call labels them again.  G's classes are the one call of the
+    conjugacy module."""
+    calls = []
+    for module in (groups, gelfand, conjugacy):
+        def counted(moves, real=module.orbit_labels, where=module.__name__.split(".")[-1]):
+            calls.append((where, moves.shape))
+            return real(moves)
+        monkeypatch.setattr(module, "orbit_labels", counted)
+    job = {"command": "gelfand", "group": {"family": "symmetric", "n": 4}, "tau": "inverse",
+           "subgroup": {"generators": ["(1 2)", "(1 2 3)"]}}
+    report, code = cli.run_job(job, 1)
+    payload = report["payload"]
+    assert code == 0 and payload["subgroup_order"] == 6 and payload["points"] == 4
+    # the cosets, the K-orbits, G's classes, the pair orbits of X x X and
+    # the tau(K)-orbits, with K's two generators and G's two
+    assert calls == [("gelfand", (2, 24)), ("gelfand", (2, 4)), ("conjugacy", (2, 24)),
+                     ("gelfand", (2, 2, 4)), ("gelfand", (2, 4))]
 
 
 def counting(monkeypatch, calls, name, *modules):
@@ -462,7 +484,7 @@ def oracle_subgroups(G):
     subgroup of every inner involution, each once."""
     ids = np.arange(G.order)
     cases = [np.zeros(1, dtype=np.int64), ids]
-    cases += [groups.subgroup_closure(G, [int(g)])
+    cases += [subgroup_closure(G, [int(g)])
               for g in conjugacy_classes(G).representatives]
     for g in range(G.order):
         c = G.conj_map(g)
@@ -485,7 +507,7 @@ def test_coset_space_matches_the_loop_over_g(name, retrace):
         assert np.array_equal(space.rows(np.arange(G.order)), action)
         assert np.array_equal(space.k_orbit_labels, orbit_labels(action[K]))
         assert np.array_equal(space.permutation_character, oracle_fixed_points(G, action))
-        assert np.array_equal(groups.subgroup_closure(G, space.generators), K)
+        assert np.array_equal(subgroup_closure(G, space.generators), K)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +608,7 @@ def test_corrupted_classes_fail_the_permutation_character_division():
     """A transposition of K = <(1 2)> in S3 moved into the 3-cycles' class:
     |C_G((1 2 3))| * 1 / |K| = 3/2 fixed points, which is refused."""
     G = groups.symmetric(3)
-    K = groups.subgroup_closure(G, [G.element_id("(1 2)")])
+    K = subgroup_closure(G, [G.element_id("(1 2)")])
     conj = conjugacy_classes(G)
     class_of = conj.class_of.copy()
     class_of[G.element_id("(1 2)")] = class_of[G.element_id("(1 2 3)")]
@@ -628,7 +650,7 @@ def test_check_subgroup_of_all_of_s7_stays_small(s7):
 
 
 def test_coset_space_of_s3_in_s7_stays_small(s7):
-    K = groups.subgroup_closure(s7, [s7.element_id("(1 2)"), s7.element_id("(1 2 3)")])
+    K = subgroup_closure(s7, [s7.element_id("(1 2)"), s7.element_id("(1 2 3)")])
     assert peak_mb(lambda: gelfand.build_coset_space(s7, K)) < 8
 
 

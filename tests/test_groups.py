@@ -1,12 +1,13 @@
 import dataclasses
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taumackey import cli, groups, morphisms
+from taumackey import cli, gelfand, groups, morphisms
 from taumackey.conjugacy import ConjugacyData
 from taumackey.errors import SpecError
 
@@ -16,6 +17,7 @@ from oracles import (
     affine_compose,
     check_subgroup,
     clifford_mul,
+    conj_map as oracle_conj_map,
     mul_table,
     perm_compose,
     quat_label,
@@ -229,7 +231,7 @@ def test_label_lookup_gives_the_first_id_of_the_label(name):
 
 def test_subgroup_closure_and_table():
     s4 = get_group("S4")
-    ids = groups.subgroup_closure(
+    ids = oracle_closure(
         s4, [s4.element_id("(1 2)"), s4.element_id("(1 2 3)")]
     )
     assert len(ids) == 6
@@ -244,13 +246,15 @@ def test_subgroup_closure_and_table():
 
 @pytest.mark.parametrize("name", battery_names())
 def test_subgroup_closure_matches_the_level_search(name):
-    """The identity's orbit under the generators is the subgroup the
-    breadth-first closure finds, for seeded sets of none to three ids."""
+    """The identity's orbit under the generators, the coset space's K, is
+    the subgroup the breadth-first closure finds, for seeded sets of none to
+    three ids."""
     G = get_group(name)
     rng = np.random.default_rng(7)
     for size in [0, 1, 1, 2, 2, 3]:
         gens = rng.integers(0, G.order, size=size)
-        assert np.array_equal(groups.subgroup_closure(G, gens), oracle_closure(G, gens))
+        assert np.array_equal(gelfand.build_coset_space(G, gens).subgroup,
+                              oracle_closure(G, gens))
 
 
 def spans_of(G, ids):
@@ -337,7 +341,7 @@ def _s4_subsets(count, seed):
             ids = rng.choice(24, size=rng.integers(1, 25), replace=False)
             yield np.union1d(ids, [0]) if i % 4 == 0 else ids
             continue
-        K = groups.subgroup_closure(s4, rng.integers(0, 24, size=rng.integers(1, 3)))
+        K = oracle_closure(s4, rng.integers(0, 24, size=rng.integers(1, 3)))
         if i % 4 == 3:
             K = np.setxor1d(K, [rng.integers(1, 24)])
         yield K
@@ -379,15 +383,19 @@ def test_spans_of_many_sets_are_padded_with_the_identity():
 
 
 def test_subgroup_closure_is_one_kernel_call_and_a_span_takes_log_rounds(monkeypatch):
-    """The rotations of D10000: one kernel call labels their closure, which
-    a breadth-first loop reached in one round per Cayley-graph level, and
-    the span routine takes at most ceil(log2 |G|) rounds, one call each."""
+    """The rotations of D10000: the coset space's first kernel call labels
+    their closure, the identity's coset, which a breadth-first loop reached
+    in one round per Cayley-graph level (its second call labels the two
+    K-orbits), and the span routine takes at most ceil(log2 |G|) rounds, one
+    call each."""
     G = groups.dihedral(10000)
     calls = []
     real = groups.orbit_labels
-    monkeypatch.setattr(groups, "orbit_labels", lambda moves: calls.append(1) or real(moves))
-    K = groups.subgroup_closure(G, [G.generators[0]])  # r, the rotation by one
-    assert len(calls) == 1 and len(K) == 10000
+    for module in (groups, gelfand):
+        monkeypatch.setattr(module, "orbit_labels",
+                            lambda moves: calls.append(moves.shape) or real(moves))
+    K = gelfand.build_coset_space(G, [G.generators[0]]).subgroup  # r, the rotation by one
+    assert calls == [(1, G.order), (1, 2)] and len(K) == 10000
     member = np.zeros(G.order, dtype=bool)
     member[K] = True
     calls.clear()
@@ -463,13 +471,31 @@ def _inverse_from_table(table):
     return inverse
 
 
+_AFFINE_PAIRS = weakref.WeakKeyDictionary()  # group -> its pairs by id
+
+
+def _affine_pairs(G) -> list:
+    """The pair (a, b) each id of a cyclic or dihedral group denotes, read
+    back through element_id from the n-point permutation of every pair with
+    b < |G|/n; every id must be named exactly once."""
+    if G not in _AFFINE_PAIRS:
+        n, pairs = G.meta["degree"], [None] * G.order
+        for b in range(G.order // n):
+            for a in range(n):
+                pairs[G.element_id(groups._affine_perm((a, b), n))] = (a, b)
+        assert None not in pairs
+        _AFFINE_PAIRS[G] = pairs
+    return _AFFINE_PAIRS[G]
+
+
 def _denoted(G, x: int):
     """The concrete element id x denotes, as a tuple: the n-point
-    permutation of an affine pair or of a permutation row, the pair (sign,
-    subset) of a signed-subset code, else Q8's pair (sign, basis element)
-    of the code its left-regular row sends 1 to."""
-    if isinstance(G._element_index, groups._AffineIndex):
-        return groups._affine_perm(G.elements[x], G.meta["degree"])
+    permutation of an affine pair (the cyclic and dihedral families keep no
+    elements) or of a permutation row, the pair (sign, subset) of a
+    signed-subset code, else Q8's pair (sign, basis element) of the code its
+    left-regular row sends 1 to."""
+    if G.elements is None:
+        return groups._affine_perm(_affine_pairs(G)[x], G.meta["degree"])
     if "degree" in G.meta:
         return tuple(G.elements[x].tolist())
     code = int(G.elements[x] if "clifford_n" in G.meta else G.elements[x][0])
@@ -682,6 +708,116 @@ def test_generators_spec_at_the_degree_cap_peaks_below_the_tuple_closure(generat
     assert peak <= most
 
 
+# the lookup contract: every group form, every kind of input
+LOOKUP_GROUPS = {
+    "S1": lambda: groups.symmetric(1),
+    "A1": lambda: groups.alternating(1),
+    "A2": lambda: groups.alternating(2),
+    "D1": lambda: groups.dihedral(1),
+    "D2": lambda: groups.dihedral(2),
+    "Z1": lambda: groups.cyclic(1),
+    "Z12": lambda: groups.cyclic(12),
+    "D3": lambda: groups.dihedral(3),
+    "D50": lambda: groups.dihedral(50),
+    "S4": lambda: groups.symmetric(4),
+    "generators": lambda: cli.build_group({"generators": ["(1 2 3)", "(4 5)"], "degree": 6}),
+    "Q8": groups.quaternion8,
+    "CL3": lambda: groups.clifford(3),
+    "S3xZ4": lambda: groups.direct_product(groups.symmetric(3), groups.cyclic(4)),
+    "semidirect": lambda: cli.build_group(
+        {"semidirect": {"base": {"family": "cyclic", "n": 4}, "tau": "inverse"}}),
+}
+
+
+def _last_perm(G) -> tuple:
+    """The permutation of G's last id, read off its label; (1, 0, 2) for a
+    group without a degree."""
+    degree = G.meta.get("degree")
+    return groups.parse_cycles(G.label(G.order - 1), degree) if degree else (1, 0, 2)
+
+
+LOOKUP_INPUTS = {
+    "id": lambda G: G.order - 1,
+    "out-of-range-id": lambda G: G.order,
+    "True": lambda G: True,
+    "float": lambda G: 1.0,
+    "None": lambda G: None,
+    "list": lambda G: [0],
+    "dict": lambda G: {},
+    "label": lambda G: G.label(G.order - 1),
+    "member-cycles": lambda G: _other_cycle_notation(_last_perm(G)),
+    "transposition": lambda G: "(1 2)",   # a member of S4, D3 and D1 only
+    "malformed-cycles": lambda G: "(1 2",
+    "permutation-tuple": _last_perm,
+    "wrong-length-tuple": lambda G: _last_perm(G) + (0,),
+    "mixed-type-tuple": lambda G: (*_last_perm(G)[:-1], "a"),
+    "unhashable-tuple": lambda G: (*_last_perm(G)[:-1], [0]),
+}
+
+
+def _expected_lookup(G, what):
+    """What element_id must give, read off the labels: an id, or the text
+    of its SpecError.  A group with a degree parses a string and finds a
+    tuple among the permutations its labels denote; any other group finds a
+    string among its labels."""
+    degree, refused = G.meta.get("degree"), f"no element matching {what!r}"
+    if isinstance(what, int) and not isinstance(what, bool):
+        return what if 0 <= what < G.order else \
+            f"element id {what} out of range for order {G.order}"
+    if isinstance(what, str) and not degree:
+        return G.labels.index(what) if what in G.labels else refused
+    if not degree or not isinstance(what, (str, tuple)):
+        return refused
+    if isinstance(what, str):
+        try:
+            what = groups.parse_cycles(what, degree)
+        except SpecError as exc:
+            return str(exc)
+    perms = [groups.parse_cycles(label, degree) for label in G.labels]
+    return next((i for i, perm in enumerate(perms) if perm == what), refused)
+
+
+@pytest.mark.parametrize("kind", list(LOOKUP_INPUTS))
+@pytest.mark.parametrize("name", list(LOOKUP_GROUPS))
+def test_element_id_resolves_or_raises_one_spec_error(name, kind):
+    """Every input resolves to the id its labels give, or raises one
+    SpecError of one line; an id, a label and, in a group with a degree, a
+    member's cycles and permutation resolve."""
+    G = LOOKUP_GROUPS[name]()
+    what = LOOKUP_INPUTS[kind](G)
+    expected = _expected_lookup(G, what)
+    if kind in ("id", "label") or (G.meta.get("degree") and kind in (
+            "member-cycles", "permutation-tuple")):
+        assert expected == G.order - 1
+    if isinstance(expected, int):
+        assert G.element_id(what) == expected
+        return
+    with pytest.raises(SpecError) as info:
+        G.element_id(what)
+    assert str(info.value) == expected and "\n" not in expected
+
+
+@pytest.mark.parametrize("family, n, degree, generators", [
+    ("symmetric", 1, 1, ["e"]),
+    ("alternating", 1, 1, ["e"]),
+    ("alternating", 2, 2, ["e"]),
+    ("dihedral", 1, 2, ["(1 2)"]),
+    ("symmetric", 2, 2, ["(1 2)"]),
+])
+def test_tiny_families_are_permutation_groups_of_their_own_points(family, n, degree,
+                                                                  generators):
+    """S_n for n <= 2 is generated by the n-cycle, A_n for n <= 2 by the
+    identity, and D1 by a swap of two points: each a group of its own
+    points under its own tag, so A2 reads cycles on two points."""
+    G = groups.construct_family(family, n)
+    assert G.family_tag == f"{family}({n})" and G.meta == {"degree": degree}
+    assert [G.label(s) for s in G.generators] == generators
+    assert G.element_id(tuple(range(degree))) == 0
+    if (family, n) == ("alternating", 2):
+        with pytest.raises(SpecError, match=r"^no element matching '\(1 2\)'$"):
+            G.element_id("(1 2)")
+
+
 def test_row_element_id_refuses_non_permutations():
     g = groups.symmetric(4)
     assert g.element_id((1, 0, 2, 3)) == g.element_id("(1 2)")
@@ -734,7 +870,7 @@ def test_derived_groups_label_lazily():
     eager = z4.labels + ["h" if a == 0 else f"h*{la}" for a, la in enumerate(z4.labels)]
     assert [sd.label(x) for x in range(sd.order)] == sd.labels == eager
     s4 = get_group("S4")
-    ids = groups.subgroup_closure(s4, [s4.element_id("(1 2)"), s4.element_id("(3 4)")])
+    ids = oracle_closure(s4, [s4.element_id("(1 2)"), s4.element_id("(3 4)")])
     sub, emb = subgroup_table(s4, ids)
     assert sub.labels == [s4.labels[i] for i in emb] == ["e", "(1 2)", "(3 4)", "(1 2)(3 4)"]
 
@@ -767,6 +903,25 @@ def test_battery_without_table_multiplies_as_dense(name, closure_case):
         assert np.array_equal(G.right_mul_map(s), t[:, s])
     assert G.is_abelian() == np.array_equal(t, t.T)
     verify_group_axioms(G)
+
+
+@pytest.mark.parametrize("name", [*battery_names(), "D1000", "S7", "CL11"])
+def test_conj_map_matches_the_two_product_form(name):
+    """x -> s*x*s^-1 read as R[inverse[R[inverse]]], R the column of s^-1,
+    against s*x*s^-1 formed as two products: the same int64 ids, for one s
+    and for a column of them (every s up to order 200, 64 seeded ones
+    beyond), and the cached generator maps."""
+    G = get_group(name) if name in BATTERY_BUILDERS else CLOSURE_BUILDERS[name]()
+    ids = np.arange(G.order)
+    if G.order > 200:
+        ids = np.random.default_rng(5).integers(0, G.order, size=64)
+    maps = G.conj_map(ids[:, None])
+    assert maps.dtype == np.int64 and np.array_equal(maps, oracle_conj_map(G, ids[:, None]))
+    for s in ids[:8].tolist():
+        one = G.conj_map(s)
+        assert one.dtype == np.int64 and np.array_equal(one, oracle_conj_map(G, s))
+    gens = np.array(G.generators)[:, None]
+    assert np.array_equal(G.generator_conj_maps(), oracle_conj_map(G, gens))
 
 
 def test_semidirect_multiplies_by_its_law(closure_case):
@@ -853,21 +1008,29 @@ def test_only_groups_reads_the_table():
     GroupTable.along_words: no module but groups.py reads the search tree,
     no breadth-first loop over G is left elsewhere, and no module reads
     per-class member lists off a ConjugacyData.  One closure is left:
-    no function of groups.py but _close assigns first-hit ids."""
+    no function of groups.py but _close assigns first-hit ids.  One lookup
+    is left: a family gives GroupTable its ``find``, no index dict, and no
+    family retags a group another family built."""
     import ast
     from pathlib import Path
 
     gone = {"require_dense", "_compose", "_inverse_by_powers", "clifford_inverse",
             "_fill_table", "DENSE_CAP", "require_involutory",
             "enumerate_from_generators", "_affine_group", "_close_rows", "_affine_compose",
-            "_quat_mul", "_quat_label", "_QUAT_BASIS"}
+            "_quat_mul", "_quat_label", "_QUAT_BASIS", "_AffineIndex", "_RowIndex",
+            "element_index", "_element_index"}
     internals = {"_cayley_words", "_walk", "_undo", "_undo_at", "_moves", "_half",
                  "_step", "_parent", "_depth"}
     # class members are read off class_of; the only `.classes` left is the
     # class budget of the CLI
     assert "classes" not in {f.name for f in dataclasses.fields(ConjugacyData)}
+    tags = []  # the family_tag assignments: GroupTable's own only
     for path in sorted(Path(groups.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                tags += [(path.name, ast.unparse(t)) for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Attribute) and t.attr == "family_tag"]
             name = getattr(node, "attr", None) or getattr(node, "id", None) or \
                 getattr(node, "name", None)
             assert name not in gone, (path.name, name)
@@ -881,6 +1044,7 @@ def test_only_groups_reads_the_table():
             if path.name in ("morphisms.py", "conjugacy.py"):
                 assert not (isinstance(node, ast.While)
                             and "frontier" in ast.unparse(node.test)), (path.name, node.lineno)
+    assert tags == [("groups.py", "self.family_tag")]
     closers = {fn.name for fn in ast.walk(ast.parse(Path(groups.__file__).read_text()))
                if isinstance(fn, ast.FunctionDef) and _assigns_first_hit_ids(fn)}
     assert closers == {"_close"}
@@ -935,14 +1099,23 @@ def test_affine_walks_without_table_match_the_tuple_closure(name, closure_case):
 def test_dihedral_closed_form_numbers_as_the_pair_search():
     """The closed-form ids of D_n are the first-hit ids of the breadth-first
     search of affine pairs from the identity by r = (1, 0), then s = (0, 1):
-    the same pair at each id, the same generator ids, both columns and the
-    inverses.  The n include even and odd ones, where the two search fronts
-    meet in different slots."""
+    the same pair at each id, looked up by its n-point permutation, the
+    same generator ids, both columns and the inverses.  The n include even
+    and odd ones, where the two search fronts meet in different slots.
+
+    At n = 10000 every 41st id is looked up, id 0 among them (each lookup
+    forms and compares 10,000-point tuples; all 20,000 take about 20 s).
+    The columns, checked in full there, are formed from the group's own
+    pairs, so they pin every id's pair once id 0's is known: a renumbering
+    that commutes with right multiplication by r and s is a left
+    multiplication, and one that fixes the identity is none."""
     gens = [(1, 0), (0, 1)]
     for n in [*range(3, 301), 997, 1000, 1001, 10000]:
         elements, columns = tuple_closure((0, 0), gens, lambda p, q: affine_compose(p, q, n))
         g = groups.dihedral(n)
-        assert g.elements == elements, n
+        looked_up = range(0, 2 * n, 41 if n == 10000 else 1)
+        assert [g.element_id(groups._affine_perm(elements[i], n)) for i in looked_up] == \
+            list(looked_up), n
         index = {x: i for i, x in enumerate(elements)}
         assert g.generators == [index[s] for s in gens], n
         for s, col in zip(g.generators, columns):
@@ -979,9 +1152,17 @@ def affine_at_the_cap():
     return [groups.cyclic(20000), groups.dihedral(10000)]
 
 
-def test_affine_families_build_at_the_order_cap(affine_at_the_cap):
+@pytest.fixture(scope="module")
+def pairs_at_the_cap():
+    """The pairs of Z20000 and D10000 by id, from the first-hit search of
+    affine pairs whose ids the closed forms reproduce."""
+    return [tuple_closure((0, 0), gens, lambda p, q, n=n: affine_compose(p, q, n))[0]
+            for n, gens in [(20000, [(1, 0)]), (10000, [(1, 0), (0, 1)])]]
+
+
+def test_affine_families_build_at_the_order_cap(affine_at_the_cap, pairs_at_the_cap):
     rng = np.random.default_rng(12)
-    for g in affine_at_the_cap:
+    for g, pairs in zip(affine_at_the_cap, pairs_at_the_cap):
         n = g.meta["degree"]
         assert g.order == groups.ORDER_CAP
         r = g.generators[0]
@@ -989,15 +1170,15 @@ def test_affine_families_build_at_the_order_cap(affine_at_the_cap):
         x, y = rng.integers(0, g.order, size=(2, 500))
         products = g.mul(x, y)
         for i, j, k in zip(x.tolist(), y.tolist(), products.tolist()):
-            assert affine_compose(g.elements[i], g.elements[j], n) == g.elements[k]
+            assert affine_compose(pairs[i], pairs[j], n) == pairs[k]
         assert g._labels is None  # nothing built every label
 
 
-def test_affine_labels_and_lookup_at_the_order_cap(affine_at_the_cap):
-    for g in affine_at_the_cap:
+def test_affine_labels_and_lookup_at_the_order_cap(affine_at_the_cap, pairs_at_the_cap):
+    for g, pairs in zip(affine_at_the_cap, pairs_at_the_cap):
         n = g.meta["degree"]
         for x in (0, 1, g.order // 2 + 1, g.order - 1):
-            perm = groups._affine_perm(g.elements[x], n)
+            perm = groups._affine_perm(pairs[x], n)
             assert g.label(x) == groups.perm_label(perm)
             assert g.element_id(g.label(x)) == g.element_id(perm) == x
 
@@ -1029,7 +1210,7 @@ def test_groups_defines_no_new_public_function():
     assert public == {
         "perm_label", "parse_cycles", "cyclic", "symmetric", "alternating", "dihedral", "quaternion8",
         "clifford", "direct_product", "construct_family",
-        "construct_semidirect_with_involution", "subgroup_closure", "spanning_generators",
+        "construct_semidirect_with_involution", "spanning_generators",
     }
 
 
@@ -1043,6 +1224,10 @@ def test_groups_defines_no_new_public_function():
     ("symmetric", 5, 120),
     ("alternating", 5, 60),
     ("clifford", 4, 32),
+    # n = 1 and 2, where 1! and n!/2 for n <= 2 are empty products: caps 0 and 1
+    ("cyclic", 1, 1), ("cyclic", 2, 2), ("dihedral", 1, 2), ("dihedral", 2, 4),
+    ("symmetric", 1, 1), ("symmetric", 2, 2), ("alternating", 1, 1), ("alternating", 2, 1),
+    ("clifford", 1, 4), ("clifford", 2, 8),
 ])
 def test_family_order_over_the_cap_is_refused_up_front(family, n, order, monkeypatch):
     assert groups.construct_family(family, n, cap=order).order == order

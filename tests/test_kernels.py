@@ -6,6 +6,8 @@ import pytest
 from taumackey import ORDER_CAP, _kernels, cli, conjugacy, gelfand, groups, morphisms
 from taumackey.errors import BudgetExceeded
 
+from oracles import subgroup_closure
+
 
 def _reference_labels(moves):
     """Plain BFS reference."""
@@ -144,7 +146,7 @@ def _s4_wr_z2_k_action():
     """S4 x S4 acting on the two cosets of S4 wr Z2, as `gelfand` passes it."""
     G = cli.build_group({"generators": ["(1 2)", "(1 2 3 4)", "(1 5)(2 6)(3 7)(4 8)"],
                          "degree": 8})
-    K = groups.subgroup_closure(
+    K = subgroup_closure(
         G, [G.element_id(s) for s in ["(1 2)", "(1 2 3 4)", "(5 6)", "(5 6 7 8)"]])
     space = gelfand.build_coset_space(G, K)
     return space.rows(space.subgroup)
